@@ -14,15 +14,14 @@ from .invariance import (CoefficientSystem, FieldValidationError,
                          derive_system, load_system, propagate_zeros,
                          residuals)
 from .manifold import (LPConfig, LPResult, ManifoldApproximation,
-                       NonContractionError, OrderFit, ReducedFlow,
-                       cutoff_apply, evaluate_phi, leading_order_happ,
-                       lyapunov_perron_hc, order_fit, reduced_flow,
-                       smoothstep)
+                       NewtonConvergenceError, NonContractionError, OrderFit,
+                       ReducedFlow, cutoff_scale, evaluate_phi,
+                       leading_order_happ, lyapunov_perron_hc, order_fit,
+                       reduced_flow, smoothstep)
 from .rde import BlowUpError, solve_affine, solve_rde
 from .roughpath import (CovarianceFactorizationError, Grid, RoughPath,
                         coarsen, concat, distance, lift_brownian, lift_fbm,
                         lift_smooth, restrict, shift, unit_block, validate)
-from .spectral import DefectiveMatrixError, SpectralSplit, split
 from .stationary import (HierarchyResult, NonStableOrderError,
                          StationaryPath, ou_stationary, solve_hierarchy,
                          stationarity_check, stationary_affine)

@@ -6,14 +6,17 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .invariance import (FieldValidationError, derive_system, load_system,
+from .invariance import (CoefficientSystem, FieldValidationError,
+                         NumericSystem, derive_system, load_system,
                          propagate_zeros, residuals)
-from .manifold import (LPConfig, ManifoldApproximation, NonContractionError,
+from .manifold import (LPConfig, ManifoldApproximation,
+                       NewtonConvergenceError, NonContractionError,
                        evaluate_phi, leading_order_happ, lyapunov_perron_hc,
                        order_fit)
 from .roughpath import Grid, lift_brownian
@@ -32,8 +35,7 @@ def main():
 @click.option("--spec", "spec_file", required=True, type=click.Path(exists=True))
 @click.option("--q", type=int, default=None, help="Override the expansion order.")
 @click.option("--out-dir", type=click.Path(), default=".")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def derive(spec_file, q, out_dir, fmt):
+def derive(spec_file, q, out_dir):
     """Derive the coefficient RDE system for a system description."""
     try:
         spec = load_system(spec_file)
@@ -63,41 +65,46 @@ def derive(spec_file, q, out_dir, fmt):
     click.echo(f"wrote {out / 'coefficient_system.json'}")
 
 
-def _verify_seed(args):
-    (seed, spec_dict, q, grid_n, horizon, window, eta, cutoff_r, xis,
-     solver, fp_tol) = args
-    spec = load_system(spec_dict)
-    nsys = spec.numeric()
-    cs = propagate_zeros(derive_system(spec, q=q))
-    res = residuals(cs)
-    rp = lift_brownian(seed, Grid(-float(window), 0.0, window * grid_n),
-                       d=spec.noise_dim, gamma=spec.gamma)
-    hier = solve_hierarchy(cs, rp, params=spec.params, init="zero")
-    ma = ManifoldApproximation(q=cs.q, alpha0=hier.alpha0, radius=max(xis))
-    degs = [min(sum(k) for k in f.coeffs)
-            for f in [nsys.Fs] + nsys.Gs if f.coeffs]
-    l = min(degs) if degs else None
-    lp = LPConfig(eta=eta, window=window, cutoff_R=cutoff_r, fp_tol=fp_tol,
-                  max_iters=200)
+@dataclass(frozen=True)
+class _VerifyPlan:
+    """Everything a seed's run needs, derived once per verify."""
+    nsys: NumericSystem
+    cs: CoefficientSystem
+    params: dict[str, float]
+    min_degree: int | None
+    lead_degree: int | None
+    grid: Grid
+    lp: LPConfig
+    xis: tuple[float, ...]
+    solver: str
+
+
+def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
+    nsys, xis = plan.nsys, plan.xis
+    rp = lift_brownian(seed, plan.grid, d=nsys.d, gamma=nsys.gamma)
+    hier = solve_hierarchy(plan.cs, rp, params=plan.params, init="zero")
+    ma = ManifoldApproximation(q=plan.cs.q, alpha0=hier.alpha0, radius=max(xis))
+    l = plan.lead_degree
     row = {"seed": seed, "xi_sweep": list(xis), "phi_values": [],
            "hc_values": [], "happ_values": [], "contraction_rates": [],
            "tail_bounds": {str(k): v for k, v in hier.tail_bounds.items()},
-           "residual_min_degree": res["min_degree"], "failures": []}
+           "residual_min_degree": plan.min_degree, "failures": []}
     for xi in xis:
         row["phi_values"].append(evaluate_phi(ma, xi))
         row["happ_values"].append(
             leading_order_happ(nsys, l, xi, rp) if l is not None else 0.0)
         try:
-            r = lyapunov_perron_hc(nsys, xi, rp, lp, solver=solver)
+            r = lyapunov_perron_hc(nsys, xi, rp, plan.lp, solver=plan.solver)
             row["hc_values"].append(r.hc)
             row["contraction_rates"].append(r.rates[-1] if r.rates else 0.0)
-        except NonContractionError as exc:
+        except (NonContractionError, NewtonConvergenceError) as exc:
             row["hc_values"].append(float("nan"))
             row["contraction_rates"].append(float("nan"))
             row["failures"].append({"xi": xi, "error": str(exc)})
-    errs = [abs(h - p) for h, p in zip(row["hc_values"], row["phi_values"])]
+    errs = np.abs(np.subtract(row["hc_values"], row["phi_values"]))
+    ok = np.isfinite(errs)
     try:
-        fit = order_fit(xis, [e for e in errs if np.isfinite(e)])
+        fit = order_fit(np.asarray(xis)[ok], errs[ok])
         row["order_slope"] = fit.slope
     except ValueError:
         row["order_slope"] = float("nan")
@@ -109,8 +116,6 @@ def _verify_seed(args):
 @click.option("--q", type=int, default=None)
 @click.option("--seeds", type=int, default=1, help="Number of sampled paths.")
 @click.option("--grid-n", type=int, default=128, help="Grid cells per unit time.")
-@click.option("--horizon", type=float, default=None,
-              help="Backward horizon for the coefficient paths (default: window).")
 @click.option("--window", type=int, default=12)
 @click.option("--eta", type=float, default=None,
               help="Weight exponent; default is half the stable rate.")
@@ -122,19 +127,20 @@ def _verify_seed(args):
 @click.option("--fp-tol", type=float, default=1e-10)
 @click.option("--out-dir", type=click.Path(), default=".")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def verify(spec_file, q, seeds, grid_n, horizon, window, eta, cutoff_r,
+def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
            xi_min, xi_max, xi_points, solver, fp_tol, out_dir, fmt):
     """Check the order law |h^c - phi| = O(|xi|^{q+1}) over sampled paths."""
+    threads = os.environ.get("RM_THREADS", "1")
     try:
+        if not threads.strip().isdecimal() or int(threads) < 1:
+            raise ValueError("RM_THREADS must be an integer >= 1, got "
+                             f"{threads!r}")
         spec = load_system(spec_file)
         nsys = spec.numeric()
         cs = propagate_zeros(derive_system(spec, q=q))
     except (FieldValidationError, ValueError, KeyError) as exc:
         click.echo(f"validation failure: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    if horizon is not None and horizon != window:
-        click.echo("note: coefficient paths use the verification window as "
-                   "horizon so both truncations match", err=True)
     if eta is None:
         eta = 0.5 * nsys.As
     xis = list(np.geomspace(xi_max, xi_min, xi_points))
@@ -144,15 +150,22 @@ def verify(spec_file, q, seeds, grid_n, horizon, window, eta, cutoff_r,
                 click.echo(f"warning: xi = {xi:g} exceeds cutoff radius "
                            f"{cutoff_r:g}", err=True)
         xis = [min(xi, cutoff_r) for xi in xis]
-    spec_dict = json.loads(Path(spec_file).read_text())
-    tasks = [(s, spec_dict, q, grid_n, horizon, window, eta, cutoff_r, xis,
-              solver, fp_tol) for s in range(seeds)]
-    workers = max(1, int(os.environ.get("RM_THREADS", "1")))
+    degs = [min(sum(k) for k in f.coeffs)
+            for f in [nsys.Fs] + nsys.Gs if f.coeffs]
+    plan = _VerifyPlan(
+        nsys=nsys, cs=cs, params=spec.params,
+        min_degree=residuals(cs)["min_degree"],
+        lead_degree=min(degs) if degs else None,
+        grid=Grid(-float(window), 0.0, window * grid_n),
+        lp=LPConfig(eta=eta, window=window, cutoff_R=cutoff_r, fp_tol=fp_tol,
+                    max_iters=200),
+        xis=tuple(xis), solver=solver)
+    workers = int(threads)
     if workers > 1 and seeds > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_verify_seed, tasks))
+            rows = list(pool.map(_verify_seed, [plan] * seeds, range(seeds)))
     else:
-        rows = [_verify_seed(t) for t in tasks]
+        rows = [_verify_seed(plan, s) for s in range(seeds)]
     rows.sort(key=lambda r: r["seed"])
 
     slopes = [r["order_slope"] for r in rows if np.isfinite(r["order_slope"])]

@@ -11,10 +11,9 @@ along W^a, so the second-level term is sum_ab Yp[u, b, a] WW_{u,v}[a, b].
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .controlled import ControlledPath
-from .roughpath import Grid, RoughPath
+from .roughpath import Grid
 
 __all__ = ["rough_integral", "rough_integral_path", "convolve_drift",
            "convolve_diffusion", "cell_terms", "semigroup_step"]
@@ -46,45 +45,30 @@ def rough_integral_path(cp: ControlledPath) -> ControlledPath:
     return ControlledPath(cp.ref, I[:, None], cp.Y[:, None, :])
 
 
-def semigroup_step(A, h: float):
-    """(e^{A h}, int_0^h e^{A s} ds) for scalar or matrix A."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 0:
-        a = float(A)
-        E = np.exp(a * h)
-        Phi = h if a == 0.0 else np.expm1(a * h) / a
-        return E, Phi
-    dim = A.shape[0]
-    aug = np.zeros((2 * dim, 2 * dim))
-    aug[:dim, :dim] = A
-    aug[:dim, dim:] = np.eye(dim)
-    big = expm(aug * h)
-    return big[:dim, :dim], big[:dim, dim:]
+def semigroup_step(a: float, h: float):
+    """(e^{a h}, int_0^h e^{a s} ds) for scalar a."""
+    a = float(a)
+    E = np.exp(a * h)
+    Phi = h if a == 0.0 else np.expm1(a * h) / a
+    return E, Phi
 
 
-def convolve_drift(A, f: np.ndarray, grid: Grid,
-                   ref: RoughPath | None = None) -> np.ndarray:
-    """t -> int_0^t e^{A (t - r)} f_r dr on the grid nodes.
+def convolve_drift(A, f: np.ndarray, grid: Grid) -> np.ndarray:
+    """t -> int_0^t e^{A (t - r)} f_r dr on the grid nodes, for scalar A.
 
     Each cell uses the midpoint value (f_k + f_{k+1}) / 2 as a piecewise
     constant and integrates the semigroup factor exactly.  Returned as a node
     array; as a controlled path this has zero Gubinelli derivative.
     """
     f = np.asarray(f, dtype=float)
-    scalar_in = f.ndim == 1
-    if scalar_in:
-        f = f[:, None]
-    if f.shape[0] != grid.n + 1:
+    if f.shape != (grid.n + 1,):
         raise ValueError("f must be sampled on the grid nodes")
     E, Phi = semigroup_step(A, grid.h)
     out = np.zeros_like(f)
     mid = 0.5 * (f[:-1] + f[1:])
     for k in range(grid.n):
-        if np.ndim(E) == 0:
-            out[k + 1] = E * out[k] + Phi * mid[k]
-        else:
-            out[k + 1] = E @ out[k] + Phi @ mid[k]
-    return out[:, 0] if scalar_in else out
+        out[k + 1] = E * out[k] + Phi * mid[k]
+    return out
 
 
 def convolve_diffusion(A, cp: ControlledPath, t_node: int | None = None):

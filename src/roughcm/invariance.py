@@ -15,9 +15,8 @@ import sympy as sp
 
 __all__ = [
     "X", "alpha", "PolyField", "SystemSpec", "CoefficientSystem",
-    "FieldValidationError", "load_system", "substitute_ansatz",
-    "derive_system", "propagate_zeros", "residuals",
-    "NumericField", "NumericSystem",
+    "FieldValidationError", "load_system", "derive_system",
+    "propagate_zeros", "residuals", "NumericField", "NumericSystem",
 ]
 
 X = sp.Symbol("x")
@@ -134,6 +133,11 @@ def load_system(path_or_dict, validate: bool = True) -> SystemSpec:
     d = int(doc.get("noise_dim", 1))
     gc_entries = doc.get("Gc", [[] for _ in range(d)])
     gs_entries = doc.get("Gs", [[] for _ in range(d)])
+    for name, entries in (("Gc", gc_entries), ("Gs", gs_entries)):
+        if len(entries) != d:
+            raise FieldValidationError(
+                f"{name} has {len(entries)} channel(s) but noise_dim = {d}: "
+                "give one term list per noise channel")
     spec = SystemSpec(
         gamma=float(doc["gamma"]),
         q=int(doc["q"]),
@@ -154,21 +158,6 @@ def load_system(path_or_dict, validate: bool = True) -> SystemSpec:
 
 def _ansatz(q: int) -> sp.Expr:
     return sum(alpha(i) * X**i for i in range(1, q + 1))
-
-
-def substitute_ansatz(P: PolyField, q: int, degree_cap: int | None = None) -> sp.Expr:
-    """P(x, phi(x)) expanded exactly and truncated above degree_cap."""
-    if degree_cap is None:
-        degree_cap = q**3
-    if degree_cap < q:
-        raise ValueError("degree_cap must be at least q")
-    expr = sp.expand(P(X, _ansatz(q)))
-    return _truncate(expr, degree_cap)
-
-
-def _truncate(expr: sp.Expr, cap: int) -> sp.Expr:
-    poly = sp.Poly(expr, X)
-    return sum(c * X**i for (i,), c in poly.terms() if i <= cap)
 
 
 @dataclass
@@ -295,30 +284,25 @@ def residuals(cs: CoefficientSystem) -> dict:
 
 
 class NumericField:
-    """Polynomial field in (x, y) with float coefficients, numpy-evaluable."""
+    """Polynomial with float coefficients keyed by exponent tuples, one
+    exponent per variable, numpy-evaluable."""
 
-    def __init__(self, coeffs: dict[tuple[int, int], float]):
+    def __init__(self, coeffs: dict[tuple[int, ...], float]):
         self.coeffs = {k: float(v) for k, v in coeffs.items() if v != 0.0}
 
-    def __call__(self, x, y):
-        out = np.zeros(np.broadcast(x, y).shape)
-        for (i, j), c in self.coeffs.items():
-            out = out + c * np.asarray(x)**i * np.asarray(y)**j
+    def __call__(self, *xs):
+        out = np.zeros(np.broadcast(*xs).shape)
+        for k, c in self.coeffs.items():
+            term = c
+            for x, e in zip(xs, k):
+                term = term * np.asarray(x)**e
+            out = out + term
         return out
 
-    def dx(self, x, y):
-        out = np.zeros(np.broadcast(x, y).shape)
-        for (i, j), c in self.coeffs.items():
-            if i:
-                out = out + c * i * np.asarray(x)**(i - 1) * np.asarray(y)**j
-        return out
-
-    def dy(self, x, y):
-        out = np.zeros(np.broadcast(x, y).shape)
-        for (i, j), c in self.coeffs.items():
-            if j:
-                out = out + c * j * np.asarray(x)**i * np.asarray(y)**(j - 1)
-        return out
+    def partial(self, v: int) -> "NumericField":
+        """The derivative in variable v."""
+        return NumericField({k[:v] + (k[v] - 1,) + k[v + 1:]: c * k[v]
+                             for k, c in self.coeffs.items() if k[v]})
 
     def leading(self, l: int) -> "NumericField":
         """The homogeneous part of total degree l."""

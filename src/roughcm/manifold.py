@@ -20,9 +20,9 @@ from .invariance import NumericSystem
 from .roughpath import RoughPath, unit_block
 
 __all__ = ["ManifoldApproximation", "LPConfig", "LPResult", "ReducedFlow",
-           "NonContractionError", "evaluate_phi", "reduced_flow",
-           "leading_order_happ", "lyapunov_perron_hc", "cutoff_apply",
-           "smoothstep", "order_fit", "OrderFit"]
+           "NonContractionError", "NewtonConvergenceError", "evaluate_phi",
+           "reduced_flow", "leading_order_happ", "lyapunov_perron_hc",
+           "cutoff_scale", "smoothstep", "order_fit", "OrderFit"]
 
 
 class NonContractionError(RuntimeError):
@@ -33,6 +33,10 @@ class NonContractionError(RuntimeError):
             "steps); shrink cutoff_R or |xi|")
         self.iteration = iteration
         self.rate = rate
+
+
+class NewtonConvergenceError(RuntimeError):
+    """The Newton-Krylov solve of the fixed-point equation did not converge."""
 
 
 @dataclass
@@ -129,12 +133,11 @@ def smoothstep(u: float) -> float:
     return 1.0 - 3.0 * v**2 + 2.0 * v**3
 
 
-def cutoff_apply(cp: ControlledPath, R: float) -> ControlledPath:
-    """Scale the controlled path by the ramp of its norm against R."""
+def cutoff_scale(cp: ControlledPath, R: float) -> float:
+    """The cutoff factor of a controlled path: the ramp of its norm against R."""
     if R <= 0:
         raise ValueError("cutoff radius must be positive")
-    s = smoothstep(norm_d2g(cp).total / R)
-    return ControlledPath(cp.ref, s * cp.Y, s * cp.Yp)
+    return smoothstep(norm_d2g(cp).total / R)
 
 
 def leading_order_happ(sys: NumericSystem, l: int, xi: float,
@@ -269,52 +272,40 @@ class _Sweep:
         sys, lp = self.sys, self.lp
         N, nu, d = self.N, self.nu, self.d
         X, Ys, Xp, Ysp = state
-        Ic, Is = np.zeros(N), np.zeros(N)
-        Cc, Cs, gc_vals, gs_vals = [], [], [], []
+        fields = ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs))
+        C, G = ([], []), ([], [])   # per-block convolutions, diffusion values
         breach = False
         for i in range(N):
-            s = smoothstep(norm_d2g(self.pack(state, i)).total / lp.cutoff_R)
-            if s < 1.0:
-                breach = True
+            s = cutoff_scale(self.pack(state, i), lp.cutoff_R)
+            breach = breach or s < 1.0
             x, y = s * X[i], s * Ys[i]
-            cc = convolve_drift(sys.Ac, sys.Fc(x, y), self.ubs[i].grid)
-            cs = convolve_drift(sys.As, sys.Fs(x, y), self.ubs[i].grid)
-            gc = np.zeros((nu + 1, d))
-            gs = np.zeros((nu + 1, d))
-            for ch, g in enumerate(sys.Gc):
-                gc[:, ch] = g(x, y)
-            for ch, g in enumerate(sys.Gs):
-                gs[:, ch] = g(x, y)
-            if np.any(gc):
-                gcp = np.zeros((nu + 1, d, d))
-                for ch, g in enumerate(sys.Gc):
-                    gcp[:, ch, :] = (g.dx(x, y)[:, None] * Xp[i] +
-                                     g.dy(x, y)[:, None] * Ysp[i]) * s
-                cc = cc + convolve_diffusion(sys.Ac, ControlledPath(self.ubs[i], gc, gcp))
-            if np.any(gs):
-                gsp = np.zeros((nu + 1, d, d))
-                for ch, g in enumerate(sys.Gs):
-                    gsp[:, ch, :] = (g.dx(x, y)[:, None] * Xp[i] +
-                                     g.dy(x, y)[:, None] * Ysp[i]) * s
-                cs = cs + convolve_diffusion(sys.As, ControlledPath(self.ubs[i], gs, gsp))
-            Cc.append(cc)
-            Cs.append(cs)
-            Ic[i], Is[i] = cc[-1], cs[-1]
-            gc_vals.append(gc)
-            gs_vals.append(gs)
+            for (A, F, Gf), conv, gvals in zip(fields, C, G):
+                c = convolve_drift(A, F(x, y), self.ubs[i].grid)
+                gY = np.zeros((nu + 1, d))
+                for ch, g in enumerate(Gf):
+                    gY[:, ch] = g(x, y)
+                if np.any(gY):
+                    gYp = np.zeros((nu + 1, d, d))
+                    for ch, g in enumerate(Gf):
+                        gYp[:, ch, :] = (g.partial(0)(x, y)[:, None] * Xp[i] +
+                                         g.partial(1)(x, y)[:, None] * Ysp[i]) * s
+                    c = c + convolve_diffusion(A, ControlledPath(self.ubs[i], gY, gYp))
+                conv.append(c)
+                gvals.append(gY)
+        Cc, Cs = C
         newX, newYs = [], []
         for i in range(N):
             b = i - N
             t = b + self.tau
             nX = np.exp(sys.Ac * t) * self.xi + Cc[i]
             for k in range(i, N):
-                nX = nX - np.exp(sys.Ac * (t - (k - N + 1))) * Ic[k]
+                nX = nX - np.exp(sys.Ac * (t - (k - N + 1))) * Cc[k][-1]
             nY = Cs[i].copy()
             for k in range(i):
-                nY = nY + np.exp(sys.As * (t - (k - N + 1))) * Is[k]
+                nY = nY + np.exp(sys.As * (t - (k - N + 1))) * Cs[k][-1]
             newX.append(nX)
             newYs.append(nY)
-        return (newX, newYs, gc_vals, gs_vals), breach
+        return (newX, newYs, *G), breach
 
     def distance(self, state_a, state_b) -> float:
         """Window-truncated exponentially weighted distance of sequences."""
@@ -379,7 +370,7 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
                 converged = True
                 break
     elif solver == "newton":
-        from scipy.optimize import newton_krylov
+        from scipy.optimize import NoConvergence, newton_krylov
 
         def residual(u):
             st = sweep.unflatten(u)
@@ -390,8 +381,13 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
         # fine-scale Hölder factor, so solve a bit below the requested tol
         f_tol = max(lp.fp_tol / (sweep.nu ** (2 * rp.gamma)), 1e-14)
         u0 = sweep.flatten(sweep.flow_state())
-        u = newton_krylov(residual, u0, method="lgmres", f_tol=f_tol,
-                          maxiter=lp.max_iters)
+        try:
+            u = newton_krylov(residual, u0, method="lgmres", f_tol=f_tol,
+                              maxiter=lp.max_iters)
+        except NoConvergence as exc:
+            raise NewtonConvergenceError(
+                f"Newton-Krylov solve did not converge in {lp.max_iters} "
+                "iterations; raise max_iters or shrink |xi|") from exc
         state = sweep.unflatten(u)
         new_state, norm_breach = sweep.apply(state)
         dist = sweep.distance(new_state, state)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .controlled import ControlledPath
-from .gubinelli import convolve_diffusion, convolve_drift, semigroup_step
+from .gubinelli import convolve_diffusion, convolve_drift
 from .roughpath import RoughPath
 
 __all__ = ["BlowUpError", "solve_rde", "solve_affine"]

@@ -14,7 +14,7 @@ import sympy as sp
 
 from .controlled import ControlledPath, norm_d2g
 from .gubinelli import convolve_diffusion, convolve_drift
-from .invariance import CoefficientSystem, alpha
+from .invariance import CoefficientSystem, NumericField, alpha
 from .rde import solve_affine
 from .roughpath import RoughPath, restrict
 
@@ -95,14 +95,8 @@ class HierarchyResult:
     block_norms: dict[int, float]
 
 
-def _lambdify(expr: sp.Expr, atoms: list[sp.Symbol]):
-    fn = sp.lambdify(atoms, expr, modules="numpy")
-
-    def call(values: list[np.ndarray], n: int) -> np.ndarray:
-        out = fn(*values) if atoms else float(expr)
-        return np.broadcast_to(np.asarray(out, dtype=float), (n,)).copy()
-
-    return call
+def _numeric(expr: sp.Expr, atoms: list[sp.Symbol]) -> NumericField:
+    return NumericField({k: float(c) for k, c in sp.Poly(expr, *atoms).terms()})
 
 
 def solve_hierarchy(cs: CoefficientSystem, rp: RoughPath,
@@ -131,20 +125,18 @@ def solve_hierarchy(cs: CoefficientSystem, rp: RoughPath,
             tails[i] = 0.0
             continue
         A_i = float(sp.N(cs.A_alpha[i].subs(subs)))
-        f_expr = sp.expand(cs.f[i].subs(subs))
-        f_nodes = _lambdify(f_expr, atoms)(vals, n + 1)
-        g_exprs = [sp.expand(e.subs(subs)) for e in cs.g[i]]
+        f_nodes = _numeric(cs.f[i].subs(subs), atoms)(*vals)
+        g_fields = [_numeric(e.subs(subs), atoms) for e in cs.g[i]]
         g_cp = None
-        if any(e != 0 for e in g_exprs):
+        if any(g.coeffs for g in g_fields):
             gY = np.zeros((n + 1, d))
             gYp = np.zeros((n + 1, d, d))
-            for b, e in enumerate(g_exprs):
-                gY[:, b] = _lambdify(e, atoms)(vals, n + 1)
-                for mi, atom in enumerate(atoms):
-                    de = sp.diff(e, atom)
-                    if de != 0:
-                        grad = _lambdify(de, atoms)(vals, n + 1)
-                        gYp[:, b, :] += grad[:, None] * derivs[mi]
+            for b, g in enumerate(g_fields):
+                gY[:, b] = g(*vals)
+                for mi in range(len(atoms)):
+                    grad = g.partial(mi)
+                    if grad.coeffs:
+                        gYp[:, b, :] += grad(*vals)[:, None] * derivs[mi]
             g_cp = ControlledPath(rp, gY, gYp)
         st = stationary_affine(A_i, f_nodes, g_cp, rp, init=init, order=i)
         alphas[i] = st.path

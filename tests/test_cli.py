@@ -52,6 +52,17 @@ class TestDerive:
         assert result.exit_code == 2
         assert "validation failure" in result.output
 
+    def test_channel_count_mismatch_exits_2(self, runner, tmp_path):
+        doc = json.loads(NONLINEAR.read_text())
+        doc["noise_dim"] = 2
+        doc["override"] = True
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["derive", "--spec", str(bad),
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "noise_dim" in result.output
+
 
 class TestVerify:
     def run_small(self, runner, tmp_path, *extra):
@@ -86,6 +97,34 @@ class TestVerify:
         self.run_small(runner, b)
         assert (a / "verify_report.json").read_text() == \
             (b / "verify_report.json").read_text()
+
+    def test_parallel_report_matches_serial(self, runner, tmp_path,
+                                            monkeypatch):
+        monkeypatch.delenv("RM_THREADS", raising=False)
+        self.run_small(runner, tmp_path / "serial", "--seeds", "2")
+        monkeypatch.setenv("RM_THREADS", "2")
+        self.run_small(runner, tmp_path / "pool", "--seeds", "2")
+        serial = (tmp_path / "serial" / "verify_report.json").read_text()
+        assert len(json.loads(serial)["per_seed"]) == 2
+        assert (tmp_path / "pool" / "verify_report.json").read_text() == serial
+
+    @pytest.mark.parametrize("value", ["two", "0"])
+    def test_invalid_rm_threads_exits_2(self, runner, tmp_path, monkeypatch,
+                                        value):
+        monkeypatch.setenv("RM_THREADS", value)
+        result = self.run_small(runner, tmp_path)
+        assert result.exit_code == 2
+        assert "RM_THREADS" in result.output
+
+    def test_non_contracting_xi_reported(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "verify", "--spec", str(LINEAR), "--seeds", "1",
+            "--grid-n", "32", "--cutoff-r", "2", "--xi-max", "0.2",
+            "--xi-min", "0.05", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        failures = report["per_seed"][0]["failures"]
+        assert [f["xi"] for f in failures] == [0.2]
 
     def test_xi_above_cutoff_warns_and_clips(self, runner, tmp_path):
         result = runner.invoke(main, [

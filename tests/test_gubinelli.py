@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.linalg import expm
 
 from roughcm import (ControlledPath, Grid, coarsen, convolve_diffusion,
                      convolve_drift, lift_brownian, lift_smooth,
@@ -61,31 +60,12 @@ class TestSemigroup:
         E, Phi = semigroup_step(0.0, 0.25)
         assert E == 1.0 and Phi == 0.25
 
-    def test_matrix_against_quadrature(self):
-        A = np.array([[-1.0, 2.0], [0.0, -3.0]])
-        E, Phi = semigroup_step(A, 0.7)
-        assert np.allclose(E, expm(0.7 * A))
-        ref = np.zeros((2, 2))
-        for i in range(2):
-            for j in range(2):
-                ref[i, j] = quad(lambda s: expm(s * A)[i, j], 0, 0.7)[0]
-        assert np.allclose(Phi, ref, atol=1e-9)
-
 
 class TestConvolutions:
     def test_drift_constant_forcing(self):
         g = Grid(0.0, 2.0, 512)
         out = convolve_drift(-1.0, np.ones(513), g)
         assert np.max(np.abs(out - (1 - np.exp(-g.nodes)))) < 1e-12
-
-    def test_drift_matrix(self):
-        g = Grid(0.0, 1.0, 256)
-        A = np.diag([-1.0, -2.0])
-        f = np.tile([1.0, 3.0], (257, 1))
-        out = convolve_drift(A, f, g)
-        ref = np.stack([(1 - np.exp(-g.nodes)), 1.5 * (1 - np.exp(-2 * g.nodes))],
-                       axis=1)
-        assert np.max(np.abs(out - ref)) < 1e-10
 
     def test_drift_midpoint_order(self):
         # midpoint rule: error O(h^2) for smooth forcing

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
-                     NonContractionError, cutoff_apply, derive_system,
-                     evaluate_phi, leading_order_happ, lift_brownian,
-                     load_system, lyapunov_perron_hc, order_fit,
-                     propagate_zeros, reduced_flow, smoothstep,
-                     solve_hierarchy)
+                     NewtonConvergenceError, NonContractionError,
+                     cutoff_scale, derive_system, evaluate_phi,
+                     leading_order_happ, lift_brownian, load_system,
+                     lyapunov_perron_hc, order_fit, propagate_zeros,
+                     reduced_flow, smoothstep, solve_hierarchy)
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -92,18 +92,15 @@ class TestCutoff:
 
     def test_identity_below_half(self, window):
         cp = ControlledPath.constant(window, 0.1)
-        out = cutoff_apply(cp, 0.5)
-        assert np.allclose(out.Y, cp.Y)
+        assert cutoff_scale(cp, 0.5) == 1.0
 
     def test_zero_above_radius(self, window):
         cp = ControlledPath.constant(window, 1.0)
-        out = cutoff_apply(cp, 0.5)
-        assert np.allclose(out.Y, 0.0)
+        assert cutoff_scale(cp, 0.5) == 0.0
 
     def test_midpoint_scaling(self, window):
         cp = ControlledPath.constant(window, 0.75)
-        out = cutoff_apply(cp, 1.0)
-        assert np.allclose(out.Y, 0.375)
+        assert cutoff_scale(cp, 1.0) == pytest.approx(0.5)
 
 
 class TestLeadingOrderHapp:
@@ -155,6 +152,12 @@ class TestLyapunovPerron:
         lp = LPConfig(eta=-0.5, window=12, cutoff_R=2.0, fp_tol=1e-12)
         with pytest.raises(NonContractionError, match="shrink"):
             lyapunov_perron_hc(sys_linear, 0.2, window, lp)
+
+    def test_newton_non_convergence_named(self, sys_linear):
+        rp = lift_brownian(0, Grid(-4.0, 0.0, 4 * 16), gamma=0.45)
+        lp = LPConfig(eta=-0.5, window=4, max_iters=1)
+        with pytest.raises(NewtonConvergenceError, match="did not converge"):
+            lyapunov_perron_hc(sys_linear, 0.05, rp, lp, solver="newton")
 
     def test_eta_range_enforced(self, window, sys_linear):
         with pytest.raises(ValueError):
