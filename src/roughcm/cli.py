@@ -95,12 +95,19 @@ def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
             leading_order_happ(nsys, l, xi, rp) if l is not None else 0.0)
         try:
             r = lyapunov_perron_hc(nsys, xi, rp, plan.lp, solver=plan.solver)
+            error = None if r.converged else (
+                f"not converged within max_iters = {plan.lp.max_iters}: "
+                f"fixed-point distance {r.distances[-1]:.3g} after "
+                f"{r.iterations} iteration(s)")
+        except (NonContractionError, NewtonConvergenceError) as exc:
+            error = str(exc)
+        if error is None:
             row["hc_values"].append(r.hc)
             row["contraction_rates"].append(r.rates[-1] if r.rates else 0.0)
-        except (NonContractionError, NewtonConvergenceError) as exc:
+        else:
             row["hc_values"].append(float("nan"))
             row["contraction_rates"].append(float("nan"))
-            row["failures"].append({"xi": xi, "error": str(exc)})
+            row["failures"].append({"xi": xi, "error": error})
     errs = np.abs(np.subtract(row["hc_values"], row["phi_values"]))
     ok = np.isfinite(errs)
     try:
@@ -135,6 +142,13 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
         if not threads.strip().isdecimal() or int(threads) < 1:
             raise ValueError("RM_THREADS must be an integer >= 1, got "
                              f"{threads!r}")
+        if xi_points < 4:
+            raise ValueError("--xi-points must be at least 4 for an order fit")
+        if not 0 < xi_min < xi_max:
+            raise ValueError("the sweep needs 0 < --xi-min < --xi-max")
+        if xi_min > cutoff_r:
+            raise ValueError(f"--xi-min {xi_min:g} exceeds --cutoff-r "
+                             f"{cutoff_r:g}; no xi would remain")
         spec = load_system(spec_file)
         nsys = spec.numeric()
         cs = propagate_zeros(derive_system(spec, q=q))
@@ -143,13 +157,13 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
         sys.exit(EXIT_VALIDATION)
     if eta is None:
         eta = 0.5 * nsys.As
-    xis = list(np.geomspace(xi_max, xi_min, xi_points))
-    if xi_max > cutoff_r:
-        for xi in xis:
-            if xi > cutoff_r:
-                click.echo(f"warning: xi = {xi:g} exceeds cutoff radius "
-                           f"{cutoff_r:g}", err=True)
-        xis = [min(xi, cutoff_r) for xi in xis]
+    xis = []
+    for xi in np.geomspace(xi_max, xi_min, xi_points):
+        if xi > cutoff_r:
+            click.echo(f"warning: dropping xi = {xi:g}, which exceeds the "
+                       f"cutoff radius {cutoff_r:g}", err=True)
+        else:
+            xis.append(xi)
     degs = [min(sum(k) for k in f.coeffs)
             for f in [nsys.Fs] + nsys.Gs if f.coeffs]
     plan = _VerifyPlan(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .roughpath import RoughPath, _pair_gaps, _pair_index
+from .roughpath import RoughPath, _pair_table
 
 __all__ = ["ControlledPath", "D2GNorm", "SmoothMap", "remainder", "norm_d2g",
            "add_scale", "mul", "compose"]
@@ -72,24 +72,18 @@ def remainder(cp: ControlledPath, i: int, j: int) -> np.ndarray:
     return cp.Y[j] - cp.Y[i] - cp.Yp[i] @ cp.ref.increment(i, j)
 
 
-def _remainder_pairs(cp: ControlledPath) -> np.ndarray:
-    ii, jj = _pair_index(cp.ref.n)
-    dW = cp.ref.W[jj] - cp.ref.W[ii]
-    R = cp.Y[jj] - cp.Y[ii] - np.einsum("kma,ka->km", cp.Yp[ii], dW)
-    return np.linalg.norm(R, axis=1)
-
-
 def norm_d2g(cp: ControlledPath) -> D2GNorm:
     """The four summands of the equivalent D^{2 gamma}_W norm, grid version."""
     g = cp.ref.gamma
-    dt = _pair_gaps(cp.ref.grid)
+    ii, jj, dt = _pair_table(cp.ref.grid)
     sup_Y = float(np.max(np.linalg.norm(cp.Y, axis=1)))
     yp_flat = cp.Yp.reshape(cp.Yp.shape[0], -1)
     sup_Yp = float(np.max(np.linalg.norm(yp_flat, axis=1)))
-    ii, jj = _pair_index(cp.ref.n)
     dYp = np.linalg.norm(yp_flat[jj] - yp_flat[ii], axis=1)
     holder_Yp = float(np.max(dYp / dt**g))
-    holder_R = float(np.max(_remainder_pairs(cp) / dt ** (2 * g)))
+    dW = cp.ref.W[jj] - cp.ref.W[ii]
+    R = cp.Y[jj] - cp.Y[ii] - np.einsum("kma,ka->km", cp.Yp[ii], dW)
+    holder_R = float(np.max(np.linalg.norm(R, axis=1) / dt ** (2 * g)))
     return D2GNorm(sup_Y, sup_Yp, holder_Yp, holder_R)
 
 

@@ -194,8 +194,9 @@ class LPResult:
 class _Sweep:
     """One application of the window-truncated graph-transform map.
 
-    State layout per block: values (x, y) and Gubinelli derivatives
-    (x', y'), all sampled on the block's unit grid.
+    The state is one array with a row per unit block, holding the values
+    (x, y) and then the Gubinelli derivatives (x', y'), all sampled on the
+    block's unit grid; `values` and `derivs` are views of the two parts.
     """
 
     def __init__(self, sys: NumericSystem, xi: float, rp: RoughPath, lp: LPConfig):
@@ -208,17 +209,21 @@ class _Sweep:
         self.ubs = [unit_block(rp, b) for b in range(-self.N, 0)]
         self.tau = self.ubs[0].grid.nodes
 
-    def zero_state(self):
-        N, nu, d = self.N, self.nu, self.d
-        return ([np.zeros(nu + 1) for _ in range(N)],
-                [np.zeros(nu + 1) for _ in range(N)],
-                [np.zeros((nu + 1, d)) for _ in range(N)],
-                [np.zeros((nu + 1, d)) for _ in range(N)])
+    def zero_state(self) -> np.ndarray:
+        return np.zeros((self.N, 2 * (self.nu + 1) * (1 + self.d)))
 
-    def flow_state(self):
+    def values(self, state: np.ndarray) -> np.ndarray:
+        """(N, 2, nu+1) view of (x, y)."""
+        return state[:, :2 * (self.nu + 1)].reshape(self.N, 2, self.nu + 1)
+
+    def derivs(self, state: np.ndarray) -> np.ndarray:
+        """(N, 2, nu+1, d) view of (x', y')."""
+        return state[:, 2 * (self.nu + 1):].reshape(self.N, 2, self.nu + 1, self.d)
+
+    def flow_state(self) -> np.ndarray:
         """Initial guess from a saturated backward sweep with the stable
         component slaved to its quasi-static balance y = -Fs(x, y)/As."""
-        sys, N, nu, d = self.sys, self.N, self.nu, self.d
+        sys, N, nu = self.sys, self.N, self.nu
         cap = 0.5 * self.lp.cutoff_R
         h = 1.0 / nu
         M = N * nu
@@ -232,93 +237,62 @@ class _Sweep:
             x_prev = float(np.clip(x_prev, -cap, cap))
             xs[k - 1] = x_prev
             ys[k - 1] = -sys.Fs(x_prev, 0.0) / sys.As
-        X, Ys, Xp, Ysp = self.zero_state()
-        for i in range(N):
-            sl = slice(i * nu, (i + 1) * nu + 1)
-            X[i] = xs[sl].copy()
-            Ys[i] = ys[sl].copy()
-            for ch, g in enumerate(sys.Gc):
-                Xp[i][:, ch] = g(X[i], Ys[i])
-            for ch, g in enumerate(sys.Gs):
-                Ysp[i][:, ch] = g(X[i], Ys[i])
-        return X, Ys, Xp, Ysp
+        # adjacent blocks share their boundary node
+        idx = nu * np.arange(N)[:, None] + np.arange(nu + 1)
+        x, y = xs[idx], ys[idx]
+        state = self.zero_state()
+        V, D = self.values(state), self.derivs(state)
+        V[:, 0], V[:, 1] = x, y
+        for c, Gf in enumerate((sys.Gc, sys.Gs)):
+            for ch, g in enumerate(Gf):
+                D[:, c, :, ch] = g(x, y)
+        return state
 
-    def pack(self, state, i: int) -> ControlledPath:
-        X, Ys, Xp, Ysp = state
-        Y = np.stack([X[i], Ys[i]], axis=1)
-        Yp = np.stack([Xp[i], Ysp[i]], axis=1)
-        return ControlledPath(self.ubs[i], Y, Yp)
+    def pack(self, state: np.ndarray, i: int) -> ControlledPath:
+        return ControlledPath(self.ubs[i], self.values(state)[i].T,
+                              self.derivs(state)[i].transpose(1, 0, 2))
 
-    def flatten(self, state) -> np.ndarray:
-        X, Ys, Xp, Ysp = state
-        return np.concatenate([np.concatenate([X[i], Ys[i], Xp[i].ravel(),
-                                               Ysp[i].ravel()])
-                               for i in range(self.N)])
-
-    def unflatten(self, u: np.ndarray):
-        nu, d = self.nu, self.d
-        per = (nu + 1) * (2 + 2 * d)
-        X, Ys, Xp, Ysp = [], [], [], []
-        for i in range(self.N):
-            blk = u[i * per:(i + 1) * per]
-            X.append(blk[:nu + 1].copy())
-            Ys.append(blk[nu + 1:2 * (nu + 1)].copy())
-            Xp.append(blk[2 * (nu + 1):(2 + d) * (nu + 1)].reshape(nu + 1, d).copy())
-            Ysp.append(blk[(2 + d) * (nu + 1):].reshape(nu + 1, d).copy())
-        return X, Ys, Xp, Ysp
-
-    def apply(self, state):
+    def apply(self, state: np.ndarray) -> tuple[np.ndarray, bool]:
         """New state and whether any block norm breached the cutoff ramp."""
         sys, lp = self.sys, self.lp
         N, nu, d = self.N, self.nu, self.d
-        X, Ys, Xp, Ysp = state
+        V, D = self.values(state), self.derivs(state)
+        new = self.zero_state()
+        nV, nD = self.values(new), self.derivs(new)
         fields = ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs))
-        C, G = ([], []), ([], [])   # per-block convolutions, diffusion values
+        C = np.empty((2, N, nu + 1))    # per-block convolutions
         breach = False
         for i in range(N):
             s = cutoff_scale(self.pack(state, i), lp.cutoff_R)
             breach = breach or s < 1.0
-            x, y = s * X[i], s * Ys[i]
-            for (A, F, Gf), conv, gvals in zip(fields, C, G):
-                c = convolve_drift(A, F(x, y), self.ubs[i].grid)
-                gY = np.zeros((nu + 1, d))
+            x, y = s * V[i, 0], s * V[i, 1]
+            for c, (A, F, Gf) in enumerate(fields):
+                C[c, i] = convolve_drift(A, F(x, y), self.ubs[i].grid)
+                gY = nD[i, c]
                 for ch, g in enumerate(Gf):
                     gY[:, ch] = g(x, y)
                 if np.any(gY):
                     gYp = np.zeros((nu + 1, d, d))
                     for ch, g in enumerate(Gf):
-                        gYp[:, ch, :] = (g.partial(0)(x, y)[:, None] * Xp[i] +
-                                         g.partial(1)(x, y)[:, None] * Ysp[i]) * s
-                    c = c + convolve_diffusion(A, ControlledPath(self.ubs[i], gY, gYp))
-                conv.append(c)
-                gvals.append(gY)
-        Cc, Cs = C
-        newX, newYs = [], []
+                        gYp[:, ch, :] = (g.partial(0)(x, y)[:, None] * D[i, 0] +
+                                         g.partial(1)(x, y)[:, None] * D[i, 1]) * s
+                    C[c, i] += convolve_diffusion(A, ControlledPath(self.ubs[i], gY, gYp))
         for i in range(N):
-            b = i - N
-            t = b + self.tau
-            nX = np.exp(sys.Ac * t) * self.xi + Cc[i]
+            t = i - N + self.tau
+            x, y = nV[i]
+            x[:] = np.exp(sys.Ac * t) * self.xi + C[0, i]
             for k in range(i, N):
-                nX = nX - np.exp(sys.Ac * (t - (k - N + 1))) * Cc[k][-1]
-            nY = Cs[i].copy()
+                x -= np.exp(sys.Ac * (t - (k - N + 1))) * C[0, k, -1]
+            y[:] = C[1, i]
             for k in range(i):
-                nY = nY + np.exp(sys.As * (t - (k - N + 1))) * Cs[k][-1]
-            newX.append(nX)
-            newYs.append(nY)
-        return (newX, newYs, *G), breach
+                y += np.exp(sys.As * (t - (k - N + 1))) * C[1, k, -1]
+        return new, breach
 
-    def distance(self, state_a, state_b) -> float:
+    def distance(self, state_a: np.ndarray, state_b: np.ndarray) -> float:
         """Window-truncated exponentially weighted distance of sequences."""
-        dist = 0.0
-        for i in range(self.N):
-            b = i - self.N
-            dY = np.stack([state_a[0][i] - state_b[0][i],
-                           state_a[1][i] - state_b[1][i]], axis=1)
-            dYp = np.stack([state_a[2][i] - state_b[2][i],
-                            state_a[3][i] - state_b[3][i]], axis=1)
-            dcp = ControlledPath(self.ubs[i], dY, dYp)
-            dist = max(dist, np.exp(-self.lp.eta * (b + 1)) * norm_d2g(dcp).total)
-        return dist
+        diff = state_a - state_b
+        return max(np.exp(-self.lp.eta * (i - self.N + 1)) *
+                   norm_d2g(self.pack(diff, i)).total for i in range(self.N))
 
 
 def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
@@ -373,14 +347,13 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
         from scipy.optimize import NoConvergence, newton_krylov
 
         def residual(u):
-            st = sweep.unflatten(u)
-            new_st, _ = sweep.apply(st)
-            return u - sweep.flatten(new_st)
+            new_state, _ = sweep.apply(u.reshape(N, -1))
+            return u - new_state.ravel()
 
         # the weighted sequence distance amplifies pointwise residuals by the
         # fine-scale Hölder factor, so solve a bit below the requested tol
         f_tol = max(lp.fp_tol / (sweep.nu ** (2 * rp.gamma)), 1e-14)
-        u0 = sweep.flatten(sweep.flow_state())
+        u0 = sweep.flow_state().ravel()
         try:
             u = newton_krylov(residual, u0, method="lgmres", f_tol=f_tol,
                               maxiter=lp.max_iters)
@@ -388,7 +361,7 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
             raise NewtonConvergenceError(
                 f"Newton-Krylov solve did not converge in {lp.max_iters} "
                 "iterations; raise max_iters or shrink |xi|") from exc
-        state = sweep.unflatten(u)
+        state = u.reshape(N, -1)
         new_state, norm_breach = sweep.apply(state)
         dist = sweep.distance(new_state, state)
         distances.append(dist)
@@ -398,7 +371,7 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
     else:
         raise ValueError("solver must be 'picard' or 'newton'")
 
-    return LPResult(hc=float(state[1][-1][-1]),
+    return LPResult(hc=float(sweep.values(state)[-1, 1, -1]),
                     blocks=[sweep.pack(state, i) for i in range(N)],
                     iterations=it, distances=distances, rates=rates,
                     converged=converged, tail_bound=float(np.exp(sys.As * N)),

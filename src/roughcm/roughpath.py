@@ -140,9 +140,9 @@ class RoughPath:
 
     def holder_norms(self) -> tuple[float, float]:
         """Grid seminorms (|W|_gamma, |WW|_{2 gamma}) over all node pairs."""
-        dt = _pair_gaps(self.grid)
-        w = _pair_increment_norms(self.W)
-        ww = _pair_second_norms(self)
+        ii, jj, dt = _pair_table(self.grid)
+        w = np.linalg.norm(self.W[jj] - self.W[ii], axis=1)
+        ww = np.linalg.norm(_pair_seconds(self, ii, jj), axis=1)
         return float(np.max(w / dt**self.gamma)), float(np.max(ww / dt ** (2 * self.gamma)))
 
     def to_json(self) -> str:
@@ -174,27 +174,17 @@ class RoughPath:
                 writer.writerow([t] + list(row))
 
 
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n + 1, k=1)
+def _pair_table(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node pairs i < j of the grid and their time gaps t_j - t_i."""
+    ii, jj = np.triu_indices(grid.n + 1, k=1)
+    return ii, jj, (jj - ii) * grid.h
 
 
-def _pair_gaps(grid: Grid) -> np.ndarray:
-    ii, jj = _pair_index(grid.n)
-    return (jj - ii) * grid.h
-
-
-def _pair_increment_norms(Y: np.ndarray) -> np.ndarray:
-    """Euclidean norms of Y_{t_j} - Y_{t_i} over all node pairs i < j."""
-    ii, jj = _pair_index(Y.shape[0] - 1)
-    diff = Y[jj] - Y[ii]
-    return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
-
-
-def _pair_second_norms(rp: RoughPath) -> np.ndarray:
+def _pair_seconds(rp: RoughPath, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """Second-level increments WW_{t_i, t_j} over the node pairs, flattened."""
     P = rp._prefix_second()
-    ii, jj = _pair_index(rp.n)
     vals = P[jj] - P[ii] - np.einsum("ka,kb->kab", rp.W[ii], rp.W[jj] - rp.W[ii])
-    return np.linalg.norm(vals.reshape(vals.shape[0], -1), axis=1)
+    return vals.reshape(vals.shape[0], -1)
 
 
 def lift_smooth(samples: np.ndarray, target: Grid, gamma: float) -> RoughPath:
@@ -335,15 +325,11 @@ def distance(rp1: RoughPath, rp2: RoughPath) -> float:
     """Rough path distance: summed Hölder suprema of the level differences."""
     if rp1.grid != rp2.grid or rp1.gamma != rp2.gamma or rp1.d != rp2.d:
         raise ValueError("paths must share grid, gamma and dimension")
-    dt = _pair_gaps(rp1.grid)
-    ii, jj = _pair_index(rp1.n)
+    ii, jj, dt = _pair_table(rp1.grid)
     dW = (rp1.W[jj] - rp1.W[ii]) - (rp2.W[jj] - rp2.W[ii])
     first = np.linalg.norm(dW, axis=1) / dt**rp1.gamma
-    P1, P2 = rp1._prefix_second(), rp2._prefix_second()
-    v1 = P1[jj] - P1[ii] - np.einsum("ka,kb->kab", rp1.W[ii], rp1.W[jj] - rp1.W[ii])
-    v2 = P2[jj] - P2[ii] - np.einsum("ka,kb->kab", rp2.W[ii], rp2.W[jj] - rp2.W[ii])
-    dWW = v1 - v2
-    second = np.linalg.norm(dWW.reshape(dWW.shape[0], -1), axis=1) / dt ** (2 * rp1.gamma)
+    dWW = _pair_seconds(rp1, ii, jj) - _pair_seconds(rp2, ii, jj)
+    second = np.linalg.norm(dWW, axis=1) / dt ** (2 * rp1.gamma)
     return float(np.max(first) + np.max(second))
 
 

@@ -308,16 +308,16 @@ def test_truncation_remainder_bound(spec_nonlinear):
     tau = sw_full.tau
     ratios = []
     for _ in range(100):
-        X, Ys, Xp, Ysp = sw_full.zero_state()
+        state = sw_full.zero_state()
+        V, D = sw_full.values(state), sw_full.derivs(state)
         for i in range(2):
-            X[i] = rng.normal() + rng.normal() * tau
-            Ys[i] = rng.normal() + rng.normal() * tau
-            Xp[i][:] = rng.normal()
-            Ysp[i][:] = rng.normal()
-        state = (X, Ys, Xp, Ysp)
+            V[i, 0] = rng.normal() + rng.normal() * tau
+            V[i, 1] = rng.normal() + rng.normal() * tau
+            D[i, 0] = rng.normal()
+            D[i, 1] = rng.normal()
         target = 10.0 ** rng.uniform(np.log10(0.01), np.log10(0.25))
         scale = target / sw_full.distance(state, zero)
-        state = tuple([scale * a for a in part] for part in state)
+        state = scale * state
         out_full, _ = sw_full.apply(state)
         out_lead, _ = sw_lead.apply(state)
         ratios.append(sw_full.distance(out_full, out_lead) / target**(l + 1))

@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from roughcm import cli
 from roughcm.cli import main
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -135,6 +138,50 @@ class TestVerify:
         assert "warning" in result.output
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert max(report["per_seed"][0]["xi_sweep"]) <= 0.05
+
+    def test_xi_above_cutoff_dropped(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "verify", "--spec", str(LINEAR), "--seeds", "1",
+            "--grid-n", "16", "--window", "4", "--xi-max", "0.1",
+            "--cutoff-r", "0.05", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "dropping" in result.output
+        xis = json.loads((tmp_path / "verify_report.json").read_text()
+                         )["per_seed"][0]["xi_sweep"]
+        assert len(set(xis)) == len(xis) == 3
+        assert max(xis) <= 0.05
+
+    @pytest.mark.parametrize("extra", [
+        ["--xi-points", "3"], ["--xi-points", "0"], ["--xi-min", "0"],
+        ["--xi-min", "-0.01"], ["--xi-min", "0.1"], ["--xi-min", "0.2"],
+        ["--cutoff-r", "0.01"]],
+        ids=["points-3", "points-0", "min-0", "min-negative", "min-eq-max",
+             "min-above-max", "min-above-cutoff"])
+    def test_invalid_sweep_exits_2(self, runner, tmp_path, extra):
+        result = self.run_small(runner, tmp_path, *extra)
+        assert result.exit_code == 2, result.output
+        assert "validation failure" in result.output
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_unconverged_xi_reported(self, runner, tmp_path, monkeypatch):
+        # starve the largest xi of iterations so its Picard run stops early
+        real = cli.lyapunov_perron_hc
+
+        def starved(nsys, xi, rp, lp, solver):
+            if xi == 0.1:
+                lp = dataclasses.replace(lp, max_iters=3)
+            return real(nsys, xi, rp, lp, solver=solver)
+
+        monkeypatch.setattr(cli, "lyapunov_perron_hc", starved)
+        result = self.run_small(runner, tmp_path, "--xi-points", "5")
+        assert result.exit_code == 1, result.output
+        row = json.loads((tmp_path / "verify_report.json").read_text()
+                         )["per_seed"][0]
+        assert [f["xi"] for f in row["failures"]] == [0.1]
+        assert "max_iters" in row["failures"][0]["error"]
+        assert math.isnan(row["hc_values"][0])
+        assert all(math.isfinite(h) for h in row["hc_values"][1:])
+        assert math.isfinite(row["order_slope"])
 
     def test_invalid_spec_exits_2(self, runner, tmp_path):
         doc = json.loads(NONLINEAR.read_text())
