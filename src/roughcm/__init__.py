@@ -5,23 +5,21 @@ symbolically, solves them as stationary paths along sampled geometric rough
 paths, and validates the resulting graph map against a discretized
 Lyapunov-Perron fixed point.
 """
-from .controlled import (ControlledPath, D2GNorm, SmoothMap, add_scale,
-                         compose, mul, norm_d2g, remainder)
+from .controlled import ControlledPath, D2GNorm, norm_d2g
 from .gubinelli import (cell_terms, convolve_diffusion, convolve_drift,
-                        rough_integral, rough_integral_path, semigroup_step)
+                        rough_integral, semigroup_step)
 from .invariance import (CoefficientSystem, FieldValidationError,
                          NumericField, NumericSystem, PolyField, SystemSpec,
                          derive_system, load_system, propagate_zeros,
                          residuals)
 from .manifold import (LPConfig, LPResult, ManifoldApproximation,
                        NewtonConvergenceError, NonContractionError, OrderFit,
-                       ReducedFlow, cutoff_scale, evaluate_phi,
-                       leading_order_happ, lyapunov_perron_hc, order_fit,
-                       reduced_flow, smoothstep)
+                       cutoff_scale, evaluate_phi, leading_order_happ,
+                       lyapunov_perron_hc, order_fit, smoothstep)
 from .rde import BlowUpError, solve_affine, solve_rde
 from .roughpath import (CovarianceFactorizationError, Grid, RoughPath,
-                        coarsen, concat, distance, lift_brownian, lift_fbm,
-                        lift_smooth, restrict, shift, unit_block, validate)
+                        coarsen, lift_brownian, lift_fbm, lift_smooth,
+                        restrict, shift, unit_block, validate)
 from .stationary import (HierarchyResult, NonStableOrderError,
                          StationaryPath, ou_stationary, solve_hierarchy,
                          stationarity_check, stationary_affine)

@@ -142,6 +142,8 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
         if not threads.strip().isdecimal() or int(threads) < 1:
             raise ValueError("RM_THREADS must be an integer >= 1, got "
                              f"{threads!r}")
+        if seeds < 1:
+            raise ValueError("--seeds must be at least 1")
         if xi_points < 4:
             raise ValueError("--xi-points must be at least 4 for an order fit")
         if not 0 < xi_min < xi_max:
@@ -152,11 +154,17 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
         spec = load_system(spec_file)
         nsys = spec.numeric()
         cs = propagate_zeros(derive_system(spec, q=q))
+        if eta is None:
+            eta = 0.5 * nsys.As
+        if not nsys.As < eta < 0:
+            raise ValueError(f"--eta {eta:g} must lie strictly in "
+                             f"(As, 0) = ({nsys.As:g}, 0)")
+        grid = Grid(-float(window), 0.0, window * grid_n)
+        lp = LPConfig(eta=eta, window=window, cutoff_R=cutoff_r, fp_tol=fp_tol,
+                      max_iters=200)
     except (FieldValidationError, ValueError, KeyError) as exc:
         click.echo(f"validation failure: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    if eta is None:
-        eta = 0.5 * nsys.As
     xis = []
     for xi in np.geomspace(xi_max, xi_min, xi_points):
         if xi > cutoff_r:
@@ -170,10 +178,7 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
         nsys=nsys, cs=cs, params=spec.params,
         min_degree=residuals(cs)["min_degree"],
         lead_degree=min(degs) if degs else None,
-        grid=Grid(-float(window), 0.0, window * grid_n),
-        lp=LPConfig(eta=eta, window=window, cutoff_R=cutoff_r, fp_tol=fp_tol,
-                    max_iters=200),
-        xis=tuple(xis), solver=solver)
+        grid=grid, lp=lp, xis=tuple(xis), solver=solver)
     workers = int(threads)
     if workers > 1 and seeds > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

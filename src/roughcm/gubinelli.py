@@ -15,8 +15,8 @@ import numpy as np
 from .controlled import ControlledPath
 from .roughpath import Grid
 
-__all__ = ["rough_integral", "rough_integral_path", "convolve_drift",
-           "convolve_diffusion", "cell_terms", "semigroup_step"]
+__all__ = ["rough_integral", "convolve_drift", "convolve_diffusion",
+           "cell_terms", "semigroup_step"]
 
 
 def cell_terms(cp: ControlledPath) -> np.ndarray:
@@ -36,13 +36,6 @@ def rough_integral(cp: ControlledPath, i: int = 0, j: int | None = None) -> floa
     if not 0 <= i <= j <= cp.ref.n:
         raise ValueError("node range invalid")
     return float(np.sum(cell_terms(cp)[i:j]))
-
-
-def rough_integral_path(cp: ControlledPath) -> ControlledPath:
-    """Running rough integral with Gubinelli derivative equal to the integrand."""
-    terms = cell_terms(cp)
-    I = np.concatenate([[0.0], np.cumsum(terms)])
-    return ControlledPath(cp.ref, I[:, None], cp.Y[:, None, :])
 
 
 def semigroup_step(a: float, h: float):

@@ -123,7 +123,7 @@ class SystemSpec:
         )
 
 
-def load_system(path_or_dict, validate: bool = True) -> SystemSpec:
+def load_system(path_or_dict) -> SystemSpec:
     """Load a system description from a JSON file or an equivalent dict."""
     if isinstance(path_or_dict, dict):
         doc = path_or_dict
@@ -151,7 +151,7 @@ def load_system(path_or_dict, validate: bool = True) -> SystemSpec:
         params={k: float(v) for k, v in doc.get("params", {}).items()},
         override=bool(doc.get("override", False)),
     )
-    if validate and not spec.override:
+    if not spec.override:
         spec.validate()
     return spec
 
@@ -307,9 +307,6 @@ class NumericField:
     def leading(self, l: int) -> "NumericField":
         """The homogeneous part of total degree l."""
         return NumericField({k: c for k, c in self.coeffs.items() if sum(k) == l})
-
-    def max_degree(self) -> int:
-        return max((sum(k) for k in self.coeffs), default=0)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Local manifold approximations, the reduced flow, and the fixed-point check.
+"""Local manifold approximations and the fixed-point check.
 
 The Taylor map phi(xi) = sum_i alpha_i xi^i built from the stationary
 coefficients is validated against an independently computed reference: the
@@ -19,10 +19,10 @@ from .gubinelli import convolve_diffusion, convolve_drift
 from .invariance import NumericSystem
 from .roughpath import RoughPath, unit_block
 
-__all__ = ["ManifoldApproximation", "LPConfig", "LPResult", "ReducedFlow",
+__all__ = ["ManifoldApproximation", "LPConfig", "LPResult",
            "NonContractionError", "NewtonConvergenceError", "evaluate_phi",
-           "reduced_flow", "leading_order_happ", "lyapunov_perron_hc",
-           "cutoff_scale", "smoothstep", "order_fit", "OrderFit"]
+           "leading_order_happ", "lyapunov_perron_hc", "cutoff_scale",
+           "smoothstep", "order_fit", "OrderFit"]
 
 
 class NonContractionError(RuntimeError):
@@ -62,65 +62,6 @@ def evaluate_phi(ma: ManifoldApproximation, xi: float) -> float:
                       f"{ma.radius:.3g}; the Taylor map is extrapolating",
                       stacklevel=2)
     return float(sum(ma.alpha0.get(i, 0.0) * xi**i for i in range(2, ma.q + 1)))
-
-
-@dataclass
-class ReducedFlow:
-    """Scalar center equation dx = drift(t, x) dt + diffusion(t, x) dW.
-
-    Coefficients are stored per grid node as polynomial coefficient rows
-    (degree along the last axis), time dependence coming from the sampled
-    alpha paths.
-    """
-    drift_coeffs: np.ndarray            # (n+1, deg+1)
-    diffusion_coeffs: np.ndarray        # (d, n+1, deg+1)
-    degree_cap: int
-
-    def drift(self, node: int, x):
-        return np.polynomial.polynomial.polyval(x, self.drift_coeffs[node])
-
-    def diffusion(self, node: int, x) -> np.ndarray:
-        return np.stack([np.polynomial.polynomial.polyval(x, c[node])
-                         for c in self.diffusion_coeffs])
-
-
-def _poly_mul(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
-    """Rowwise product of node-indexed coefficient arrays, truncated at cap."""
-    out = np.zeros((a.shape[0], cap + 1))
-    for i in range(min(a.shape[1], cap + 1)):
-        width = min(b.shape[1], cap + 1 - i)
-        out[:, i:i + width] += a[:, i:i + 1] * b[:, :width]
-    return out
-
-
-def reduced_flow(sys: NumericSystem, alphas: dict[int, ControlledPath]) -> ReducedFlow:
-    """Substitute y = phi(x) = sum alpha_i(t) x^i into the center fields."""
-    n = next(iter(alphas.values())).Y.shape[0] - 1
-    fdeg = max(sys.Fc.max_degree(), max((g.max_degree() for g in sys.Gc), default=0))
-    cap = sys.q + max(fdeg, 1)
-    phi = np.zeros((n + 1, cap + 1))
-    for i, cp in alphas.items():
-        if i <= cap:
-            phi[:, i] = cp.Y[:, 0]
-    maxj = max([j for (_, j) in sys.Fc.coeffs] +
-               [j for g in sys.Gc for (_, j) in g.coeffs] + [0])
-    phi_pow = [np.zeros((n + 1, cap + 1)), phi]
-    phi_pow[0][:, 0] = 1.0
-    for _ in range(2, maxj + 1):
-        phi_pow.append(_poly_mul(phi_pow[-1], phi, cap))
-
-    def substituted(nf) -> np.ndarray:
-        out = np.zeros((n + 1, cap + 1))
-        for (i, j), c in nf.coeffs.items():
-            if i <= cap:
-                out[:, i:] += c * phi_pow[j][:, :cap + 1 - i]
-        return out
-
-    drift = substituted(sys.Fc)
-    drift[:, 1] += sys.Ac
-    diffusion = np.stack([substituted(g) for g in sys.Gc]) if sys.Gc else \
-        np.zeros((0, n + 1, cap + 1))
-    return ReducedFlow(drift, diffusion, cap)
 
 
 def smoothstep(u: float) -> float:

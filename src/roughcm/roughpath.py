@@ -9,8 +9,6 @@ All Hölder quantities are grid seminorms: suprema over node pairs.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 
 import numpy as np
@@ -25,9 +23,7 @@ __all__ = [
     "shift",
     "restrict",
     "unit_block",
-    "concat",
     "coarsen",
-    "distance",
     "validate",
 ]
 
@@ -71,28 +67,19 @@ class Grid:
             raise ValueError(f"time {t} is not a node of the grid")
         return ki
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.n == other.n
-            and math.isclose(self.t0, other.t0, abs_tol=1e-12)
-            and math.isclose(self.t1, other.t1, abs_tol=1e-12)
-        )
-
     def __repr__(self) -> str:
         return f"Grid({self.t0}, {self.t1}, {self.n})"
 
 
 class RoughPath:
-    """Geometric or plain rough path (W, WW) sampled on a uniform grid.
+    """Geometric rough path (W, WW) sampled on a uniform grid.
 
     W has shape (n+1, d): first-level node samples, normalised so W[0] = 0.
     WW has shape (n, d, d): second-level increments over adjacent cells,
     convention WW[k][a, b] = int_{t_k}^{t_{k+1}} W^a_{t_k, r} dW^b_r.
     """
 
-    def __init__(self, gamma: float, grid: Grid, W: np.ndarray, WW: np.ndarray,
-                 geometric: bool = False):
+    def __init__(self, gamma: float, grid: Grid, W: np.ndarray, WW: np.ndarray):
         if not (1 / 3 < gamma <= 1 / 2):
             raise ValueError("gamma must lie in (1/3, 1/2]")
         W = np.asarray(W, dtype=float)
@@ -106,7 +93,6 @@ class RoughPath:
         self.grid = grid
         self.W = W - W[0]
         self.WW = WW
-        self.geometric = bool(geometric)
         self._prefix = None
 
     @property
@@ -116,10 +102,6 @@ class RoughPath:
     @property
     def n(self) -> int:
         return self.grid.n
-
-    def increment(self, i: int, j: int) -> np.ndarray:
-        """First-level increment W_{t_i, t_j}."""
-        return self.W[j] - self.W[i]
 
     def _prefix_second(self) -> np.ndarray:
         """P[j] = WW_{t_0, t_j}, built by composing cells via Chen."""
@@ -142,49 +124,16 @@ class RoughPath:
         """Grid seminorms (|W|_gamma, |WW|_{2 gamma}) over all node pairs."""
         ii, jj, dt = _pair_table(self.grid)
         w = np.linalg.norm(self.W[jj] - self.W[ii], axis=1)
-        ww = np.linalg.norm(_pair_seconds(self, ii, jj), axis=1)
+        P = self._prefix_second()
+        WW = P[jj] - P[ii] - np.einsum("ka,kb->kab", self.W[ii], self.W[jj] - self.W[ii])
+        ww = np.linalg.norm(WW.reshape(len(ii), -1), axis=1)
         return float(np.max(w / dt**self.gamma)), float(np.max(ww / dt ** (2 * self.gamma)))
-
-    def to_json(self) -> str:
-        doc = {
-            "gamma": self.gamma,
-            "t0": self.grid.t0,
-            "t1": self.grid.t1,
-            "n": self.grid.n,
-            "d": self.d,
-            "W": self.W.tolist(),
-            "WW": self.WW.tolist(),
-            "geometric": self.geometric,
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RoughPath":
-        doc = json.loads(text)
-        grid = Grid(doc["t0"], doc["t1"], doc["n"])
-        return cls(doc["gamma"], grid, np.array(doc["W"]), np.array(doc["WW"]),
-                   geometric=doc["geometric"])
-
-    def to_csv(self, path: str) -> None:
-        """Node samples of the first level, for plotting."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t"] + [f"W{a}" for a in range(self.d)])
-            for t, row in zip(self.grid.nodes, self.W):
-                writer.writerow([t] + list(row))
 
 
 def _pair_table(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Node pairs i < j of the grid and their time gaps t_j - t_i."""
     ii, jj = np.triu_indices(grid.n + 1, k=1)
     return ii, jj, (jj - ii) * grid.h
-
-
-def _pair_seconds(rp: RoughPath, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """Second-level increments WW_{t_i, t_j} over the node pairs, flattened."""
-    P = rp._prefix_second()
-    vals = P[jj] - P[ii] - np.einsum("ka,kb->kab", rp.W[ii], rp.W[jj] - rp.W[ii])
-    return vals.reshape(vals.shape[0], -1)
 
 
 def lift_smooth(samples: np.ndarray, target: Grid, gamma: float) -> RoughPath:
@@ -210,7 +159,7 @@ def _piecewise_linear_lift(samples: np.ndarray, span: Grid, gamma: float) -> Rou
     grid = Grid(span.t0, span.t1, m)
     dW = np.diff(samples, axis=0)
     WW = 0.5 * np.einsum("ka,kb->kab", dW, dW)
-    return RoughPath(gamma, grid, samples, WW, geometric=True)
+    return RoughPath(gamma, grid, samples, WW)
 
 
 def coarsen(rp: RoughPath, factor: int) -> RoughPath:
@@ -222,27 +171,26 @@ def coarsen(rp: RoughPath, factor: int) -> RoughPath:
     WW = np.empty((n, rp.d, rp.d))
     for k in range(n):
         WW[k] = rp.second(k * factor, (k + 1) * factor)
-    return RoughPath(rp.gamma, Grid(rp.grid.t0, rp.grid.t1, n), W, WW,
-                     geometric=rp.geometric)
+    return RoughPath(rp.gamma, Grid(rp.grid.t0, rp.grid.t1, n), W, WW)
 
 
-def lift_brownian(seed: int, grid: Grid, d: int = 1, refinement: int = 16,
-                  gamma: float = 0.45) -> RoughPath:
+def lift_brownian(seed: int, grid: Grid, d: int = 1, gamma: float = 0.45) -> RoughPath:
     """Stratonovich lift of a Brownian realisation, deterministic given seed.
 
     For d = 1 the second level is forced by geometricity, WW = (1/2) dW^2
-    per cell.  For d > 1 the path is sampled on a grid refined by
-    `refinement`, lifted as a piecewise-linear path and coarsened via Chen,
-    so the Levy area carries the bias of the linear interpolant only.
+    per cell.  For d > 1 the path is sampled on a grid refined 16-fold,
+    lifted as a piecewise-linear path and coarsened via Chen, so the Levy
+    area carries the bias of the linear interpolant only.
     """
-    if d < 1 or refinement < 1:
-        raise ValueError("d and refinement must be positive")
+    if d < 1:
+        raise ValueError("d must be positive")
     rng = np.random.default_rng(seed)
     if d == 1:
         dW = rng.normal(0.0, math.sqrt(grid.h), size=(grid.n, 1))
         W = np.vstack([np.zeros((1, 1)), np.cumsum(dW, axis=0)])
         WW = 0.5 * np.einsum("ka,kb->kab", dW, dW)
-        return RoughPath(gamma, grid, W, WW, geometric=True)
+        return RoughPath(gamma, grid, W, WW)
+    refinement = 16
     m = grid.n * refinement
     dW = rng.normal(0.0, math.sqrt(grid.h / refinement), size=(m, d))
     W = np.vstack([np.zeros((1, d)), np.cumsum(dW, axis=0)])
@@ -250,8 +198,7 @@ def lift_brownian(seed: int, grid: Grid, d: int = 1, refinement: int = 16,
     return coarsen(fine, refinement)
 
 
-def lift_fbm(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3,
-             gamma: float | None = None) -> RoughPath:
+def lift_fbm(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3) -> RoughPath:
     """Exact-covariance fractional Brownian lift.
 
     Samples fBm at the grid refined dyadically by 2**dyadic_level via a
@@ -260,9 +207,8 @@ def lift_fbm(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3,
     """
     if not (1 / 3 < hurst <= 1 / 2):
         raise ValueError("hurst must lie in (1/3, 1/2]")
-    if gamma is None:
-        gamma = min(hurst, 0.5) - 0.03 if hurst < 0.37 else min(hurst, 0.5)
-        gamma = max(gamma, 1 / 3 + 1e-6)
+    gamma = min(hurst, 0.5) - 0.03 if hurst < 0.37 else min(hurst, 0.5)
+    gamma = max(gamma, 1 / 3 + 1e-6)
     refinement = 2**dyadic_level
     m = grid.n * refinement
     t = (grid.nodes[-1] - grid.t0) * np.arange(1, m + 1) / m
@@ -289,7 +235,7 @@ def shift(rp: RoughPath, tau: float) -> RoughPath:
         raise ValueError("tau must lie inside the stored window")
     rp.grid.index(tau)  # raises unless tau is grid-aligned
     grid = Grid(rp.grid.t0 - tau, rp.grid.t1 - tau, rp.grid.n)
-    return RoughPath(rp.gamma, grid, rp.W, rp.WW, geometric=rp.geometric)
+    return RoughPath(rp.gamma, grid, rp.W, rp.WW)
 
 
 def restrict(rp: RoughPath, a: float, b: float) -> RoughPath:
@@ -298,7 +244,7 @@ def restrict(rp: RoughPath, a: float, b: float) -> RoughPath:
     if i >= j:
         raise ValueError("window must contain at least one cell")
     grid = Grid(a, b, j - i)
-    return RoughPath(rp.gamma, grid, rp.W[i:j + 1], rp.WW[i:j], geometric=rp.geometric)
+    return RoughPath(rp.gamma, grid, rp.W[i:j + 1], rp.WW[i:j])
 
 
 def unit_block(rp: RoughPath, k: int) -> RoughPath:
@@ -306,42 +252,13 @@ def unit_block(rp: RoughPath, k: int) -> RoughPath:
     return restrict(shift(rp, float(k)), 0.0, 1.0)
 
 
-def concat(rp1: RoughPath, rp2: RoughPath) -> RoughPath:
-    """Glue two paths with rp1.t1 == rp2.t0 via Chen (cellwise storage)."""
-    if not math.isclose(rp1.grid.t1, rp2.grid.t0, abs_tol=1e-12):
-        raise ValueError("paths must be adjacent in time")
-    if abs(rp1.grid.h - rp2.grid.h) > 1e-12:
-        raise ValueError("paths must share the grid step")
-    if rp1.gamma != rp2.gamma or rp1.d != rp2.d:
-        raise ValueError("paths must share gamma and dimension")
-    grid = Grid(rp1.grid.t0, rp2.grid.t1, rp1.n + rp2.n)
-    W = np.vstack([rp1.W, rp1.W[-1] + rp2.W[1:]])
-    WW = np.concatenate([rp1.WW, rp2.WW])
-    return RoughPath(rp1.gamma, grid, W, WW,
-                     geometric=rp1.geometric and rp2.geometric)
-
-
-def distance(rp1: RoughPath, rp2: RoughPath) -> float:
-    """Rough path distance: summed Hölder suprema of the level differences."""
-    if rp1.grid != rp2.grid or rp1.gamma != rp2.gamma or rp1.d != rp2.d:
-        raise ValueError("paths must share grid, gamma and dimension")
-    ii, jj, dt = _pair_table(rp1.grid)
-    dW = (rp1.W[jj] - rp1.W[ii]) - (rp2.W[jj] - rp2.W[ii])
-    first = np.linalg.norm(dW, axis=1) / dt**rp1.gamma
-    dWW = _pair_seconds(rp1, ii, jj) - _pair_seconds(rp2, ii, jj)
-    second = np.linalg.norm(dWW, axis=1) / dt ** (2 * rp1.gamma)
-    return float(np.max(first) + np.max(second))
-
-
 def validate(rp: RoughPath) -> dict:
     """Diagnostic report: Chen defect, geometry defect, Hölder seminorms."""
     chen = _chen_defect(rp)
-    geometry = 0.0
-    if rp.geometric:
-        dW = np.diff(rp.W, axis=0)
-        sym = 0.5 * (rp.WW + np.swapaxes(rp.WW, 1, 2))
-        target = 0.5 * np.einsum("ka,kb->kab", dW, dW)
-        geometry = float(np.max(np.abs(sym - target))) if rp.n else 0.0
+    dW = np.diff(rp.W, axis=0)
+    sym = 0.5 * (rp.WW + np.swapaxes(rp.WW, 1, 2))
+    target = 0.5 * np.einsum("ka,kb->kab", dW, dW)
+    geometry = float(np.max(np.abs(sym - target)))
     h1, h2 = rp.holder_norms()
     return {
         "chen_defect_max": chen,

@@ -129,22 +129,13 @@ class TestVerify:
         failures = report["per_seed"][0]["failures"]
         assert [f["xi"] for f in failures] == [0.2]
 
-    def test_xi_above_cutoff_warns_and_clips(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "verify", "--spec", str(LINEAR), "--seeds", "1",
-            "--grid-n", "32", "--window", "6", "--cutoff-r", "0.05",
-            "--xi-min", "0.0125", "--xi-max", "0.1", "--xi-points", "4",
-            "--out-dir", str(tmp_path)])
-        assert "warning" in result.output
-        report = json.loads((tmp_path / "verify_report.json").read_text())
-        assert max(report["per_seed"][0]["xi_sweep"]) <= 0.05
-
     def test_xi_above_cutoff_dropped(self, runner, tmp_path):
         result = runner.invoke(main, [
             "verify", "--spec", str(LINEAR), "--seeds", "1",
             "--grid-n", "16", "--window", "4", "--xi-max", "0.1",
             "--cutoff-r", "0.05", "--out-dir", str(tmp_path)])
         assert result.exit_code == 1, result.output
+        assert "warning" in result.output
         assert "dropping" in result.output
         xis = json.loads((tmp_path / "verify_report.json").read_text()
                          )["per_seed"][0]["xi_sweep"]
@@ -154,9 +145,12 @@ class TestVerify:
     @pytest.mark.parametrize("extra", [
         ["--xi-points", "3"], ["--xi-points", "0"], ["--xi-min", "0"],
         ["--xi-min", "-0.01"], ["--xi-min", "0.1"], ["--xi-min", "0.2"],
-        ["--cutoff-r", "0.01"]],
+        ["--cutoff-r", "0.01"], ["--window", "1"], ["--grid-n", "0"],
+        ["--eta", "0.5"], ["--eta", "-1.0"], ["--eta", "-2.0"],
+        ["--seeds", "0"]],
         ids=["points-3", "points-0", "min-0", "min-negative", "min-eq-max",
-             "min-above-max", "min-above-cutoff"])
+             "min-above-max", "min-above-cutoff", "window-1", "grid-n-0",
+             "eta-positive", "eta-at-As", "eta-below-As", "seeds-0"])
     def test_invalid_sweep_exits_2(self, runner, tmp_path, extra):
         result = self.run_small(runner, tmp_path, *extra)
         assert result.exit_code == 2, result.output

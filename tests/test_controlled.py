@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from roughcm import (ControlledPath, Grid, SmoothMap, add_scale, compose,
-                     lift_brownian, mul, norm_d2g, remainder)
+from roughcm import ControlledPath, Grid, lift_brownian, norm_d2g
 
 
 @pytest.fixture()
@@ -15,7 +12,7 @@ def rp():
 class TestControlledPath:
     def test_reference_remainder_vanishes(self, rp):
         cp = ControlledPath.of_reference(rp)
-        assert np.allclose(remainder(cp, 3, 40), 0.0, atol=1e-15)
+        assert norm_d2g(cp).holder_remainder <= 1e-15
 
     def test_constant(self, rp):
         cp = ControlledPath.constant(rp, [2.0, -1.0])
@@ -29,11 +26,6 @@ class TestControlledPath:
         with pytest.raises(ValueError):
             ControlledPath(rp, np.zeros((65, 1)), np.zeros((65, 2, 2)))
 
-    def test_index_range(self, rp):
-        cp = ControlledPath.of_reference(rp)
-        with pytest.raises(ValueError):
-            remainder(cp, 5, 5)
-
 
 class TestNorm:
     def test_square_remainder_regularity(self, rp):
@@ -43,46 +35,13 @@ class TestNorm:
         Yp[:, 0, 0] = 2 * w1
         cp = ControlledPath(rp, w1**2, Yp)
         # remainder over one cell is exactly (dW)^2
-        dW = rp.increment(10, 11)[0]
-        assert remainder(cp, 10, 11)[0] == pytest.approx(dW**2)
+        dW = rp.W[11, 0] - rp.W[10, 0]
+        R = cp.Y[11] - cp.Y[10] - cp.Yp[10] @ (rp.W[11] - rp.W[10])
+        assert R[0] == pytest.approx(dW**2)
         assert norm_d2g(cp).holder_remainder < np.inf
 
     def test_homogeneity(self, rp):
         cp = ControlledPath.of_reference(rp)
-        n1, n3 = norm_d2g(cp), norm_d2g(add_scale(3.0, cp, 0.0, cp))
+        n1, n3 = norm_d2g(cp), norm_d2g(ControlledPath(rp, 3 * cp.Y, 3 * cp.Yp))
         assert n3.total == pytest.approx(3.0 * n1.total)
 
-
-class TestAlgebra:
-    def test_add_scale(self, rp):
-        cp = ControlledPath.of_reference(rp)
-        z = add_scale(1.0, cp, -1.0, cp)
-        assert np.allclose(z.Y, 0.0) and np.allclose(z.Yp, 0.0)
-
-    def test_mul_product_rule(self, rp):
-        w1 = ControlledPath(rp, rp.W[:, 0], np.eye(2)[0] * np.ones((rp.n + 1, 1, 2)))
-        sq = mul(w1, w1)
-        assert np.allclose(sq.Y[:, 0], rp.W[:, 0]**2)
-        assert np.allclose(sq.Yp[:, 0, 0], 2 * rp.W[:, 0])
-
-    def test_mul_requires_scalars(self, rp):
-        cp = ControlledPath.of_reference(rp)
-        with pytest.raises(ValueError):
-            mul(cp, cp)
-
-    def test_compose_matches_mul(self, rp):
-        w1 = ControlledPath(rp, rp.W[:, 0], np.eye(2)[0] * np.ones((rp.n + 1, 1, 2)))
-        G = SmoothMap(f=lambda y: y**2, df=lambda y: 2 * y)
-        sq = compose(G, w1)
-        direct = mul(w1, w1)
-        assert np.allclose(sq.Y, direct.Y) and np.allclose(sq.Yp, direct.Yp)
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False))
-def test_add_scale_linear_in_values(a, b):
-    rp = lift_brownian(2, Grid(0.0, 1.0, 16))
-    cp = ControlledPath.of_reference(rp)
-    z = add_scale(a, cp, b, cp)
-    assert np.allclose(z.Y, (a + b) * cp.Y)
-    assert np.allclose(z.Yp, (a + b) * cp.Yp)

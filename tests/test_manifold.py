@@ -8,7 +8,7 @@ from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
                      cutoff_scale, derive_system, evaluate_phi,
                      leading_order_happ, lift_brownian, load_system,
                      lyapunov_perron_hc, order_fit, propagate_zeros,
-                     reduced_flow, smoothstep, solve_hierarchy)
+                     smoothstep, solve_hierarchy)
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -46,42 +46,6 @@ class TestEvaluatePhi:
         ma = ManifoldApproximation(q=4, alpha0={2: 1.0}, radius=0.05)
         with pytest.warns(UserWarning):
             evaluate_phi(ma, 0.2)
-
-
-class TestReducedFlow:
-    def test_linear_example(self, window):
-        sys = load_system(EXAMPLES / "chekroun_linear.json").numeric(
-            {"lam": 0.25})
-        alphas = {2: ControlledPath.constant(window, -1.0),
-                  4: ControlledPath.constant(window, -2.0)}
-        rf = reduced_flow(sys, alphas)
-        # drift lam*x + alpha_2 x^3 + alpha_4 x^5
-        c = rf.drift_coeffs[0]
-        assert c[1] == pytest.approx(0.25)
-        assert c[3] == pytest.approx(-1.0)
-        assert c[5] == pytest.approx(-2.0)
-        assert np.allclose(rf.diffusion_coeffs, 0.0)
-
-    def test_nonlinear_example(self, window, sys_nonlinear):
-        alphas = {i: ControlledPath.constant(window, v)
-                  for i, v in {2: 1.0, 4: -4.0, 5: 0.5, 6: 44.0}.items()}
-        rf = reduced_flow(sys_nonlinear, alphas)
-        c = rf.drift_coeffs[0]
-        # drift (alpha_2 + 1) x^3 + alpha_4 x^5 + alpha_5 x^6 + alpha_6 x^7
-        assert c[3] == pytest.approx(2.0)
-        assert c[5] == pytest.approx(-4.0)
-        assert c[6] == pytest.approx(0.5)
-        assert c[7] == pytest.approx(44.0)
-        # diffusion alpha_2 x^4 + alpha_4 x^6 + alpha_5 x^7 + alpha_6 x^8
-        g = rf.diffusion_coeffs[0][0]
-        assert g[4] == pytest.approx(1.0)
-        assert g[6] == pytest.approx(-4.0)
-        assert g[8] == pytest.approx(44.0)
-
-    def test_zero_system(self, window):
-        sys = load_system(EXAMPLES / "zero.json").numeric()
-        rf = reduced_flow(sys, {2: ControlledPath.constant(window, 0.0)})
-        assert np.allclose(rf.drift_coeffs[:, 2:], 0.0)
 
 
 class TestCutoff:
