@@ -96,9 +96,9 @@ def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
         try:
             r = lyapunov_perron_hc(nsys, xi, rp, plan.lp, solver=plan.solver)
             error = None if r.converged else (
-                f"not converged within max_iters = {plan.lp.max_iters}: "
-                f"fixed-point distance {r.distances[-1]:.3g} after "
-                f"{r.iterations} iteration(s)")
+                f"not converged: fixed-point distance {r.distances[-1]:.3g} "
+                f"after {r.iterations} iteration(s) (max_iters = "
+                f"{plan.lp.max_iters})")
         except (NonContractionError, NewtonConvergenceError) as exc:
             error = str(exc)
         if error is None:

@@ -9,6 +9,7 @@ second, cheaper cross-check.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -118,6 +119,12 @@ class LPConfig:
     def __post_init__(self):
         if self.window < 2:
             raise ValueError("window must span at least 2 unit blocks")
+        if not self.cutoff_R > 0:
+            raise ValueError("cutoff radius must be positive")
+        if not (math.isfinite(self.fp_tol) and self.fp_tol > 0):
+            raise ValueError("fixed-point tolerance must be positive and finite")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -149,6 +156,14 @@ class _Sweep:
         self.d = rp.d
         self.ubs = [unit_block(rp, b) for b in range(-self.N, 0)]
         self.tau = self.ubs[0].grid.nodes
+        self.weights = np.array([np.exp(-lp.eta * (i - self.N + 1))
+                                 for i in range(self.N)])
+        # gaps of k = 1..nu cells, with the same time spans as norm_d2g's pairs
+        self.gaps = np.arange(1, self.nu + 1)
+        dt = self.gaps * self.ubs[0].grid.h
+        self.dt_g = dt ** rp.gamma
+        self.dt_2g = dt ** (2 * rp.gamma)
+        _, self.gap_W = _gap_bounds(np.stack([ub.W for ub in self.ubs]), self.gaps)
 
     def zero_state(self) -> np.ndarray:
         return np.zeros((self.N, 2 * (self.nu + 1) * (1 + self.d)))
@@ -193,19 +208,42 @@ class _Sweep:
         return ControlledPath(self.ubs[i], self.values(state)[i].T,
                               self.derivs(state)[i].transpose(1, 0, 2))
 
+    def norm_bounds(self, state: np.ndarray) -> np.ndarray:
+        """Upper bounds U_i >= norm_d2g(pack(state, i)).total for all blocks.
+
+        O(N nu) against the O(N nu^2) exact norms: the sup terms are exact,
+        and a pair of nodes k cells apart gets the gap bounds of
+        `_gap_bounds` for Y, Y' and W, with |R| <= |dY| + sup|Y'| |dW|.  The
+        relative margin covers the rounding of both computations.
+        """
+        N, nu = self.N, self.nu
+        Y = self.values(state).transpose(0, 2, 1)
+        Yp = self.derivs(state).transpose(0, 2, 1, 3).reshape(N, nu + 1, -1)
+        sup_Y, gap_Y = _gap_bounds(Y, self.gaps)
+        sup_Yp, gap_Yp = _gap_bounds(Yp, self.gaps)
+        holder_Yp = np.max(gap_Yp / self.dt_g, axis=1)
+        holder_R = np.max((gap_Y + sup_Yp[:, None] * self.gap_W) / self.dt_2g,
+                          axis=1)
+        return (sup_Y + sup_Yp + holder_Yp + holder_R) * (1.0 + 1e-9)
+
+    def cutoff_factors(self, state: np.ndarray) -> np.ndarray:
+        """cutoff_scale of every block.  The ramp is exactly 1 up to R/2, so
+        only blocks whose norm bound exceeds R/2 need their exact norm."""
+        R = self.lp.cutoff_R
+        return np.array([1.0 if u / R <= 0.5 else cutoff_scale(self.pack(state, i), R)
+                         for i, u in enumerate(self.norm_bounds(state))])
+
     def apply(self, state: np.ndarray) -> tuple[np.ndarray, bool]:
         """New state and whether any block norm breached the cutoff ramp."""
-        sys, lp = self.sys, self.lp
+        sys = self.sys
         N, nu, d = self.N, self.nu, self.d
         V, D = self.values(state), self.derivs(state)
         new = self.zero_state()
         nV, nD = self.values(new), self.derivs(new)
         fields = ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs))
         C = np.empty((2, N, nu + 1))    # per-block convolutions
-        breach = False
-        for i in range(N):
-            s = cutoff_scale(self.pack(state, i), lp.cutoff_R)
-            breach = breach or s < 1.0
+        scales = self.cutoff_factors(state)
+        for i, s in enumerate(scales):
             x, y = s * V[i, 0], s * V[i, 1]
             for c, (A, F, Gf) in enumerate(fields):
                 C[c, i] = convolve_drift(A, F(x, y), self.ubs[i].grid)
@@ -227,13 +265,38 @@ class _Sweep:
             y[:] = C[1, i]
             for k in range(i):
                 y += np.exp(sys.As * (t - (k - N + 1))) * C[1, k, -1]
-        return new, breach
+        return new, bool(np.any(scales < 1.0))
 
     def distance(self, state_a: np.ndarray, state_b: np.ndarray) -> float:
-        """Window-truncated exponentially weighted distance of sequences."""
+        """Window-truncated exponentially weighted distance of sequences.
+
+        The max over blocks of weighted exact norms, to the bit: blocks are
+        visited in decreasing order of their weighted bounds, stopping once
+        no remaining bound exceeds the largest exact value.  nan if a bound
+        is not finite.
+        """
         diff = state_a - state_b
-        return max(np.exp(-self.lp.eta * (i - self.N + 1)) *
-                   norm_d2g(self.pack(diff, i)).total for i in range(self.N))
+        bounds = self.weights * self.norm_bounds(diff)
+        if not np.all(np.isfinite(bounds)):
+            return float("nan")
+        best = -1.0    # below every norm, so the first block is evaluated
+        for i in np.argsort(-bounds, kind="stable"):
+            if best >= bounds[i]:
+                break
+            best = np.maximum(best, self.weights[i] *
+                              norm_d2g(self.pack(diff, i)).total)
+        return best
+
+
+def _gap_bounds(Z: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sup_t |Z_t| per block, and per gap of k cells a bound on |Z_t - Z_s|.
+
+    Z is (blocks, nodes, components).  The bound is the smaller of k times
+    the largest cell increment and twice the sup.
+    """
+    sup = np.max(np.linalg.norm(Z, axis=2), axis=1)
+    step = np.max(np.linalg.norm(np.diff(Z, axis=1), axis=2), axis=1)
+    return sup, np.minimum(k * step[:, None], 2 * sup[:, None])
 
 
 def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
@@ -277,6 +340,8 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
             dist = sweep.distance(new_state, state)
             state = new_state
             distances.append(dist)
+            if not np.isfinite(dist):
+                break
             if len(distances) > 1 and distances[-2] > 0:
                 rates.append(dist / distances[-2])
                 if len(rates) >= 5 and all(r >= 1.0 for r in rates[-5:]):

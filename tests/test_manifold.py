@@ -1,14 +1,17 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import roughcm.manifold
 from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
                      NewtonConvergenceError, NonContractionError,
                      cutoff_scale, derive_system, evaluate_phi,
                      leading_order_happ, lift_brownian, load_system,
-                     lyapunov_perron_hc, order_fit, propagate_zeros,
+                     lyapunov_perron_hc, norm_d2g, order_fit, propagate_zeros,
                      smoothstep, solve_hierarchy)
+from roughcm.manifold import _Sweep
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -141,6 +144,131 @@ class TestLyapunovPerron:
             res = lyapunov_perron_hc(sys_nonlinear, xi, rp, lp)
             ratios.append(abs(res.hc - evaluate_phi(ma, xi)) / xi**7)
         assert max(ratios) / min(ratios) < 1e2
+
+
+class TestLPConfig:
+    @pytest.mark.parametrize("bad", [
+        {"cutoff_R": 0.0}, {"cutoff_R": -0.5}, {"fp_tol": 0.0},
+        {"fp_tol": -1e-8}, {"fp_tol": float("inf")}, {"fp_tol": float("nan")},
+        {"max_iters": 0}, {"window": 1}],
+        ids=["R-0", "R-negative", "tol-0", "tol-negative", "tol-inf",
+             "tol-nan", "iters-0", "window-1"])
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError):
+            LPConfig(eta=-0.5, **bad)
+
+
+def _fill_block(kind, V, D, tau, scale, rng):
+    """Write one block's values V (2, nu+1) and derivatives D (2, nu+1, d)."""
+    if kind == "spike":
+        node = rng.integers(len(tau))
+        V[:, node] = scale * rng.normal(size=2)
+        D[:, node] = scale * rng.normal(size=(2, D.shape[2]))
+    elif kind == "flat":
+        V[:] = scale * rng.normal(size=(2, 1))
+    elif kind == "rough":
+        V[:] = scale * rng.normal(size=(2, 1)) * (1 + tau)
+        D[:] = scale * rng.normal(size=D.shape)
+    else:
+        V[:] = scale * (rng.normal(size=(2, 1)) + rng.normal(size=(2, 1)) * tau)
+        D[:] = scale * rng.normal(size=(2, 1, D.shape[2]))
+
+
+def _random_states(sw, rng):
+    """Named seeded states over decades of scale: zero, a spike in one block,
+    flat blocks (whose bound is tight), rough derivative rows, smooth rows,
+    and blocks of all kinds mixed."""
+    kinds = ("spike", "flat", "rough", "smooth")
+    states = [("zero", sw.zero_state())]
+    for trial in range(4):
+        scale = 10.0 ** rng.uniform(-4, 1)
+        for kind in kinds + ("mixed",):
+            state = sw.zero_state()
+            V, D = sw.values(state), sw.derivs(state)
+            blocks = [rng.integers(sw.N)] if kind == "spike" else range(sw.N)
+            for b in blocks:
+                k = kinds[rng.integers(len(kinds))] if kind == "mixed" else kind
+                _fill_block(k, V[b], D[b], sw.tau,
+                            scale * 10.0 ** rng.uniform(-1, 1), rng)
+            states.append((f"{kind}-{trial}", state))
+    return states
+
+
+class TestNormBounds:
+    @pytest.fixture(scope="class", params=[1, 2], ids=["d1", "d2"])
+    def sweep(self, request, sys_nonlinear):
+        rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=request.param, gamma=0.45)
+        return _Sweep(sys_nonlinear, 0.05, rp, LPConfig(eta=-0.5, window=4))
+
+    def test_bound_dominates_exact_norm(self, sweep):
+        for name, state in _random_states(sweep, np.random.default_rng(11)):
+            U = sweep.norm_bounds(state)
+            exact = [norm_d2g(sweep.pack(state, i)).total for i in range(sweep.N)]
+            assert np.all(U >= exact), name
+
+    def test_pruned_distance_is_exact_max(self, sweep):
+        rng = np.random.default_rng(12)
+        states = _random_states(sweep, rng)
+        eta, N = sweep.lp.eta, sweep.N
+        for (name, a), (_, b) in itertools.combinations(states, 2):
+            diff = a - b
+            full = max(np.exp(-eta * (i - N + 1)) *
+                       norm_d2g(sweep.pack(diff, i)).total for i in range(N))
+            assert sweep.distance(a, b) == full, name
+
+    def test_cutoff_factor_is_exact(self, sys_nonlinear):
+        # scale each state so that the block bounds straddle R/2
+        rp = lift_brownian(4, Grid(-4.0, 0.0, 4 * 32), gamma=0.45)
+        sw = _Sweep(sys_nonlinear, 0.05, rp, LPConfig(eta=-0.5, window=4))
+        R = sw.lp.cutoff_R
+        rng = np.random.default_rng(13)
+        for name, state in _random_states(sw, rng)[1:]:
+            U = sw.norm_bounds(state)
+            blocks = np.flatnonzero(U)
+            for target in (0.3, 0.49, 0.5, 0.51, 0.7, 1.2):
+                scaled = state * (target * R / U[rng.choice(blocks)])
+                factors = sw.cutoff_factors(scaled)
+                assert [float(f) for f in factors] == [
+                    cutoff_scale(sw.pack(scaled, i), R) for i in range(sw.N)], name
+
+    def test_nan_block_is_not_dropped(self, sweep):
+        state = _random_states(sweep, np.random.default_rng(14))[2][1]
+        state[sweep.N - 2, 3] = np.nan
+        assert not np.isfinite(sweep.distance(state, sweep.zero_state()))
+
+    def test_nan_block_ends_picard_unconverged(self, window, sys_linear, monkeypatch):
+        real = _Sweep.apply
+        sweeps = []
+
+        def planted(self, state):
+            new, breach = real(self, state)
+            sweeps.append(1)
+            if len(sweeps) == 3:
+                new[self.N - 2, 5] = np.nan
+            return new, breach
+
+        monkeypatch.setattr(_Sweep, "apply", planted)
+        lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-12)
+        res = lyapunov_perron_hc(sys_linear, 0.05, window, lp)
+        assert not res.converged
+        assert res.iterations == 3 and not np.isfinite(res.distances[-1])
+
+    @pytest.mark.parametrize("name", ["chekroun_linear", "chekroun_nonlinear"])
+    def test_few_exact_norms_per_sweep(self, name, monkeypatch):
+        # exact norms for every block would be 2N = 24 per sweep
+        spec = load_system(EXAMPLES / f"{name}.json")
+        rp = lift_brownian(1, Grid(-12.0, 0.0, 12 * 64), gamma=spec.gamma)
+        lp = LPConfig(eta=-0.5, window=12, cutoff_R=0.5, fp_tol=1e-8)
+        calls = []
+
+        def counted(cp):
+            calls.append(1)
+            return norm_d2g(cp)
+
+        monkeypatch.setattr(roughcm.manifold, "norm_d2g", counted)
+        res = lyapunov_perron_hc(spec.numeric(), 0.05, rp, lp)
+        assert res.converged
+        assert len(calls) <= lp.window // 2 * res.iterations
 
 
 class TestOrderFit:
