@@ -146,8 +146,8 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
             raise ValueError("--seeds must be at least 1")
         if xi_points < 4:
             raise ValueError("--xi-points must be at least 4 for an order fit")
-        if not 0 < xi_min < xi_max:
-            raise ValueError("the sweep needs 0 < --xi-min < --xi-max")
+        if not 0 < xi_min < xi_max < float("inf"):
+            raise ValueError("the sweep needs 0 < --xi-min < --xi-max < inf")
         if xi_min > cutoff_r:
             raise ValueError(f"--xi-min {xi_min:g} exceeds --cutoff-r "
                              f"{cutoff_r:g}; no xi would remain")

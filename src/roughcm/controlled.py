@@ -46,10 +46,6 @@ class ControlledPath:
         self.Y = Y
         self.Yp = Yp
 
-    @property
-    def m(self) -> int:
-        return self.Y.shape[1]
-
     @classmethod
     def constant(cls, ref: RoughPath, value) -> "ControlledPath":
         value = np.atleast_1d(np.asarray(value, dtype=float))

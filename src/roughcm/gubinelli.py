@@ -19,15 +19,22 @@ __all__ = ["rough_integral", "convolve_drift", "convolve_diffusion",
            "cell_terms", "semigroup_step"]
 
 
-def cell_terms(cp: ControlledPath) -> np.ndarray:
-    """Per-cell compound-sum terms of the scalar rough integral, shape (n,)."""
-    if cp.m != cp.ref.d:
+def cell_terms(Y: np.ndarray, Yp: np.ndarray, ref) -> np.ndarray:
+    """Per-cell compound-sum terms of the scalar rough integral, (..., n).
+
+    ref is a rough path, or a stack of paths on one `grid` with W (..., n+1,
+    d) and WW (..., n, d, d); Y (..., n+1, d) and Yp (..., n+1, d, d) sample
+    the integrand on its nodes, with the same leading axes.  These are merged
+    into the cell axis, so each cell sums as for a single path, to the bit.
+    """
+    d = ref.W.shape[-1]
+    if Y.shape[-1] != d:
         raise ValueError("scalar rough integral needs one integrand component "
                          "per noise channel (m == d)")
-    dW = np.diff(cp.ref.W, axis=0)
-    first = np.einsum("kb,kb->k", cp.Y[:-1], dW)
-    second = np.einsum("kba,kab->k", cp.Yp[:-1], cp.ref.WW)
-    return first + second
+    dW, WW = np.diff(ref.W, axis=-2).reshape(-1, d), ref.WW.reshape(-1, d, d)
+    first = np.einsum("kb,kb->k", Y[..., :-1, :].reshape(-1, d), dW)
+    second = np.einsum("kba,kab->k", Yp[..., :-1, :, :].reshape(-1, d, d), WW)
+    return (first + second).reshape(Y.shape[:-2] + (-1,))
 
 
 def rough_integral(cp: ControlledPath, i: int = 0, j: int | None = None) -> float:
@@ -35,7 +42,7 @@ def rough_integral(cp: ControlledPath, i: int = 0, j: int | None = None) -> floa
     j = cp.ref.n if j is None else j
     if not 0 <= i <= j <= cp.ref.n:
         raise ValueError("node range invalid")
-    return float(np.sum(cell_terms(cp)[i:j]))
+    return float(np.sum(cell_terms(cp.Y, cp.Yp, cp.ref)[i:j]))
 
 
 def semigroup_step(a: float, h: float):
@@ -50,35 +57,32 @@ def convolve_drift(A, f: np.ndarray, grid: Grid) -> np.ndarray:
     """t -> int_0^t e^{A (t - r)} f_r dr on the grid nodes, for scalar A.
 
     Each cell uses the midpoint value (f_k + f_{k+1}) / 2 as a piecewise
-    constant and integrates the semigroup factor exactly.  Returned as a node
-    array; as a controlled path this has zero Gubinelli derivative.
+    constant and integrates the semigroup factor exactly.  f is (..., n+1)
+    with leading batch axes, and so is the result; as a controlled path it
+    has zero Gubinelli derivative.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (grid.n + 1,):
+    if f.shape[-1:] != (grid.n + 1,):
         raise ValueError("f must be sampled on the grid nodes")
     E, Phi = semigroup_step(A, grid.h)
-    out = np.zeros_like(f)
-    mid = 0.5 * (f[:-1] + f[1:])
+    # the node axis first, so a single path steps through scalars
+    mid = np.moveaxis(0.5 * (f[..., :-1] + f[..., 1:]), -1, 0)
+    out = np.zeros((grid.n + 1,) + f.shape[:-1])
     for k in range(grid.n):
         out[k + 1] = E * out[k] + Phi * mid[k]
-    return out
+    return np.moveaxis(out, 0, -1)
 
 
-def convolve_diffusion(A, cp: ControlledPath, t_node: int | None = None):
-    """int_0^t e^{A (t - r)} G_r dW_r for a scalar-integral integrand.
+def convolve_diffusion(A, Y: np.ndarray, Yp: np.ndarray, ref) -> np.ndarray:
+    """t -> int_0^t e^{A (t - r)} G_r dW_r on the nodes of ref, for scalar A.
 
+    (G, G') = (Y, Yp) and ref are as in `cell_terms`, batch axes included.
     The semigroup factor is frozen at the left node of each cell, matching
-    the compound-sum order of the rough integral.  A must be scalar.  With
-    t_node given, returns the value at that node; otherwise the full node
-    array over the grid.
+    the compound-sum order of the rough integral.
     """
-    a = float(np.asarray(A))
-    h = cp.ref.grid.h
-    terms = cell_terms(cp)
-    E = np.exp(a * h)
-    out = np.zeros(cp.ref.n + 1)
-    for k in range(cp.ref.n):
+    terms = np.moveaxis(cell_terms(Y, Yp, ref), -1, 0)    # nodes first
+    E = np.exp(float(np.asarray(A)) * ref.grid.h)
+    out = np.zeros((ref.grid.n + 1,) + terms.shape[1:])
+    for k in range(ref.grid.n):
         out[k + 1] = E * (out[k] + terms[k])
-    if t_node is not None:
-        return float(out[t_node])
-    return out
+    return np.moveaxis(out, 0, -1)

@@ -102,11 +102,8 @@ class SystemSpec:
             gc.validate("diffusion", "G")
             gs.validate("diffusion", "G")
 
-    def numeric(self, extra_params: dict[str, float] | None = None) -> "NumericSystem":
-        subs = dict(self.params)
-        if extra_params:
-            subs.update(extra_params)
-        sym_subs = {sp.Symbol(k): v for k, v in subs.items()}
+    def numeric(self) -> "NumericSystem":
+        sym_subs = {sp.Symbol(k): v for k, v in self.params.items()}
 
         def num(expr):
             return float(sp.N(sp.sympify(expr).subs(sym_subs)))

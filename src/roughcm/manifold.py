@@ -92,20 +92,37 @@ def leading_order_happ(sys: NumericSystem, l: int, xi: float,
     """
     if sys.As >= 0:
         raise ValueError(f"stable block {sys.As} is not exponentially stable")
-    N = int(round(rp.grid.t1 - rp.grid.t0))
-    if rp.grid.t1 != 0.0 or rp.grid.n % N:
-        raise ValueError("window must cover [-N, 0] with whole unit blocks")
+    bl = _Blocks(rp, int(round(rp.grid.t1 - rp.grid.t0)))
     Fl, Gl = sys.Fs.leading(l), [g.leading(l) for g in sys.Gs]
-    total = 0.0
-    for b in range(-N, 0):
-        ub = unit_block(rp, b)
-        x = np.exp(sys.Ac * (b + ub.grid.nodes)) * xi
-        part = convolve_drift(sys.As, Fl(x, 0.0), ub.grid)[-1]
-        gY = np.stack([g(x, 0.0) for g in Gl], axis=-1)
-        if np.any(gY):
-            part += convolve_diffusion(sys.As, ControlledPath(ub, gY), t_node=-1)
-        total += np.exp(sys.As * (-1 - b)) * part
-    return float(total)
+    x = np.exp(sys.Ac * bl.times) * xi
+    gY = np.stack([g(x, 0.0) for g in Gl], axis=-1)
+    part = bl.convolve(sys.As, Fl(x, 0.0), gY, np.zeros(gY.shape + (rp.d,)))[:, -1]
+    # cumsum adds the blocks' shares one after another, from the earliest
+    return float(np.cumsum(np.exp(sys.As * (-1 - bl.times[:, 0])) * part)[-1])
+
+
+class _Blocks:
+    """The unit blocks [b, b+1], b = -N..-1, of a rough path on [-N, 0]:
+    `paths[i]` is block i on [0, 1], and W, WW and the nodes' window
+    `times` are stacked along a leading block axis."""
+
+    def __init__(self, rp: RoughPath, N: int):
+        if rp.grid.t0 != -float(N) or rp.grid.t1 != 0.0 or rp.grid.n % N:
+            raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
+        self.paths = [unit_block(rp, b) for b in range(-N, 0)]
+        self.grid = self.paths[0].grid
+        self.times = np.arange(-N, 0)[:, None] + self.grid.nodes
+        self.W = np.stack([p.W for p in self.paths])
+        self.WW = np.stack([p.WW for p in self.paths])
+
+    def convolve(self, A, f: np.ndarray, gY: np.ndarray, gYp: np.ndarray) -> np.ndarray:
+        """Drift f and diffusion (gY, gYp) convolved over every block; a
+        block where gY vanishes gets no diffusion part, not even from gYp."""
+        out = convolve_drift(A, f, self.grid)
+        noisy = np.any(gY, axis=(1, 2))[:, None]
+        if np.any(noisy):
+            return np.where(noisy, out + convolve_diffusion(A, gY, gYp, self), out)
+        return out
 
 
 @dataclass
@@ -135,7 +152,6 @@ class LPResult:
     distances: list[float]
     rates: list[float]
     converged: bool
-    tail_bound: float
     norm_breach: bool
 
 
@@ -152,18 +168,17 @@ class _Sweep:
         self.xi = xi
         self.lp = lp
         self.N = lp.window
-        self.nu = rp.grid.n // self.N
+        self.blocks = _Blocks(rp, self.N)
+        self.nu = self.blocks.grid.n
         self.d = rp.d
-        self.ubs = [unit_block(rp, b) for b in range(-self.N, 0)]
-        self.tau = self.ubs[0].grid.nodes
-        self.weights = np.array([np.exp(-lp.eta * (i - self.N + 1))
-                                 for i in range(self.N)])
+        self.tau = self.blocks.grid.nodes
+        self.weights = np.exp(-lp.eta * (self.blocks.times[:, 0] + 1))
         # gaps of k = 1..nu cells, with the same time spans as norm_d2g's pairs
         self.gaps = np.arange(1, self.nu + 1)
-        dt = self.gaps * self.ubs[0].grid.h
+        dt = self.gaps * self.blocks.grid.h
         self.dt_g = dt ** rp.gamma
         self.dt_2g = dt ** (2 * rp.gamma)
-        _, self.gap_W = _gap_bounds(np.stack([ub.W for ub in self.ubs]), self.gaps)
+        _, self.gap_W = _gap_bounds(self.blocks.W, self.gaps)
 
     def zero_state(self) -> np.ndarray:
         return np.zeros((self.N, 2 * (self.nu + 1) * (1 + self.d)))
@@ -205,7 +220,7 @@ class _Sweep:
         return state
 
     def pack(self, state: np.ndarray, i: int) -> ControlledPath:
-        return ControlledPath(self.ubs[i], self.values(state)[i].T,
+        return ControlledPath(self.blocks.paths[i], self.values(state)[i].T,
                               self.derivs(state)[i].transpose(1, 0, 2))
 
     def norm_bounds(self, state: np.ndarray) -> np.ndarray:
@@ -235,37 +250,31 @@ class _Sweep:
 
     def apply(self, state: np.ndarray) -> tuple[np.ndarray, bool]:
         """New state and whether any block norm breached the cutoff ramp."""
-        sys = self.sys
+        sys, bl = self.sys, self.blocks
         N, nu, d = self.N, self.nu, self.d
         V, D = self.values(state), self.derivs(state)
         new = self.zero_state()
         nV, nD = self.values(new), self.derivs(new)
         fields = ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs))
         C = np.empty((2, N, nu + 1))    # per-block convolutions
-        scales = self.cutoff_factors(state)
-        for i, s in enumerate(scales):
-            x, y = s * V[i, 0], s * V[i, 1]
-            for c, (A, F, Gf) in enumerate(fields):
-                C[c, i] = convolve_drift(A, F(x, y), self.ubs[i].grid)
-                gY = nD[i, c]
-                for ch, g in enumerate(Gf):
-                    gY[:, ch] = g(x, y)
-                if np.any(gY):
-                    gYp = np.zeros((nu + 1, d, d))
-                    for ch, g in enumerate(Gf):
-                        gYp[:, ch, :] = (g.partial(0)(x, y)[:, None] * D[i, 0] +
-                                         g.partial(1)(x, y)[:, None] * D[i, 1]) * s
-                    C[c, i] += convolve_diffusion(A, ControlledPath(self.ubs[i], gY, gYp))
-        for i in range(N):
-            t = i - N + self.tau
-            x, y = nV[i]
-            x[:] = np.exp(sys.Ac * t) * self.xi + C[0, i]
-            for k in range(i, N):
-                x -= np.exp(sys.Ac * (t - (k - N + 1))) * C[0, k, -1]
-            y[:] = C[1, i]
-            for k in range(i):
-                y += np.exp(sys.As * (t - (k - N + 1))) * C[1, k, -1]
-        return new, bool(np.any(scales < 1.0))
+        s = self.cutoff_factors(state)[:, None, None]
+        x, y = np.moveaxis(s * V, 1, 0)
+        for c, (A, F, Gf) in enumerate(fields):
+            gY = nD[:, c]
+            gYp = np.zeros((N, nu + 1, d, d))
+            for ch, g in enumerate(Gf):
+                gY[..., ch] = g(x, y)
+                gYp[..., ch, :] = (g.partial(0)(x, y)[..., None] * D[:, 0] +
+                                   g.partial(1)(x, y)[..., None] * D[:, 1]) * s
+            C[c] = bl.convolve(A, F(x, y), gY, gYp)
+        x, y = nV[:, 0], nV[:, 1]
+        x[:] = np.exp(sys.Ac * bl.times) * self.xi + C[0]
+        y[:] = C[1]
+        for k in range(N):    # the tails of earlier blocks, added in order
+            end = bl.times[k, 0] + 1
+            x[:k + 1] -= np.exp(sys.Ac * (bl.times[:k + 1] - end)) * C[0, k, -1]
+            y[k + 1:] += np.exp(sys.As * (bl.times[k + 1:] - end)) * C[1, k, -1]
+        return new, bool(np.any(s < 1.0))
 
     def distance(self, state_a: np.ndarray, state_b: np.ndarray) -> float:
         """Window-truncated exponentially weighted distance of sequences.
@@ -322,9 +331,6 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
         raise ValueError(f"eta must lie strictly in ({-beta}, 0)")
     if abs(xi) > lp.cutoff_R:
         raise ValueError("xi outside the cutoff radius")
-    N = lp.window
-    if rp.grid.t0 != -float(N) or rp.grid.t1 != 0.0 or rp.grid.n % N:
-        raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
     sweep = _Sweep(sys, xi, rp, lp)
 
     distances: list[float] = []
@@ -353,7 +359,7 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
         from scipy.optimize import NoConvergence, newton_krylov
 
         def residual(u):
-            new_state, _ = sweep.apply(u.reshape(N, -1))
+            new_state, _ = sweep.apply(u.reshape(sweep.N, -1))
             return u - new_state.ravel()
 
         # the weighted sequence distance amplifies pointwise residuals by the
@@ -367,7 +373,7 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
             raise NewtonConvergenceError(
                 f"Newton-Krylov solve did not converge in {lp.max_iters} "
                 "iterations; raise max_iters or shrink |xi|") from exc
-        state = u.reshape(N, -1)
+        state = u.reshape(sweep.N, -1)
         new_state, norm_breach = sweep.apply(state)
         dist = sweep.distance(new_state, state)
         distances.append(dist)
@@ -378,10 +384,9 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
         raise ValueError("solver must be 'picard' or 'newton'")
 
     return LPResult(hc=float(sweep.values(state)[-1, 1, -1]),
-                    blocks=[sweep.pack(state, i) for i in range(N)],
+                    blocks=[sweep.pack(state, i) for i in range(sweep.N)],
                     iterations=it, distances=distances, rates=rates,
-                    converged=converged, tail_bound=float(np.exp(sys.As * N)),
-                    norm_breach=norm_breach)
+                    converged=converged, norm_breach=norm_breach)
 
 
 @dataclass

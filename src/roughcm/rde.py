@@ -69,7 +69,7 @@ def solve_affine(A, f: np.ndarray | None, g: ControlledPath | None,
     if f is not None:
         Y = Y + convolve_drift(a, np.asarray(f, dtype=float), rp.grid)
     if g is not None:
-        Y = Y + convolve_diffusion(a, g)
+        Y = Y + convolve_diffusion(a, g.Y, g.Yp, g.ref)
         Yp = g.Y[:, None, :]
     else:
         Yp = np.zeros((n + 1, 1, rp.d))

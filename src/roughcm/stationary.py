@@ -13,7 +13,7 @@ import numpy as np
 import sympy as sp
 
 from .controlled import ControlledPath, norm_d2g
-from .gubinelli import convolve_diffusion, convolve_drift
+from .gubinelli import convolve_diffusion
 from .invariance import CoefficientSystem, NumericField, alpha
 from .rde import solve_affine
 from .roughpath import RoughPath, restrict
@@ -50,11 +50,9 @@ def ou_stationary(rp: RoughPath) -> StationaryPath:
         raise ValueError("horizon too short: need T >= 5 for a negligible tail")
     n, d = rp.n, rp.d
     Y = np.empty((n + 1, d))
-    for b in range(d):
-        unit = np.zeros((n + 1, d))
-        unit[:, b] = 1.0
-        cp = ControlledPath(rp, unit)
-        Y[:, b] = convolve_diffusion(-1.0, cp)
+    for b, e_b in enumerate(np.eye(d)):    # component b integrates dW^b
+        Y[:, b] = convolve_diffusion(-1.0, np.tile(e_b, (n + 1, 1)),
+                                     np.zeros((n + 1, d, d)), rp)
     Yp = np.tile(np.eye(d), (n + 1, 1, 1))
     scale = 1.0 + float(np.max(np.abs(rp.W)))
     return StationaryPath(ControlledPath(rp, Y, Yp), tail_bound=np.exp(-T) * scale)

@@ -148,11 +148,11 @@ class TestVerify:
         ["--cutoff-r", "0.01"], ["--window", "1"], ["--grid-n", "0"],
         ["--eta", "0.5"], ["--eta", "-1.0"], ["--eta", "-2.0"],
         ["--seeds", "0"], ["--fp-tol", "0"], ["--fp-tol", "-1"],
-        ["--cutoff-r", "0"]],
+        ["--cutoff-r", "0"], ["--xi-max", "inf"]],
         ids=["points-3", "points-0", "min-0", "min-negative", "min-eq-max",
              "min-above-max", "min-above-cutoff", "window-1", "grid-n-0",
              "eta-positive", "eta-at-As", "eta-below-As", "seeds-0",
-             "fp-tol-0", "fp-tol-negative", "cutoff-r-0"])
+             "fp-tol-0", "fp-tol-negative", "cutoff-r-0", "xi-max-inf"])
     def test_invalid_sweep_exits_2(self, runner, tmp_path, extra):
         result = self.run_small(runner, tmp_path, *extra)
         assert result.exit_code == 2, result.output

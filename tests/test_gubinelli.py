@@ -74,15 +74,9 @@ class TestConvolutions:
     def test_diffusion_reduces_to_integral(self):
         rp = lift_brownian(8, Grid(0.0, 1.0, 128))
         cp = ControlledPath.of_reference(rp)
-        out = convolve_diffusion(0.0, cp)
+        out = convolve_diffusion(0.0, cp.Y, cp.Yp, rp)
         ref = [rough_integral(cp, 0, k) for k in range(rp.n + 1)]
         assert np.allclose(out, ref)
-
-    def test_diffusion_endpoint_option(self):
-        rp = lift_brownian(8, Grid(0.0, 1.0, 64))
-        cp = ControlledPath.of_reference(rp)
-        full = convolve_diffusion(-1.0, cp)
-        assert convolve_diffusion(-1.0, cp, t_node=-1) == pytest.approx(full[-1])
 
 
 def test_stratonovich_convergence_slope():

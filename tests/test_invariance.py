@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -128,7 +129,7 @@ class TestDerivation:
         nsys = spec.numeric()
         assert nsys.Ac == 0.0 and nsys.As == -1.0
         assert nsys.Fs({0: 2.0}[0], 0.0) == -4.0
-        nsys2 = spec.numeric({"sigma": 0.3})
+        nsys2 = dataclasses.replace(spec, params={**spec.params, "sigma": 0.3}).numeric()
         assert nsys2.Gs[0](0.0, 1.0) == pytest.approx(0.3)
 
     def test_to_json_fields(self, cs_nonlinear):

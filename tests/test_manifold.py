@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -7,10 +8,11 @@ import pytest
 import roughcm.manifold
 from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
                      NewtonConvergenceError, NonContractionError,
-                     cutoff_scale, derive_system, evaluate_phi,
-                     leading_order_happ, lift_brownian, load_system,
-                     lyapunov_perron_hc, norm_d2g, order_fit, propagate_zeros,
-                     smoothstep, solve_hierarchy)
+                     convolve_diffusion, convolve_drift, cutoff_scale,
+                     derive_system, evaluate_phi, leading_order_happ,
+                     lift_brownian, load_system, lyapunov_perron_hc, norm_d2g,
+                     order_fit, propagate_zeros, smoothstep, solve_hierarchy,
+                     unit_block)
 from roughcm.manifold import _Sweep
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -269,6 +271,138 @@ class TestNormBounds:
         res = lyapunov_perron_hc(spec.numeric(), 0.05, rp, lp)
         assert res.converged
         assert len(calls) <= lp.window // 2 * res.iterations
+
+
+def _apply_by_block(sw, rp, state):
+    """The sweep as a loop over unit blocks, each convolved on its own."""
+    sys, N, nu, d = sw.sys, sw.N, sw.nu, sw.d
+    V, D = sw.values(state), sw.derivs(state)
+    new = sw.zero_state()
+    nV, nD = sw.values(new), sw.derivs(new)
+    fields = ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs))
+    C = np.empty((2, N, nu + 1))
+    scales = [cutoff_scale(sw.pack(state, i), sw.lp.cutoff_R) for i in range(N)]
+    for i, s in enumerate(scales):
+        ub = unit_block(rp, i - N)
+        x, y = s * V[i, 0], s * V[i, 1]
+        for c, (A, F, Gf) in enumerate(fields):
+            C[c, i] = convolve_drift(A, F(x, y), ub.grid)
+            gY = nD[i, c]
+            for ch, g in enumerate(Gf):
+                gY[:, ch] = g(x, y)
+            if np.any(gY):
+                gYp = np.zeros((nu + 1, d, d))
+                for ch, g in enumerate(Gf):
+                    gYp[:, ch, :] = (g.partial(0)(x, y)[:, None] * D[i, 0] +
+                                     g.partial(1)(x, y)[:, None] * D[i, 1]) * s
+                C[c, i] += convolve_diffusion(A, gY, gYp, ub)
+    for i in range(N):
+        t = i - N + sw.tau
+        x, y = nV[i]
+        x[:] = np.exp(sys.Ac * t) * sw.xi + C[0, i]
+        for k in range(i, N):
+            x -= np.exp(sys.Ac * (t - (k - N + 1))) * C[0, k, -1]
+        y[:] = C[1, i]
+        for k in range(i):
+            y += np.exp(sys.As * (t - (k - N + 1))) * C[1, k, -1]
+    return new, any(s < 1.0 for s in scales)
+
+
+def _happ_by_block(sys, l, xi, rp):
+    """leading_order_happ as a loop over unit blocks."""
+    N = int(round(rp.grid.t1 - rp.grid.t0))
+    Fl, Gl = sys.Fs.leading(l), [g.leading(l) for g in sys.Gs]
+    total = 0.0
+    for b in range(-N, 0):
+        ub = unit_block(rp, b)
+        x = np.exp(sys.Ac * (b + ub.grid.nodes)) * xi
+        part = convolve_drift(sys.As, Fl(x, 0.0), ub.grid)[-1]
+        gY = np.stack([g(x, 0.0) for g in Gl], axis=-1)
+        if np.any(gY):
+            part += convolve_diffusion(sys.As, gY, np.zeros(gY.shape + (rp.d,)), ub)[-1]
+        total += np.exp(sys.As * (-1 - b)) * part
+    return float(total)
+
+
+TWO_CHANNEL = {
+    "gamma": 0.45, "q": 4, "noise_dim": 2, "Ac": 0, "As": -1,
+    "Fc": [{"i": 1, "j": 1, "c": 1}], "Fs": [{"i": 2, "j": 0, "c": -1}],
+    "Gc": [[{"i": 2, "j": 1, "c": 1}], [{"i": 1, "j": 2, "c": "1/4"}]],
+    "Gs": [[{"i": 0, "j": 3, "c": 1}], [{"i": 3, "j": 0, "c": "1/2"}]]}
+
+
+class TestStackedBlocks:
+    """The sweep and h^app over stacked blocks give the floats of a loop
+    over the blocks, each convolved on its own."""
+
+    @pytest.fixture(scope="class", params=[
+        ("sextic", 1), ("noiseless", 1), ("sigma-y", 1), ("sextic", 2),
+        ("two-channel", 2)], ids=lambda p: f"{p[0]}-d{p[1]}")
+    def case(self, request):
+        name, d = request.param
+        if name == "two-channel":
+            nsys = load_system(TWO_CHANNEL).numeric()
+        elif name == "sigma-y":
+            # Gs = 0.5 y vanishes on blocks where y does, though its
+            # y-derivative does not
+            spec = load_system(EXAMPLES / "chekroun_linear.json")
+            nsys = dataclasses.replace(
+                spec, params={**spec.params, "sigma": 0.5}).numeric()
+        else:
+            file = "chekroun_nonlinear" if name == "sextic" else "chekroun_linear"
+            nsys = load_system(EXAMPLES / f"{file}.json").numeric()
+        return nsys, d
+
+    def test_sweep_matches_block_loop(self, case):
+        nsys, d = case
+        rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=d, gamma=0.45)
+        sw = _Sweep(nsys, 0.05, rp, LPConfig(eta=-0.5, window=4))
+        R = sw.lp.cutoff_R
+        rng = np.random.default_rng(15)
+        for name, state in _random_states(sw, rng):
+            U = sw.norm_bounds(state)
+            # the largest bound at 0.3 R (no cutoff) and at 1.5 R (some blocks cut)
+            variants = [state] + [state * (t * R / np.max(U))
+                                  for t in (0.3, 1.5) if np.any(U)]
+            for st in list(variants):
+                quiet = st.copy()
+                sw.values(quiet)[::2] = 0.0    # no values, some derivatives
+                variants.append(quiet)
+            for st in variants:
+                new, breach = sw.apply(st)
+                ref, ref_breach = _apply_by_block(sw, rp, st)
+                assert np.array_equal(new, ref), name
+                assert breach == ref_breach, name
+
+    def test_happ_matches_block_loop(self, case):
+        nsys, d = case
+        rp = lift_brownian(4, Grid(-12.0, 0.0, 12 * 32), d=d, gamma=0.45)
+        # a slow stable rate keeps the blocks' shares comparable in size
+        for As, l, xi in itertools.product((nsys.As, -0.1), (2, 3), (0.1, 0.05, 0.0125)):
+            s = dataclasses.replace(nsys, As=As)
+            assert leading_order_happ(s, l, xi, rp) == _happ_by_block(s, l, xi, rp)
+
+    def test_two_drift_convolutions_per_sweep(self, monkeypatch):
+        # a loop over blocks would make 2N = 24 of each per sweep
+        spec = load_system(EXAMPLES / "chekroun_nonlinear.json")
+        rp = lift_brownian(1, Grid(-12.0, 0.0, 12 * 64), gamma=spec.gamma)
+        lp = LPConfig(eta=-0.5, window=12, cutoff_R=0.5, fp_tol=1e-8)
+        calls = {"drift": 0, "diffusion": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                calls[kind] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(roughcm.manifold, "convolve_drift",
+                            counted("drift", convolve_drift))
+        monkeypatch.setattr(roughcm.manifold, "convolve_diffusion",
+                            counted("diffusion", convolve_diffusion))
+        res = lyapunov_perron_hc(spec.numeric(), 0.05, rp, lp)
+        assert res.converged
+        assert calls["drift"] <= 2 * res.iterations
+        assert 0 < calls["diffusion"] <= 2 * res.iterations
 
 
 class TestOrderFit:
