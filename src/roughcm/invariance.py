@@ -128,6 +128,8 @@ def load_system(path_or_dict) -> SystemSpec:
         with open(path_or_dict) as fh:
             doc = json.load(fh)
     d = int(doc.get("noise_dim", 1))
+    if d < 1:
+        raise FieldValidationError(f"noise_dim = {d}: give at least one noise channel")
     gc_entries = doc.get("Gc", [[] for _ in range(d)])
     gs_entries = doc.get("Gs", [[] for _ in range(d)])
     for name, entries in (("Gc", gc_entries), ("Gs", gs_entries)):

@@ -93,7 +93,6 @@ class RoughPath:
         self.grid = grid
         self.W = W - W[0]
         self.WW = WW
-        self._prefix = None
 
     @property
     def d(self) -> int:
@@ -104,29 +103,32 @@ class RoughPath:
         return self.grid.n
 
     def _prefix_second(self) -> np.ndarray:
-        """P[j] = WW_{t_0, t_j}, built by composing cells via Chen."""
-        if self._prefix is None:
-            P = np.empty((self.n + 1, self.d, self.d))
-            P[0] = 0.0
-            for k in range(self.n):
-                P[k + 1] = P[k] + self.WW[k] + np.outer(self.W[k], self.W[k + 1] - self.W[k])
-            self._prefix = P
-        return self._prefix
+        """P[j] = WW_{t_0, t_j}, built by composing cells via Chen.
 
-    def second(self, i: int, j: int) -> np.ndarray:
-        """Second-level increment WW_{t_i, t_j}, reconstructed via Chen."""
-        if not 0 <= i <= j <= self.n:
+        WW_k and W_k (x) dW_k alternate in one array, so a single accumulate
+        adds them in the order P[k+1] = (P[k] + WW_k) + W_k (x) dW_k.
+        """
+        terms = np.zeros((2 * self.n + 1, self.d, self.d))
+        terms[1::2] = self.WW
+        terms[2::2] = self.W[:-1, :, None] * np.diff(self.W, axis=0)[:, None, :]
+        return np.add.accumulate(terms)[::2]
+
+    def second(self, i, j) -> np.ndarray:
+        """Second-level increments WW_{t_i, t_j}, reconstructed via Chen.
+
+        i and j are node indices or broadcastable integer arrays of them;
+        the result has shape (..., d, d).
+        """
+        if np.any(i < 0) or np.any(i > j) or np.any(j > self.n):
             raise ValueError("node indices out of range")
         P = self._prefix_second()
-        return P[j] - P[i] - np.outer(self.W[i], self.W[j] - self.W[i])
+        return P[j] - P[i] - self.W[i][..., :, None] * (self.W[j] - self.W[i])[..., None, :]
 
     def holder_norms(self) -> tuple[float, float]:
         """Grid seminorms (|W|_gamma, |WW|_{2 gamma}) over all node pairs."""
         ii, jj, dt = _pair_table(self.grid)
         w = np.linalg.norm(self.W[jj] - self.W[ii], axis=1)
-        P = self._prefix_second()
-        WW = P[jj] - P[ii] - np.einsum("ka,kb->kab", self.W[ii], self.W[jj] - self.W[ii])
-        ww = np.linalg.norm(WW.reshape(len(ii), -1), axis=1)
+        ww = np.linalg.norm(self.second(ii, jj).reshape(len(ii), -1), axis=1)
         return float(np.max(w / dt**self.gamma)), float(np.max(ww / dt ** (2 * self.gamma)))
 
 
@@ -164,14 +166,13 @@ def _piecewise_linear_lift(samples: np.ndarray, span: Grid, gamma: float) -> Rou
 
 def coarsen(rp: RoughPath, factor: int) -> RoughPath:
     """Chen-compose cells in groups of `factor`."""
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ValueError("coarsening factor must be a positive integer")
     if rp.n % factor != 0:
         raise ValueError("cell count must be divisible by the coarsening factor")
-    n = rp.n // factor
-    W = rp.W[::factor]
-    WW = np.empty((n, rp.d, rp.d))
-    for k in range(n):
-        WW[k] = rp.second(k * factor, (k + 1) * factor)
-    return RoughPath(rp.gamma, Grid(rp.grid.t0, rp.grid.t1, n), W, WW)
+    nodes = np.arange(0, rp.n + 1, factor)
+    WW = rp.second(nodes[:-1], nodes[1:])
+    return RoughPath(rp.gamma, Grid(rp.grid.t0, rp.grid.t1, len(nodes) - 1), rp.W[nodes], WW)
 
 
 def lift_brownian(seed: int, grid: Grid, d: int = 1, gamma: float = 0.45) -> RoughPath:
@@ -207,8 +208,9 @@ def lift_fbm(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3) -> Roug
     """
     if not (1 / 3 < hurst <= 1 / 2):
         raise ValueError("hurst must lie in (1/3, 1/2]")
-    gamma = min(hurst, 0.5) - 0.03 if hurst < 0.37 else min(hurst, 0.5)
-    gamma = max(gamma, 1 / 3 + 1e-6)
+    if not isinstance(dyadic_level, (int, np.integer)) or dyadic_level < 0:
+        raise ValueError("dyadic_level must be a non-negative integer")
+    gamma = max(hurst - 0.03 if hurst < 0.37 else hurst, 1 / 3 + 1e-6)
     refinement = 2**dyadic_level
     m = grid.n * refinement
     t = (grid.nodes[-1] - grid.t0) * np.arange(1, m + 1) / m
@@ -270,20 +272,15 @@ def validate(rp: RoughPath) -> dict:
 
 def _chen_defect(rp: RoughPath) -> float:
     """Max over node triples s < u < t of the Chen identity defect."""
-    P = rp._prefix_second()
+    ii, jj, _ = _pair_table(rp.grid)
+    table = np.zeros((rp.n + 1, rp.n + 1, rp.d, rp.d))
+    table[ii, jj] = rp.second(ii, jj)
     worst = 0.0
     for u in range(1, rp.n):
-        ii = np.arange(0, u)
-        jj = np.arange(u + 1, rp.n + 1)
-        if not len(ii) or not len(jj):
-            continue
         # WW_{i,j} - WW_{i,u} - WW_{u,j} - W_{i,u} (x) W_{u,j} over the grid
-        Wiu = rp.W[u] - rp.W[ii]          # (I, d)
-        Wuj = rp.W[jj] - rp.W[u]          # (J, d)
-        WWij = (P[jj][None, :] - P[ii][:, None]
-                - np.einsum("ia,ijb->ijab", rp.W[ii], rp.W[jj][None, :] - rp.W[ii][:, None]))
-        WWiu = P[u] - P[ii] - np.einsum("ia,ib->iab", rp.W[ii], Wiu)
-        WWuj = P[jj] - P[u] - np.einsum("a,jb->jab", rp.W[u], Wuj)
-        defect = WWij - WWiu[:, None] - WWuj[None, :] - np.einsum("ia,jb->ijab", Wiu, Wuj)
+        Wiu = rp.W[u] - rp.W[:u]          # (I, d)
+        Wuj = rp.W[u + 1:] - rp.W[u]      # (J, d)
+        defect = (table[:u, u + 1:] - table[:u, u, None] - table[None, u, u + 1:]
+                  - np.einsum("ia,jb->ijab", Wiu, Wuj))
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst

@@ -66,6 +66,18 @@ class TestDerive:
         assert result.exit_code == 2
         assert "noise_dim" in result.output
 
+    def test_no_noise_channel_exits_2(self, runner, tmp_path):
+        doc = json.loads(LINEAR.read_text())
+        doc.update(noise_dim=0, Gc=[], Gs=[])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["derive", "--spec", str(bad),
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "validation failure" in result.output
+        assert "noise_dim" in result.output
+        assert not (tmp_path / "coefficient_system.json").exists()
+
 
 class TestVerify:
     def run_small(self, runner, tmp_path, *extra):
@@ -186,3 +198,15 @@ class TestVerify:
         bad.write_text(json.dumps(doc))
         result = runner.invoke(main, ["verify", "--spec", str(bad)])
         assert result.exit_code == 2
+
+    def test_no_noise_channel_exits_2(self, runner, tmp_path):
+        doc = json.loads(LINEAR.read_text())
+        doc.update(noise_dim=0, Gc=[], Gs=[])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, [
+            "verify", "--spec", str(bad), "--seeds", "1", "--grid-n", "32",
+            "--window", "6", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "validation failure" in result.output
+        assert not (tmp_path / "verify_report.json").exists()

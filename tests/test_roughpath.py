@@ -7,6 +7,7 @@ from scipy.stats import kstest
 
 from roughcm import (Grid, coarsen, lift_brownian, lift_fbm, lift_smooth,
                      restrict, shift, unit_block, validate)
+from roughcm.roughpath import _chen_defect
 
 
 def circle_lift(n=64, refinement=16):
@@ -131,6 +132,101 @@ class TestBlocks:
         rp = lift_brownian(4, Grid(0.0, 1.0, 64), d=2)
         c = coarsen(rp, 4)
         assert np.allclose(c.second(0, c.n), rp.second(0, rp.n))
+
+    @pytest.mark.parametrize("factor", [0, 2.0, -2], ids=["zero", "float", "negative"])
+    def test_coarsen_rejects_bad_factor(self, factor):
+        rp = lift_brownian(4, Grid(0.0, 1.0, 64), d=2)
+        with pytest.raises(ValueError, match="positive integer"):
+            coarsen(rp, factor)
+
+    def test_fbm_rejects_negative_dyadic_level(self):
+        with pytest.raises(ValueError, match="dyadic_level"):
+            lift_fbm(0, 0.4, Grid(0.0, 1.0, 8), dyadic_level=-1)
+
+
+class TestChenOracle:
+    """The reconstruction against per-cell and per-pair loops, bit for bit."""
+
+    LIFTS = {
+        "brownian-d1": lambda: lift_brownian(0, Grid(-4.0, 0.0, 128)),
+        "brownian-d2": lambda: lift_brownian(1, Grid(-4.0, 0.0, 128), d=2),
+        "brownian-d3": lambda: lift_brownian(2, Grid(-4.0, 0.0, 128), d=3),
+        "fbm": lambda: lift_fbm(3, 0.4, Grid(-2.0, 0.0, 64), 3),
+        "circle": circle_lift,
+    }
+
+    @staticmethod
+    def loop_prefix(rp):
+        P = np.empty((rp.n + 1, rp.d, rp.d))
+        P[0] = 0.0
+        for k in range(rp.n):
+            P[k + 1] = P[k] + rp.WW[k] + np.outer(rp.W[k], rp.W[k + 1] - rp.W[k])
+        return P
+
+    @staticmethod
+    def loop_second(rp, P, i, j):
+        return P[j] - P[i] - np.outer(rp.W[i], rp.W[j] - rp.W[i])
+
+    @pytest.fixture(params=list(LIFTS), scope="class")
+    def lifted(self, request):
+        rp = self.LIFTS[request.param]()
+        return rp, self.loop_prefix(rp)
+
+    def test_prefix(self, lifted):
+        rp, P = lifted
+        assert np.array_equal(rp._prefix_second(), P)
+
+    def test_coarsen(self, lifted):
+        rp, P = lifted
+        for factor in (1, 4, rp.n):
+            WW = np.array([self.loop_second(rp, P, k * factor, (k + 1) * factor)
+                           for k in range(rp.n // factor)])
+            c = coarsen(rp, factor)
+            assert np.array_equal(c.W, rp.W[::factor]) and np.array_equal(c.WW, WW)
+
+    def test_holder_norms(self, lifted):
+        rp, P = lifted
+        ii, jj = np.triu_indices(rp.n + 1, k=1)
+        dt = (jj - ii) * rp.grid.h
+        w = np.linalg.norm(rp.W[jj] - rp.W[ii], axis=1)
+        WW = P[jj] - P[ii] - np.einsum("ka,kb->kab", rp.W[ii], rp.W[jj] - rp.W[ii])
+        ww = np.linalg.norm(WW.reshape(len(ii), -1), axis=1)
+        h1, h2 = rp.holder_norms()
+        assert h1 == float(np.max(w / dt**rp.gamma))
+        assert h2 == float(np.max(ww / dt ** (2 * rp.gamma)))
+
+    def test_chen_defect(self, lifted):
+        rp, P = lifted
+        W, worst = rp.W, 0.0
+        for u in range(1, rp.n):
+            ii, jj = np.arange(0, u), np.arange(u + 1, rp.n + 1)
+            Wiu, Wuj = W[u] - W[ii], W[jj] - W[u]
+            WWij = (P[jj][None, :] - P[ii][:, None]
+                    - np.einsum("ia,ijb->ijab", W[ii], W[jj][None, :] - W[ii][:, None]))
+            WWiu = P[u] - P[ii] - np.einsum("ia,ib->iab", W[ii], Wiu)
+            WWuj = P[jj] - P[u] - np.einsum("a,jb->jab", W[u], Wuj)
+            defect = (WWij - WWiu[:, None] - WWuj[None, :]
+                      - np.einsum("ia,jb->ijab", Wiu, Wuj))
+            worst = max(worst, float(np.max(np.abs(defect))))
+        assert _chen_defect(rp) == worst
+
+    def test_second_on_index_arrays(self, lifted):
+        rp, _ = lifted
+        i = np.array([0, 3, 7, 7, 20])
+        j = np.array([rp.n, 9, 7, 30, 21])
+        stacked = np.array([rp.second(int(a), int(b)) for a, b in zip(i, j)])
+        assert np.array_equal(rp.second(i, j), stacked)
+        table = rp.second(i[:, None], np.array([[rp.n, 30]]))
+        assert table.shape == (5, 2, rp.d, rp.d)
+        assert np.array_equal(table[2, 1], rp.second(7, 30))
+
+    @pytest.mark.parametrize("i, j", [([0, 5, 3], [4, 4, 4]), ([0, 1], [2, 10**6]),
+                                      ([-1, 0], [2, 2])],
+                             ids=["i-above-j", "j-above-n", "i-negative"])
+    def test_second_rejects_bad_index(self, i, j):
+        rp = lift_brownian(0, Grid(0.0, 1.0, 16), d=2)
+        with pytest.raises(ValueError):
+            rp.second(np.array(i), np.array(j))
 
 
 @settings(max_examples=25, deadline=None)
