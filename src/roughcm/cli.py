@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import sys
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import click
 import numpy as np
+import sympy
 
+from . import __version__
 from .invariance import (CoefficientSystem, FieldValidationError,
                          NumericSystem, derive_system, load_system,
                          propagate_zeros, residuals)
@@ -118,6 +121,15 @@ def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
     return row
 
 
+def _provenance(spec_file, q: int) -> dict:
+    """What a report depends on besides its arguments: the spec file's
+    bytes, the expansion order and the versions of the numerical code."""
+    import scipy    # only for its version: no solver of a Picard run needs it
+    return {"spec_sha256": hashlib.sha256(Path(spec_file).read_bytes()).hexdigest(),
+            "q": q, "roughcm": __version__, "numpy": np.__version__,
+            "scipy": scipy.__version__, "sympy": sympy.__version__}
+
+
 @main.command()
 @click.option("--spec", "spec_file", required=True, type=click.Path(exists=True))
 @click.option("--q", type=int, default=None)
@@ -189,9 +201,9 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
 
     slopes = [r["order_slope"] for r in rows if np.isfinite(r["order_slope"])]
     median_slope = float(np.median(slopes)) if slopes else float("nan")
-    report = {"spec": str(spec_file), "q": cs.q, "window": window,
-              "grid_n": grid_n, "eta": eta, "cutoff_r": cutoff_r,
-              "solver": solver, "median_slope": median_slope,
+    report = {"spec": str(spec_file), "provenance": _provenance(spec_file, cs.q),
+              "q": cs.q, "window": window, "grid_n": grid_n, "eta": eta,
+              "cutoff_r": cutoff_r, "solver": solver, "median_slope": median_slope,
               "threshold": cs.q + 0.5, "per_seed": rows}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -3,15 +3,21 @@
 Substitutes the ansatz into polynomial drift/diffusion fields, matches
 coefficients of x^i exactly (rational arithmetic over abstract coefficient
 atoms alpha_1..alpha_q), propagates forced-zero coefficients, and collects
-the degree > q residual polynomials.
+the degree > q residual polynomials.  The arithmetic runs on one sparse
+polynomial ring of x, the atoms and the spec's parameters; results leave it
+as sympy expressions.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
+from sympy.polys.constructor import construct_domain
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement, PolyRing
 
 __all__ = [
     "X", "alpha", "PolyField", "SystemSpec", "CoefficientSystem",
@@ -35,10 +41,6 @@ class FieldValidationError(ValueError):
 class PolyField:
     """Polynomial field in (x, y): map from exponent pair to a coefficient."""
     terms: dict[tuple[int, int], sp.Expr]
-
-    def __call__(self, x_expr, y_expr) -> sp.Expr:
-        return sp.expand(sum(c * x_expr**i * y_expr**j
-                             for (i, j), c in self.terms.items()))
 
     def validate(self, kind: str, name: str) -> None:
         """Check vanishing at the origin to the required order.
@@ -68,7 +70,13 @@ class PolyField:
 
 def _parse_coeff(c) -> sp.Expr:
     if isinstance(c, str):
-        return sp.sympify(c, rational=True)
+        try:
+            expr = sp.sympify(c, rational=True)
+        except TypeError:    # arithmetic on a function name, such as 2*beta
+            expr = None
+        if not isinstance(expr, sp.Expr):
+            raise FieldValidationError(f"coefficient {c!r} is no expression")
+        return expr
     if isinstance(c, float) and not c.is_integer():
         return sp.Rational(c).limit_denominator(10**12)
     return sp.Integer(int(c)) if isinstance(c, (int, float)) else sp.sympify(c)
@@ -150,13 +158,45 @@ def load_system(path_or_dict) -> SystemSpec:
         params={k: float(v) for k, v in doc.get("params", {}).items()},
         override=bool(doc.get("override", False)),
     )
+    clashes = [k for k in spec.params if k == "x" or re.fullmatch(r"alpha\d+", k)
+               or sp.sympify(k) != sp.Symbol(k)]
+    if clashes:
+        raise FieldValidationError(
+            f"parameter(s) {', '.join(clashes)}: the names x and alpha<k> are "
+            "taken by the variable and the coefficient atoms, and a parameter "
+            "must read as a plain symbol, not as a sympy constant or function "
+            "such as E, I or beta")
+    undeclared = (set().union(*(c.free_symbols for c in _coefficients(spec)))
+                  - {sp.Symbol(k) for k in spec.params})
+    if undeclared:
+        raise FieldValidationError(
+            f"undeclared symbol(s) {', '.join(sorted(map(str, undeclared)))} "
+            "in the coefficients: declare each parameter in params")
     if not spec.override:
         spec.validate()
     return spec
 
 
-def _ansatz(q: int) -> sp.Expr:
-    return sum(alpha(i) * X**i for i in range(1, q + 1))
+def _coefficients(sys: SystemSpec) -> list[sp.Expr]:
+    return [sys.Ac, sys.As] + [c for pf in (sys.Fc, sys.Fs, *sys.Gc, *sys.Gs)
+                               for c in pf.terms.values()]
+
+
+def _ring(sys: SystemSpec, q: int) -> PolyRing:
+    """The sparse ring of x, alpha_1..alpha_q and the parameters over QQ.
+
+    A coefficient that is no polynomial over QQ in the parameters, such as
+    sqrt(2) or 1/(1 + sigma), moves the parameters out of the generators
+    and into the smallest coefficient domain that holds every coefficient.
+    """
+    gens = [X] + [alpha(i) for i in range(1, q + 1)]
+    R = PolyRing(gens + [sp.Symbol(k) for k in sys.params], QQ)
+    try:
+        for c in _coefficients(sys):
+            R.from_expr(c)
+    except ValueError:
+        R = PolyRing(gens, construct_domain(_coefficients(sys))[0])
+    return R
 
 
 @dataclass
@@ -166,7 +206,10 @@ class CoefficientSystem:
     Order i carries the linear part A_alpha[i] = As - i*Ac, the drift
     forcing f[i] and the per-channel diffusion forcings g[i][ch], all exact
     polynomials in the atoms alpha_k.  M and Mtilde are the degree > q
-    leftovers of the matching (drift and diffusion defects).
+    leftovers of the matching (drift and diffusion defects).  _polys holds
+    f, g, M and Mtilde again as elements of the derivation's ring, the form
+    that propagate_zeros and residuals read.  sympy's rings do not pickle,
+    so a pickled or deep copy keeps the expressions only.
     """
     q: int
     noise_dim: int
@@ -178,6 +221,10 @@ class CoefficientSystem:
     M: sp.Expr
     Mtilde: list[sp.Expr]
     zero_flags: set[int] = field(default_factory=set)
+    _polys: tuple = field(default=(), repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_polys": ()}
 
     def to_json(self) -> str:
         doc = {
@@ -185,14 +232,30 @@ class CoefficientSystem:
             "noise_dim": self.noise_dim,
             "Ac": str(self.Ac),
             "As": str(self.As),
-            "A_alpha": {str(i): str(sp.simplify(a)) for i, a in self.A_alpha.items()},
-            "f": {str(i): str(sp.expand(e)) for i, e in self.f.items()},
-            "g": {str(i): [str(sp.expand(e)) for e in ch] for i, ch in self.g.items()},
-            "M": str(sp.expand(self.M)),
-            "Mtilde": [str(sp.expand(e)) for e in self.Mtilde],
+            "A_alpha": {str(i): str(a) for i, a in self.A_alpha.items()},
+            "f": {str(i): str(e) for i, e in self.f.items()},
+            "g": {str(i): [str(e) for e in ch] for i, ch in self.g.items()},
+            "M": str(self.M),
+            "Mtilde": [str(e) for e in self.Mtilde],
             "zero_flags": sorted(self.zero_flags),
         }
         return json.dumps(doc, indent=2)
+
+
+def _ring_forms(cs: CoefficientSystem) -> tuple:
+    if not cs._polys:
+        raise ValueError("this coefficient system has no ring forms (a "
+                         "pickled copy?); derive it again with derive_system")
+    return cs._polys
+
+
+def _exprs(polys: tuple) -> dict:
+    """The fields f, g, M and Mtilde of ring elements (f, g, M, Mtilde)."""
+    f, g, M, Mtilde = polys
+    return {"f": {i: p.as_expr() for i, p in f.items()},
+            "g": {i: [p.as_expr() for p in ch] for i, ch in g.items()},
+            "M": M.as_expr(), "Mtilde": [p.as_expr() for p in Mtilde],
+            "_polys": polys}
 
 
 def derive_system(sys: SystemSpec, q: int | None = None) -> CoefficientSystem:
@@ -205,28 +268,43 @@ def derive_system(sys: SystemSpec, q: int | None = None) -> CoefficientSystem:
     q = sys.q if q is None else q
     if q < 2:
         raise ValueError("q must be at least 2")
-    phi = _ansatz(q)
-    dphi = sp.diff(phi, X)
+    R = _ring(sys, q)
+    x = R.gens[0]
+    phi = sum((a * x**i for i, a in enumerate(R.gens[1:q + 1], 1)), R.zero)
+    dphi = phi.diff(x)
+    powers = [R.one]    # phi^j, each computed once for all fields
+
+    def on_phi(pf: PolyField) -> PolyElement:
+        out = R.zero
+        for (i, j), c in pf.terms.items():
+            while len(powers) <= j:
+                powers.append(powers[-1] * phi)
+            out += R.from_expr(c) * x**i * powers[j]
+        return out
 
     def match(side_s: PolyField, side_c: PolyField):
-        expr = sp.expand(side_s(X, phi) - dphi * side_c(X, phi))
-        poly = sp.Poly(expr, X)
-        coeffs = {int(i): sp.expand(c) for (i,), c in poly.terms()}
-        forcing = {i: coeffs.get(i, sp.Integer(0)) for i in range(1, q + 1)}
-        leftover = sum(-c * X**i for i, c in coeffs.items() if i > q)
-        return forcing, sp.expand(leftover)
+        forcing = {i: {} for i in range(1, q + 1)}
+        leftover = {}
+        for m, c in (on_phi(side_s) - dphi * on_phi(side_c)).items():
+            if m[0] > q:
+                leftover[m] = -c
+            elif m[0] > 0:
+                forcing[m[0]][(0,) + m[1:]] = c
+        return ({i: R.from_dict(t) for i, t in forcing.items()},
+                R.from_dict(leftover))
 
     f, M = match(sys.Fs, sys.Fc)
-    g: dict[int, list[sp.Expr]] = {i: [] for i in range(1, q + 1)}
-    Mtilde: list[sp.Expr] = []
+    g: dict[int, list[PolyElement]] = {i: [] for i in range(1, q + 1)}
+    Mtilde: list[PolyElement] = []
     for gs, gc in zip(sys.Gs, sys.Gc):
         forcing, leftover = match(gs, gc)
         for i in range(1, q + 1):
             g[i].append(forcing[i])
         Mtilde.append(leftover)
-    A_alpha = {i: sp.expand(sys.As - i * sys.Ac) for i in range(1, q + 1)}
+    As, Ac = R.from_expr(sys.As), R.from_expr(sys.Ac)
+    A_alpha = {i: (As - i * Ac).as_expr() for i in range(1, q + 1)}
     return CoefficientSystem(q=q, noise_dim=sys.noise_dim, Ac=sys.Ac, As=sys.As,
-                             A_alpha=A_alpha, f=f, g=g, M=M, Mtilde=Mtilde)
+                             A_alpha=A_alpha, **_exprs((f, g, M, Mtilde)))
 
 
 def propagate_zeros(cs: CoefficientSystem) -> CoefficientSystem:
@@ -235,50 +313,45 @@ def propagate_zeros(cs: CoefficientSystem) -> CoefficientSystem:
     Iterates i = 1..q in order; an order with zero drift and zero diffusion
     forcing (after substituting already-flagged atoms) has the zero path as
     its stationary solution, so its atom is set to zero in all later
-    polynomials and in the residuals.  Idempotent.
+    polynomials and in the residuals.  Idempotent.  Substituting zero for
+    alpha_k drops every monomial with a positive exponent of generator k.
     """
-    zeros = dict()
+    f, g, M, Mtilde = _ring_forms(cs)
+
+    def drop(p: PolyElement, atoms: set[int]) -> PolyElement:
+        return p.ring.from_dict({m: c for m, c in p.items()
+                                 if not any(m[k] for k in atoms)})
+
     flags = set(cs.zero_flags)
-    for i in sorted(flags):
-        zeros[alpha(i)] = sp.Integer(0)
     for i in range(1, cs.q + 1):
-        if i in flags:
-            continue
         # the zero path solves order i when the forcings vanish at alpha_i = 0
         # (the diffusion forcing may couple linearly to alpha_i itself)
-        trial = dict(zeros)
-        trial[alpha(i)] = sp.Integer(0)
-        fi = sp.expand(cs.f[i].subs(trial))
-        gi = [sp.expand(e.subs(trial)) for e in cs.g[i]]
-        if fi == 0 and all(e == 0 for e in gi):
+        trial = flags | {i}
+        if not drop(f[i], trial) and not any(drop(e, trial) for e in g[i]):
             flags.add(i)
-            zeros[alpha(i)] = sp.Integer(0)
-    f = {i: sp.expand(e.subs(zeros)) for i, e in cs.f.items()}
-    g = {i: [sp.expand(e.subs(zeros)) for e in ch] for i, ch in cs.g.items()}
+    polys = ({i: drop(p, flags) for i, p in f.items()},
+             {i: [drop(p, flags) for p in ch] for i, ch in g.items()},
+             drop(M, flags), [drop(p, flags) for p in Mtilde])
     return CoefficientSystem(q=cs.q, noise_dim=cs.noise_dim, Ac=cs.Ac, As=cs.As,
-                             A_alpha=dict(cs.A_alpha), f=f, g=g,
-                             M=sp.expand(cs.M.subs(zeros)),
-                             Mtilde=[sp.expand(e.subs(zeros)) for e in cs.Mtilde],
-                             zero_flags=flags)
+                             A_alpha=dict(cs.A_alpha), zero_flags=flags,
+                             **_exprs(polys))
 
 
 def residuals(cs: CoefficientSystem) -> dict:
     """Residual polynomials and their minimum surviving x-degrees."""
+    _, _, M, Mtilde = _ring_forms(cs)
 
-    def min_degree(expr: sp.Expr) -> int | None:
-        expr = sp.expand(expr)
-        if expr == 0:
-            return None
-        return min(i for (i,), c in sp.Poly(expr, X).terms() if c != 0)
+    def min_degree(p: PolyElement) -> int | None:
+        return min((m[0] for m in p), default=None)
 
-    degrees = [d for d in [min_degree(cs.M)] + [min_degree(e) for e in cs.Mtilde]
+    degrees = [d for d in [min_degree(M)] + [min_degree(p) for p in Mtilde]
                if d is not None]
     return {
-        "M": sp.expand(cs.M),
-        "Mtilde": [sp.expand(e) for e in cs.Mtilde],
+        "M": cs.M,
+        "Mtilde": list(cs.Mtilde),
         "min_degree": min(degrees) if degrees else None,
-        "min_degree_M": min_degree(cs.M),
-        "min_degree_Mtilde": [min_degree(e) for e in cs.Mtilde],
+        "min_degree_M": min_degree(M),
+        "min_degree_Mtilde": [min_degree(p) for p in Mtilde],
     }
 
 

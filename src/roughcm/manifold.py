@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class ManifoldApproximation:
     """Taylor map of the stable graph: xi -> sum_{i>=2} alpha_i(0) xi^i."""
     q: int
     alpha0: dict[int, float]
-    provenance: dict = field(default_factory=dict)
     radius: float = 0.1
 
     def __post_init__(self):
@@ -179,6 +178,10 @@ class _Sweep:
         self.dt_g = dt ** rp.gamma
         self.dt_2g = dt ** (2 * rp.gamma)
         _, self.gap_W = _gap_bounds(self.blocks.W, self.gaps)
+        # per component: A, F and each channel's G with its partials in x, y
+        self.fields = tuple(
+            (A, F, [(g, g.partial(0), g.partial(1)) for g in Gf])
+            for A, F, Gf in ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs)))
 
     def zero_state(self) -> np.ndarray:
         return np.zeros((self.N, 2 * (self.nu + 1) * (1 + self.d)))
@@ -255,17 +258,16 @@ class _Sweep:
         V, D = self.values(state), self.derivs(state)
         new = self.zero_state()
         nV, nD = self.values(new), self.derivs(new)
-        fields = ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs))
         C = np.empty((2, N, nu + 1))    # per-block convolutions
         s = self.cutoff_factors(state)[:, None, None]
         x, y = np.moveaxis(s * V, 1, 0)
-        for c, (A, F, Gf) in enumerate(fields):
+        for c, (A, F, Gf) in enumerate(self.fields):
             gY = nD[:, c]
             gYp = np.zeros((N, nu + 1, d, d))
-            for ch, g in enumerate(Gf):
+            for ch, (g, g_x, g_y) in enumerate(Gf):
                 gY[..., ch] = g(x, y)
-                gYp[..., ch, :] = (g.partial(0)(x, y)[..., None] * D[:, 0] +
-                                   g.partial(1)(x, y)[..., None] * D[:, 1]) * s
+                gYp[..., ch, :] = (g_x(x, y)[..., None] * D[:, 0] +
+                                   g_y(x, y)[..., None] * D[:, 1]) * s
             C[c] = bl.convolve(A, F(x, y), gY, gYp)
         x, y = nV[:, 0], nV[:, 1]
         x[:] = np.exp(sys.Ac * bl.times) * self.xi + C[0]

@@ -1,11 +1,16 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
+import sympy
 from click.testing import CliRunner
 
+import roughcm
 from roughcm import cli
 from roughcm.cli import main
 
@@ -17,6 +22,32 @@ NONLINEAR = EXAMPLES / "chekroun_nonlinear.json"
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+# a coefficient symbol that params does not declare, and parameters named
+# like the variable x, a coefficient atom or a sympy constant
+BAD_SYMBOLS = {
+    "undeclared-mu": lambda doc: doc["Fs"].append({"i": 2, "j": 0, "c": "-mu"}),
+    "x-in-coefficient": lambda doc: doc["Fs"].append({"i": 2, "j": 0, "c": "x"}),
+    "param-x": lambda doc: doc.update(params={"x": 1.0}),
+    "param-alpha2": lambda doc: doc.update(params={"alpha2": 0.5}),
+    # sympy reads E as Euler's number, so the declared value would be lost
+    "param-E": lambda doc: (doc["Fs"].append({"i": 2, "j": 0, "c": "E"}),
+                            doc.update(params={"E": 1.0})),
+}
+
+
+@pytest.fixture(params=[(case, override) for case in BAD_SYMBOLS
+                        for override in (False, True)],
+                ids=lambda p: f"{p[0]}{'-override' if p[1] else ''}")
+def bad_symbol_spec(request, tmp_path):
+    case, override = request.param
+    doc = json.loads(NONLINEAR.read_text())
+    BAD_SYMBOLS[case](doc)
+    doc["override"] = override
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
 
 
 class TestDerive:
@@ -76,6 +107,13 @@ class TestDerive:
         assert result.exit_code == 2
         assert "validation failure" in result.output
         assert "noise_dim" in result.output
+        assert not (tmp_path / "coefficient_system.json").exists()
+
+    def test_bad_symbol_exits_2(self, runner, tmp_path, bad_symbol_spec):
+        result = runner.invoke(main, ["derive", "--spec", str(bad_symbol_spec),
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "validation failure" in result.output
         assert not (tmp_path / "coefficient_system.json").exists()
 
 
@@ -210,3 +248,19 @@ class TestVerify:
         assert result.exit_code == 2, result.output
         assert "validation failure" in result.output
         assert not (tmp_path / "verify_report.json").exists()
+
+    def test_bad_symbol_exits_2(self, runner, tmp_path, bad_symbol_spec):
+        result = runner.invoke(main, [
+            "verify", "--spec", str(bad_symbol_spec), "--seeds", "1",
+            "--grid-n", "32", "--window", "6", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "validation failure" in result.output
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_provenance(self, runner, tmp_path):
+        self.run_small(runner, tmp_path, "--q", "3")
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["provenance"] == {
+            "spec_sha256": hashlib.sha256(LINEAR.read_bytes()).hexdigest(),
+            "q": 3, "roughcm": roughcm.__version__, "numpy": numpy.__version__,
+            "scipy": scipy.__version__, "sympy": sympy.__version__}

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import pickle
+import random
 from pathlib import Path
 
 import pytest
@@ -107,6 +109,29 @@ class TestValidation:
         doc["override"] = True
         load_system(doc)
 
+    @pytest.mark.parametrize("override", [False, True])
+    def test_undeclared_symbol_rejected(self, override):
+        doc = {**self.base(), "override": override}
+        doc["Fs"] = doc["Fs"] + [{"i": 2, "j": 0, "c": "-mu"}]
+        with pytest.raises(FieldValidationError, match="undeclared symbol"):
+            load_system(doc)
+        load_system({**doc, "params": {"mu": 0.5}})
+
+    @pytest.mark.parametrize("name", ["x", "alpha2", "E", "I", "beta"])
+    def test_reserved_parameter_name_rejected(self, name):
+        # sympy reads E, I and beta as Euler's number, the imaginary unit
+        # and the beta function, so such a parameter's value would be lost
+        doc = {**self.base(), "override": True, "params": {name: 1.0}}
+        with pytest.raises(FieldValidationError, match="taken by"):
+            load_system(doc)
+
+    @pytest.mark.parametrize("c", ["beta", "2*beta"])
+    def test_function_coefficient_rejected(self, c):
+        doc = self.base()
+        doc["Fs"] = doc["Fs"] + [{"i": 2, "j": 0, "c": c}]
+        with pytest.raises(FieldValidationError, match="no expression"):
+            load_system(doc)
+
     def test_gamma_out_of_range(self):
         doc = self.base()
         doc["gamma"] = 0.25
@@ -137,3 +162,218 @@ class TestDerivation:
         assert doc["zero_flags"] == [1, 3]
         assert doc["g"]["5"] == ["-2*alpha2**2"]
         assert doc["g"]["6"] == ["alpha2**3"]
+
+
+# The expand-based derivation that the ring arithmetic replaced, kept as the
+# oracle: sympy expression trees, `subs` for zero atoms and `sp.Poly` in x.
+
+def _oracle_field(pf, x_expr, y_expr):
+    return sp.expand(sum(c * x_expr**i * y_expr**j
+                         for (i, j), c in pf.terms.items()))
+
+
+def oracle_derive(spec, q=None):
+    q = spec.q if q is None else q
+    phi = sum(sp.Symbol(f"alpha{i}") * x**i for i in range(1, q + 1))
+    dphi = sp.diff(phi, x)
+
+    def match(side_s, side_c):
+        expr = sp.expand(_oracle_field(side_s, x, phi)
+                         - dphi * _oracle_field(side_c, x, phi))
+        coeffs = {int(i): sp.expand(c) for (i,), c in sp.Poly(expr, x).terms()}
+        forcing = {i: coeffs.get(i, sp.Integer(0)) for i in range(1, q + 1)}
+        leftover = sum(-c * x**i for i, c in coeffs.items() if i > q)
+        return forcing, sp.expand(leftover)
+
+    f, M = match(spec.Fs, spec.Fc)
+    g = {i: [] for i in range(1, q + 1)}
+    Mtilde = []
+    for gs, gc in zip(spec.Gs, spec.Gc):
+        forcing, leftover = match(gs, gc)
+        for i in range(1, q + 1):
+            g[i].append(forcing[i])
+        Mtilde.append(leftover)
+    A_alpha = {i: sp.expand(spec.As - i * spec.Ac) for i in range(1, q + 1)}
+    return dict(q=q, noise_dim=spec.noise_dim, Ac=spec.Ac, As=spec.As,
+                A_alpha=A_alpha, f=f, g=g, M=M, Mtilde=Mtilde, zero_flags=set())
+
+
+def oracle_propagate(cs):
+    zeros, flags = {}, set(cs["zero_flags"])
+    for i in sorted(flags):
+        zeros[sp.Symbol(f"alpha{i}")] = sp.Integer(0)
+    for i in range(1, cs["q"] + 1):
+        if i in flags:
+            continue
+        trial = {**zeros, sp.Symbol(f"alpha{i}"): sp.Integer(0)}
+        if (sp.expand(cs["f"][i].subs(trial)) == 0
+                and all(sp.expand(e.subs(trial)) == 0 for e in cs["g"][i])):
+            flags.add(i)
+            zeros[sp.Symbol(f"alpha{i}")] = sp.Integer(0)
+    return {**cs, "zero_flags": flags,
+            "f": {i: sp.expand(e.subs(zeros)) for i, e in cs["f"].items()},
+            "g": {i: [sp.expand(e.subs(zeros)) for e in ch]
+                  for i, ch in cs["g"].items()},
+            "M": sp.expand(cs["M"].subs(zeros)),
+            "Mtilde": [sp.expand(e.subs(zeros)) for e in cs["Mtilde"]]}
+
+
+def oracle_residuals(cs):
+    def min_degree(expr):
+        expr = sp.expand(expr)
+        if expr == 0:
+            return None
+        return min(i for (i,), c in sp.Poly(expr, x).terms() if c != 0)
+
+    degrees = [d for d in [min_degree(cs["M"])]
+               + [min_degree(e) for e in cs["Mtilde"]] if d is not None]
+    return {"M": sp.expand(cs["M"]),
+            "Mtilde": [sp.expand(e) for e in cs["Mtilde"]],
+            "min_degree": min(degrees) if degrees else None,
+            "min_degree_M": min_degree(cs["M"]),
+            "min_degree_Mtilde": [min_degree(e) for e in cs["Mtilde"]]}
+
+
+def oracle_json(cs):
+    return json.dumps({
+        "q": cs["q"], "noise_dim": cs["noise_dim"],
+        "Ac": str(cs["Ac"]), "As": str(cs["As"]),
+        "A_alpha": {str(i): str(sp.simplify(a)) for i, a in cs["A_alpha"].items()},
+        "f": {str(i): str(sp.expand(e)) for i, e in cs["f"].items()},
+        "g": {str(i): [str(sp.expand(e)) for e in ch] for i, ch in cs["g"].items()},
+        "M": str(sp.expand(cs["M"])),
+        "Mtilde": [str(sp.expand(e)) for e in cs["Mtilde"]],
+        "zero_flags": sorted(cs["zero_flags"])}, indent=2)
+
+
+FIELDS = ("q", "noise_dim", "Ac", "As", "A_alpha", "f", "g", "M", "Mtilde",
+          "zero_flags")
+
+# the two-channel spec of tests/test_manifold.py at q = 8, and the q = 8
+# two-channel spec of the benchmark
+TWO_CHANNEL_Q8 = {
+    "gamma": 0.45, "q": 8, "noise_dim": 2, "Ac": 0, "As": -1,
+    "Fc": [{"i": 1, "j": 1, "c": 1}], "Fs": [{"i": 2, "j": 0, "c": -1}],
+    "Gc": [[{"i": 2, "j": 1, "c": 1}], [{"i": 1, "j": 2, "c": "1/4"}]],
+    "Gs": [[{"i": 0, "j": 3, "c": 1}], [{"i": 3, "j": 0, "c": "1/2"}]]}
+BENCH_Q8 = {
+    "gamma": 0.45, "q": 8, "noise_dim": 2, "Ac": 0, "As": -1,
+    "Fc": [{"i": 1, "j": 1, "c": 1}, {"i": 3, "j": 0, "c": 1}],
+    "Fs": [{"i": 2, "j": 0, "c": 1}, {"i": 1, "j": 1, "c": "1/2"}],
+    "Gc": [[{"i": 2, "j": 1, "c": 1}], [{"i": 1, "j": 2, "c": "1/4"}]],
+    "Gs": [[{"i": 0, "j": 3, "c": 1}], [{"i": 3, "j": 0, "c": "1/2"}]]}
+
+
+def random_spec(seed):
+    """A valid spec with d <= 2, q <= 8, and rational and parameter
+    coefficients.  Fs always forces order 2 (so that alpha_2 lives); the
+    other fields are sparse, so that some higher orders vanish."""
+    rng = random.Random(seed)
+    params = {"lam": 0.5, "kappa": -1.5, "sigma": 0.25}
+
+    def coeff():
+        r = sp.Rational(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 5]))
+        kind = rng.choice(["rational", "param", "product", "square"])
+        p = rng.choice(sorted(params))
+        return str({"rational": r, "param": sp.Symbol(p),
+                    "product": r * sp.Symbol(p),
+                    "square": r * sp.Symbol(p)**2}[kind])
+
+    def terms(degrees, k):
+        pairs = [(i, n - i) for n in degrees for i in range(n + 1)]
+        return [{"i": i, "j": j, "c": coeff()}
+                for i, j in rng.sample(pairs, min(k, len(pairs)))]
+
+    d = rng.choice([1, 2])
+    return {"gamma": 0.45, "q": rng.randint(2, 8), "noise_dim": d,
+            "Ac": str(sp.Rational(rng.randint(-2, 2), 2) * sp.Symbol("lam")),
+            "As": str(-1 + sp.Symbol("kappa") / rng.choice([2, 3])),
+            "Fc": terms([2, 3], rng.randint(0, 2)),
+            "Fs": [{"i": 2, "j": 0, "c": coeff()}] + terms([2, 3], rng.randint(0, 2)),
+            "Gc": [terms([3, 4], rng.randint(0, 2)) for _ in range(d)],
+            "Gs": [terms([3, 4], rng.randint(0, 2)) for _ in range(d)],
+            "params": params}
+
+
+ORACLE_SPECS = {
+    **{name: EXAMPLES / f"{name}.json"
+       for name in ("chekroun_linear", "chekroun_nonlinear", "zero")},
+    "two-channel-q8": TWO_CHANNEL_Q8, "bench-q8": BENCH_Q8,
+    **{f"random-{seed}": random_spec(seed) for seed in range(1, 17)}}
+
+
+class TestRingDerivationOracle:
+    """The ring derivation gives the expand-based derivation's expressions,
+    `==` field by field, and the same JSON byte for byte."""
+
+    @pytest.fixture(scope="class", params=sorted(ORACLE_SPECS))
+    def both(self, request):
+        spec = load_system(ORACLE_SPECS[request.param])
+        derived = derive_system(spec)
+        oracle = oracle_derive(spec)
+        return derived, oracle, propagate_zeros(derived), oracle_propagate(oracle)
+
+    def test_derive_system(self, both):
+        derived, oracle, _, _ = both
+        assert {k: getattr(derived, k) for k in FIELDS} == oracle
+
+    def test_propagate_zeros(self, both):
+        _, _, cs, oracle = both
+        assert {k: getattr(cs, k) for k in FIELDS} == oracle
+        assert cs.to_json() == oracle_json(oracle)
+
+    def test_residuals(self, both):
+        _, _, cs, oracle = both
+        assert residuals(cs) == oracle_residuals(oracle)
+
+    def test_q_override(self):
+        spec = load_system(BENCH_Q8)
+        for q in (2, 5):
+            cs = propagate_zeros(derive_system(spec, q=q))
+            oracle = oracle_propagate(oracle_derive(spec, q=q))
+            assert {k: getattr(cs, k) for k in FIELDS} == oracle
+
+    def test_non_rational_coefficients(self):
+        # sqrt(2) and 1/(1 + sigma) are no polynomials over QQ in the
+        # parameters; the ring then keeps the parameters in its coefficient
+        # domain, whose normal form may differ from sympy's expand
+        spec = load_system({
+            "gamma": 0.45, "q": 6, "noise_dim": 1,
+            "Ac": "sqrt(2)*lam", "As": "-1 + 1/(1 + sigma)",
+            "Fc": [{"i": 1, "j": 1, "c": "sqrt(2)"}],
+            "Fs": [{"i": 2, "j": 0, "c": "1/(1 + sigma)"},
+                   {"i": 1, "j": 1, "c": "lam"}],
+            "Gc": [[{"i": 2, "j": 1, "c": "sqrt(2)/2"}]],
+            "Gs": [[{"i": 0, "j": 3, "c": "sigma/(1 + sigma)"}]],
+            "params": {"sigma": 0.5, "lam": 1.0}})
+        cs = propagate_zeros(derive_system(spec))
+        oracle = oracle_propagate(oracle_derive(spec))
+        assert cs.zero_flags == oracle["zero_flags"] == {1}
+        for i in range(1, 7):
+            assert sp.expand(cs.f[i]) == sp.expand(oracle["f"][i])
+            assert [sp.expand(e) for e in cs.g[i]] == \
+                [sp.expand(e) for e in oracle["g"][i]]
+            assert sp.cancel(cs.A_alpha[i] - oracle["A_alpha"][i]) == 0
+        assert sp.expand(cs.M) == sp.expand(oracle["M"])
+        assert [sp.expand(e) for e in cs.Mtilde] == \
+            [sp.expand(e) for e in oracle["Mtilde"]]
+        res, ores = residuals(cs), oracle_residuals(oracle)
+        assert [res[k] for k in ("min_degree", "min_degree_M", "min_degree_Mtilde")] == \
+            [ores[k] for k in ("min_degree", "min_degree_M", "min_degree_Mtilde")]
+
+    def test_no_expression_tree_expansion(self, monkeypatch):
+        # the three functions stay on the ring: no sp.expand, subs or Poly
+        def forbidden(*args, **kwargs):
+            raise AssertionError("expression-tree call in the ring derivation")
+
+        spec = load_system(BENCH_Q8)
+        for name in ("expand", "Poly"):
+            monkeypatch.setattr(sp, name, forbidden)
+        monkeypatch.setattr(sp.Basic, "subs", forbidden)
+        residuals(propagate_zeros(derive_system(spec)))
+
+    def test_pickled_copy_keeps_expressions(self, cs_nonlinear):
+        copy = pickle.loads(pickle.dumps(cs_nonlinear))
+        assert copy == cs_nonlinear
+        with pytest.raises(ValueError, match="derive it again"):
+            residuals(copy)

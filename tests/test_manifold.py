@@ -7,7 +7,7 @@ import pytest
 
 import roughcm.manifold
 from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
-                     NewtonConvergenceError, NonContractionError,
+                     NewtonConvergenceError, NonContractionError, NumericField,
                      convolve_diffusion, convolve_drift, cutoff_scale,
                      derive_system, evaluate_phi, leading_order_happ,
                      lift_brownian, load_system, lyapunov_perron_hc, norm_d2g,
@@ -403,6 +403,20 @@ class TestStackedBlocks:
         assert res.converged
         assert calls["drift"] <= 2 * res.iterations
         assert 0 < calls["diffusion"] <= 2 * res.iterations
+
+    def test_partials_built_once(self, monkeypatch):
+        # the x- and y-partials of each diffusion field, once per solve
+        # rather than once per sweep
+        spec = load_system(EXAMPLES / "chekroun_nonlinear.json")
+        rp = lift_brownian(1, Grid(-6.0, 0.0, 6 * 32), gamma=spec.gamma)
+        lp = LPConfig(eta=-0.5, window=6, cutoff_R=0.5, fp_tol=1e-8)
+        calls = []
+        partial = NumericField.partial
+        monkeypatch.setattr(NumericField, "partial",
+                            lambda self, v: calls.append(v) or partial(self, v))
+        res = lyapunov_perron_hc(spec.numeric(), 0.05, rp, lp)
+        assert res.converged and res.iterations > 1
+        assert sorted(calls) == [0, 0, 1, 1]    # Gc and Gs, one channel
 
 
 class TestOrderFit:
