@@ -15,7 +15,8 @@ from .invariance import (CoefficientSystem, FieldValidationError,
 from .manifold import (LPConfig, LPResult, ManifoldApproximation,
                        NewtonConvergenceError, NonContractionError, OrderFit,
                        cutoff_scale, evaluate_phi, leading_order_happ,
-                       lyapunov_perron_hc, order_fit, smoothstep)
+                       lyapunov_perron_hc, lyapunov_perron_sweep, order_fit,
+                       smoothstep)
 from .rde import BlowUpError, solve_affine, solve_rde
 from .roughpath import (CovarianceFactorizationError, Grid, RoughPath,
                         coarsen, lift_brownian, lift_fbm, lift_smooth,

@@ -18,10 +18,8 @@ from . import __version__
 from .invariance import (CoefficientSystem, FieldValidationError,
                          NumericSystem, derive_system, load_system,
                          propagate_zeros, residuals)
-from .manifold import (LPConfig, ManifoldApproximation,
-                       NewtonConvergenceError, NonContractionError,
-                       evaluate_phi, leading_order_happ, lyapunov_perron_hc,
-                       order_fit)
+from .manifold import (LPConfig, ManifoldApproximation, _Blocks, evaluate_phi,
+                       leading_order_happ, lyapunov_perron_sweep, order_fit)
 from .roughpath import Grid, lift_brownian
 from .stationary import solve_hierarchy
 
@@ -87,23 +85,26 @@ def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
     rp = lift_brownian(seed, plan.grid, d=nsys.d, gamma=nsys.gamma)
     hier = solve_hierarchy(plan.cs, rp, params=plan.params, init="zero")
     ma = ManifoldApproximation(q=plan.cs.q, alpha0=hier.alpha0, radius=max(xis))
+    blocks = _Blocks(rp, plan.lp.window)    # one split of the path for h^app and LP
     l = plan.lead_degree
-    row = {"seed": seed, "xi_sweep": list(xis), "phi_values": [],
-           "hc_values": [], "happ_values": [], "contraction_rates": [],
+    happ = (leading_order_happ(nsys, l, xis, blocks) if l is not None
+            else [0.0] * len(xis))
+    row = {"seed": seed, "xi_sweep": list(xis),
+           "phi_values": [evaluate_phi(ma, xi) for xi in xis],
+           "hc_values": [], "happ_values": [float(h) for h in happ],
+           "contraction_rates": [],
            "tail_bounds": {str(k): v for k, v in hier.tail_bounds.items()},
            "residual_min_degree": plan.min_degree, "failures": []}
-    for xi in xis:
-        row["phi_values"].append(evaluate_phi(ma, xi))
-        row["happ_values"].append(
-            leading_order_happ(nsys, l, xi, rp) if l is not None else 0.0)
-        try:
-            r = lyapunov_perron_hc(nsys, xi, rp, plan.lp, solver=plan.solver)
-            error = None if r.converged else (
-                f"not converged: fixed-point distance {r.distances[-1]:.3g} "
-                f"after {r.iterations} iteration(s) (max_iters = "
-                f"{plan.lp.max_iters})")
-        except (NonContractionError, NewtonConvergenceError) as exc:
-            error = str(exc)
+    for xi, r in zip(xis, lyapunov_perron_sweep(nsys, xis, blocks, plan.lp,
+                                                solver=plan.solver)):
+        if r.error is not None:
+            error = str(r.error)
+        elif not r.converged:
+            error = (f"not converged: fixed-point distance {r.distances[-1]:.3g} "
+                     f"after {r.iterations} iteration(s) (max_iters = "
+                     f"{plan.lp.max_iters})")
+        else:
+            error = None
         if error is None:
             row["hc_values"].append(r.hc)
             row["contraction_rates"].append(r.rates[-1] if r.rates else 0.0)

@@ -24,16 +24,19 @@ def cell_terms(Y: np.ndarray, Yp: np.ndarray, ref) -> np.ndarray:
 
     ref is a rough path, or a stack of paths on one `grid` with W (..., n+1,
     d) and WW (..., n, d, d); Y (..., n+1, d) and Yp (..., n+1, d, d) sample
-    the integrand on its nodes, with the same leading axes.  These are merged
-    into the cell axis, so each cell sums as for a single path, to the bit.
+    the integrand on its nodes, with leading axes that the path's broadcast
+    to.  These are merged into the cell axis, so each cell sums as for a
+    single path, to the bit.
     """
     d = ref.W.shape[-1]
     if Y.shape[-1] != d:
         raise ValueError("scalar rough integral needs one integrand component "
                          "per noise channel (m == d)")
-    dW, WW = np.diff(ref.W, axis=-2).reshape(-1, d), ref.WW.reshape(-1, d, d)
-    first = np.einsum("kb,kb->k", Y[..., :-1, :].reshape(-1, d), dW)
-    second = np.einsum("kba,kab->k", Yp[..., :-1, :, :].reshape(-1, d, d), WW)
+    Y, Yp = Y[..., :-1, :], Yp[..., :-1, :, :]
+    dW = np.broadcast_to(np.diff(ref.W, axis=-2), Y.shape).reshape(-1, d)
+    WW = np.broadcast_to(ref.WW, Yp.shape).reshape(-1, d, d)
+    first = np.einsum("kb,kb->k", Y.reshape(-1, d), dW)
+    second = np.einsum("kba,kab->k", Yp.reshape(-1, d, d), WW)
     return (first + second).reshape(Y.shape[:-2] + (-1,))
 
 
@@ -65,12 +68,11 @@ def convolve_drift(A, f: np.ndarray, grid: Grid) -> np.ndarray:
     if f.shape[-1:] != (grid.n + 1,):
         raise ValueError("f must be sampled on the grid nodes")
     E, Phi = semigroup_step(A, grid.h)
-    # the node axis first, so a single path steps through scalars
-    mid = np.moveaxis(0.5 * (f[..., :-1] + f[..., 1:]), -1, 0)
-    out = np.zeros((grid.n + 1,) + f.shape[:-1])
+    mid = _nodes_first(0.5 * (f[..., :-1] + f[..., 1:]))
+    out = np.zeros((grid.n + 1,) + mid.shape[1:])
     for k in range(grid.n):
         out[k + 1] = E * out[k] + Phi * mid[k]
-    return np.moveaxis(out, 0, -1)
+    return np.moveaxis(out, 0, -1).reshape(f.shape)
 
 
 def convolve_diffusion(A, Y: np.ndarray, Yp: np.ndarray, ref) -> np.ndarray:
@@ -80,9 +82,16 @@ def convolve_diffusion(A, Y: np.ndarray, Yp: np.ndarray, ref) -> np.ndarray:
     The semigroup factor is frozen at the left node of each cell, matching
     the compound-sum order of the rough integral.
     """
-    terms = np.moveaxis(cell_terms(Y, Yp, ref), -1, 0)    # nodes first
+    terms = _nodes_first(cell_terms(Y, Yp, ref))
     E = np.exp(float(np.asarray(A)) * ref.grid.h)
     out = np.zeros((ref.grid.n + 1,) + terms.shape[1:])
     for k in range(ref.grid.n):
         out[k + 1] = E * (out[k] + terms[k])
-    return np.moveaxis(out, 0, -1)
+    return np.moveaxis(out, 0, -1).reshape(Y.shape[:-2] + (-1,))
+
+
+def _nodes_first(a: np.ndarray) -> np.ndarray:
+    """(..., m) as (m, batch): the node axis first and the batch axes merged,
+    so that a recursion over the nodes steps through flat rows, or through
+    scalars for a single path."""
+    return np.moveaxis(a, -1, 0).reshape(a.shape[-1:] + ((-1,) if a.ndim > 1 else ()))

@@ -172,6 +172,12 @@ def load_system(path_or_dict) -> SystemSpec:
         raise FieldValidationError(
             f"undeclared symbol(s) {', '.join(sorted(map(str, undeclared)))} "
             "in the coefficients: declare each parameter in params")
+    values = {sp.Symbol(k): v for k, v in spec.params.items()}
+    unreal = [c for c in _coefficients(spec) if not sp.N(c.subs(values)).is_real]
+    if unreal:
+        raise FieldValidationError(
+            f"coefficient(s) {', '.join(map(str, unreal))}: not a finite real "
+            "number once the parameters are substituted")
     if not spec.override:
         spec.validate()
     return spec

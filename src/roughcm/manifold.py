@@ -22,7 +22,8 @@ from .roughpath import RoughPath, unit_block
 
 __all__ = ["ManifoldApproximation", "LPConfig", "LPResult",
            "NonContractionError", "NewtonConvergenceError", "evaluate_phi",
-           "leading_order_happ", "lyapunov_perron_hc", "cutoff_scale",
+           "leading_order_happ", "lyapunov_perron_hc", "lyapunov_perron_sweep",
+           "cutoff_scale",
            "smoothstep", "order_fit", "OrderFit"]
 
 
@@ -81,23 +82,26 @@ def cutoff_scale(cp: ControlledPath, R: float) -> float:
     return smoothstep(norm_d2g(cp).total / R)
 
 
-def leading_order_happ(sys: NumericSystem, l: int, xi: float,
-                       rp: RoughPath) -> float:
+def leading_order_happ(sys: NumericSystem, l: int, xi, rp) -> float | np.ndarray:
     """First-sweep stable value driven by the linearized center flow.
 
     Sums, over unit blocks of the window [-N, 0], the stable-semigroup
     convolution of the degree-l parts of the fields evaluated along
-    t -> e^{Ac t} xi, each block weighted by the decay to time 0.
+    t -> e^{Ac t} xi, each block weighted by the decay to time 0.  xi is a
+    number or an array, and the result has its shape; rp is a rough path on
+    [-N, 0] or its `_Blocks`.
     """
     if sys.As >= 0:
         raise ValueError(f"stable block {sys.As} is not exponentially stable")
-    bl = _Blocks(rp, int(round(rp.grid.t1 - rp.grid.t0)))
+    bl = rp if isinstance(rp, _Blocks) else _Blocks(
+        rp, int(round(rp.grid.t1 - rp.grid.t0)))
     Fl, Gl = sys.Fs.leading(l), [g.leading(l) for g in sys.Gs]
-    x = np.exp(sys.Ac * bl.times) * xi
+    x = np.exp(sys.Ac * bl.times) * np.asarray(xi, dtype=float)[..., None, None]
     gY = np.stack([g(x, 0.0) for g in Gl], axis=-1)
-    part = bl.convolve(sys.As, Fl(x, 0.0), gY, np.zeros(gY.shape + (rp.d,)))[:, -1]
+    part = bl.convolve(sys.As, Fl(x, 0.0), gY, np.zeros(gY.shape + (bl.d,)))[..., -1]
     # cumsum adds the blocks' shares one after another, from the earliest
-    return float(np.cumsum(np.exp(sys.As * (-1 - bl.times[:, 0])) * part)[-1])
+    out = np.cumsum(np.exp(sys.As * (-1 - bl.times[:, 0])) * part, axis=-1)[..., -1]
+    return float(out) if out.ndim == 0 else out
 
 
 class _Blocks:
@@ -110,15 +114,17 @@ class _Blocks:
             raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
         self.paths = [unit_block(rp, b) for b in range(-N, 0)]
         self.grid = self.paths[0].grid
+        self.d, self.gamma = rp.d, rp.gamma
         self.times = np.arange(-N, 0)[:, None] + self.grid.nodes
         self.W = np.stack([p.W for p in self.paths])
         self.WW = np.stack([p.WW for p in self.paths])
 
     def convolve(self, A, f: np.ndarray, gY: np.ndarray, gYp: np.ndarray) -> np.ndarray:
-        """Drift f and diffusion (gY, gYp) convolved over every block; a
-        block where gY vanishes gets no diffusion part, not even from gYp."""
+        """Drift f and diffusion (gY, gYp) convolved over every block, with
+        any leading axes before the block axis; a block where gY vanishes
+        gets no diffusion part, not even from gYp."""
         out = convolve_drift(A, f, self.grid)
-        noisy = np.any(gY, axis=(1, 2))[:, None]
+        noisy = np.any(gY, axis=(-2, -1))[..., None]
         if np.any(noisy):
             return np.where(noisy, out + convolve_diffusion(A, gY, gYp, self), out)
         return out
@@ -152,69 +158,83 @@ class LPResult:
     rates: list[float]
     converged: bool
     norm_breach: bool
+    error: RuntimeError | None = None    # NonContraction- or NewtonConvergenceError
 
 
 class _Sweep:
-    """One application of the window-truncated graph-transform map.
+    """One application of the window-truncated graph-transform map, for K
+    boundary values xi on one rough path.
 
-    The state is one array with a row per unit block, holding the values
-    (x, y) and then the Gubinelli derivatives (x', y'), all sampled on the
-    block's unit grid; `values` and `derivs` are views of the two parts.
+    The state is one (K, N, .) array with a row per xi and unit block,
+    holding the values (x, y) and then the Gubinelli derivatives (x', y'),
+    all sampled on the block's unit grid; `values` and `derivs` are views of
+    the two parts, of this or of any state with the same last axis.
     """
 
-    def __init__(self, sys: NumericSystem, xi: float, rp: RoughPath, lp: LPConfig):
+    def __init__(self, sys: NumericSystem, xis, rp, lp: LPConfig):
         self.sys = sys
-        self.xi = xi
+        self.xi = np.asarray(xis, dtype=float)
         self.lp = lp
         self.N = lp.window
-        self.blocks = _Blocks(rp, self.N)
+        self.blocks = rp if isinstance(rp, _Blocks) else _Blocks(rp, self.N)
+        if len(self.blocks.paths) != self.N:
+            raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
         self.nu = self.blocks.grid.n
-        self.d = rp.d
+        self.d = self.blocks.d
+        self.width = 2 * (self.nu + 1) * (1 + self.d)    # of one block's row
         self.tau = self.blocks.grid.nodes
         self.weights = np.exp(-lp.eta * (self.blocks.times[:, 0] + 1))
         # gaps of k = 1..nu cells, with the same time spans as norm_d2g's pairs
         self.gaps = np.arange(1, self.nu + 1)
         dt = self.gaps * self.blocks.grid.h
-        self.dt_g = dt ** rp.gamma
-        self.dt_2g = dt ** (2 * rp.gamma)
+        self.dt_g = dt ** self.blocks.gamma
+        self.dt_2g = dt ** (2 * self.blocks.gamma)
         _, self.gap_W = _gap_bounds(self.blocks.W, self.gaps)
+        # per block k, the decay of its end value back over blocks 0..k (x)
+        # and forward over the later blocks (y)
+        times = self.blocks.times
+        self.tails = [(np.exp(sys.Ac * (times[:k + 1] - end)),
+                       np.exp(sys.As * (times[k + 1:] - end)))
+                      for k, end in enumerate(times[:, 0] + 1)]
         # per component: A, F and each channel's G with its partials in x, y
         self.fields = tuple(
             (A, F, [(g, g.partial(0), g.partial(1)) for g in Gf])
             for A, F, Gf in ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs)))
 
     def zero_state(self) -> np.ndarray:
-        return np.zeros((self.N, 2 * (self.nu + 1) * (1 + self.d)))
+        return np.zeros((len(self.xi), self.N, self.width))
 
     def values(self, state: np.ndarray) -> np.ndarray:
-        """(N, 2, nu+1) view of (x, y)."""
-        return state[:, :2 * (self.nu + 1)].reshape(self.N, 2, self.nu + 1)
+        """(..., N, 2, nu+1) view of (x, y)."""
+        return state[..., :2 * (self.nu + 1)].reshape(state.shape[:-1] + (2, self.nu + 1))
 
     def derivs(self, state: np.ndarray) -> np.ndarray:
-        """(N, 2, nu+1, d) view of (x', y')."""
-        return state[:, 2 * (self.nu + 1):].reshape(self.N, 2, self.nu + 1, self.d)
+        """(..., N, 2, nu+1, d) view of (x', y')."""
+        return state[..., 2 * (self.nu + 1):].reshape(
+            state.shape[:-1] + (2, self.nu + 1, self.d))
 
-    def flow_state(self) -> np.ndarray:
-        """Initial guess from a saturated backward sweep with the stable
-        component slaved to its quasi-static balance y = -Fs(x, y)/As."""
-        sys, N, nu = self.sys, self.N, self.nu
+    def flow_state(self, k: int) -> np.ndarray:
+        """Initial guess for xi[k], an (N, .) state: a saturated backward
+        sweep with the stable component slaved to its quasi-static balance
+        y = -Fs(x, y)/As."""
+        sys, N, nu, xi = self.sys, self.N, self.nu, self.xi[k]
         cap = 0.5 * self.lp.cutoff_R
         h = 1.0 / nu
         M = N * nu
         xs = np.empty(M + 1)
         ys = np.empty(M + 1)
-        xs[-1] = self.xi
-        ys[-1] = -sys.Fs(self.xi, 0.0) / sys.As
-        for k in range(M, 0, -1):
-            x, y = xs[k], ys[k]
+        xs[-1] = xi
+        ys[-1] = -sys.Fs(xi, 0.0) / sys.As
+        for j in range(M, 0, -1):
+            x, y = xs[j], ys[j]
             x_prev = x - h * (sys.Ac * x + sys.Fc(x, y))
             x_prev = float(np.clip(x_prev, -cap, cap))
-            xs[k - 1] = x_prev
-            ys[k - 1] = -sys.Fs(x_prev, 0.0) / sys.As
+            xs[j - 1] = x_prev
+            ys[j - 1] = -sys.Fs(x_prev, 0.0) / sys.As
         # adjacent blocks share their boundary node
         idx = nu * np.arange(N)[:, None] + np.arange(nu + 1)
         x, y = xs[idx], ys[idx]
-        state = self.zero_state()
+        state = np.zeros((N, self.width))
         V, D = self.values(state), self.derivs(state)
         V[:, 0], V[:, 1] = x, y
         for c, Gf in enumerate((sys.Gc, sys.Gs)):
@@ -223,172 +243,219 @@ class _Sweep:
         return state
 
     def pack(self, state: np.ndarray, i: int) -> ControlledPath:
+        """Block i of the (N, .) state of one xi."""
         return ControlledPath(self.blocks.paths[i], self.values(state)[i].T,
                               self.derivs(state)[i].transpose(1, 0, 2))
 
     def norm_bounds(self, state: np.ndarray) -> np.ndarray:
-        """Upper bounds U_i >= norm_d2g(pack(state, i)).total for all blocks.
+        """Upper bounds U[k, i] >= norm_d2g(pack(state[k], i)).total.
 
         O(N nu) against the O(N nu^2) exact norms: the sup terms are exact,
         and a pair of nodes k cells apart gets the gap bounds of
         `_gap_bounds` for Y, Y' and W, with |R| <= |dY| + sup|Y'| |dW|.  The
         relative margin covers the rounding of both computations.
         """
-        N, nu = self.N, self.nu
-        Y = self.values(state).transpose(0, 2, 1)
-        Yp = self.derivs(state).transpose(0, 2, 1, 3).reshape(N, nu + 1, -1)
+        Y = np.swapaxes(self.values(state), -1, -2)
+        Yp = np.moveaxis(self.derivs(state), -3, -2)
         sup_Y, gap_Y = _gap_bounds(Y, self.gaps)
-        sup_Yp, gap_Yp = _gap_bounds(Yp, self.gaps)
-        holder_Yp = np.max(gap_Yp / self.dt_g, axis=1)
-        holder_R = np.max((gap_Y + sup_Yp[:, None] * self.gap_W) / self.dt_2g,
-                          axis=1)
+        sup_Yp, gap_Yp = _gap_bounds(Yp.reshape(Yp.shape[:-2] + (-1,)), self.gaps)
+        holder_Yp = np.max(gap_Yp / self.dt_g, axis=-1)
+        holder_R = np.max((gap_Y + sup_Yp[..., None] * self.gap_W) / self.dt_2g,
+                          axis=-1)
         return (sup_Y + sup_Yp + holder_Yp + holder_R) * (1.0 + 1e-9)
 
     def cutoff_factors(self, state: np.ndarray) -> np.ndarray:
-        """cutoff_scale of every block.  The ramp is exactly 1 up to R/2, so
-        only blocks whose norm bound exceeds R/2 need their exact norm."""
+        """cutoff_scale of every block of every xi.  The ramp is exactly 1 up
+        to R/2, so only blocks whose norm bound exceeds R/2 (or is nan) need
+        their exact norm."""
         R = self.lp.cutoff_R
-        return np.array([1.0 if u / R <= 0.5 else cutoff_scale(self.pack(state, i), R)
-                         for i, u in enumerate(self.norm_bounds(state))])
+        U = self.norm_bounds(state)
+        s = np.ones(U.shape)
+        for k, i in zip(*np.nonzero(~(U / R <= 0.5))):
+            s[k, i] = cutoff_scale(self.pack(state[k], i), R)
+        return s
 
-    def apply(self, state: np.ndarray) -> tuple[np.ndarray, bool]:
-        """New state and whether any block norm breached the cutoff ramp."""
+    def apply(self, state: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """New state, and per xi whether any block norm breached the cutoff
+        ramp.  The state holds the sweep's xi[rows]."""
         sys, bl = self.sys, self.blocks
-        N, nu, d = self.N, self.nu, self.d
         V, D = self.values(state), self.derivs(state)
-        new = self.zero_state()
+        new = np.zeros(state.shape)
         nV, nD = self.values(new), self.derivs(new)
-        C = np.empty((2, N, nu + 1))    # per-block convolutions
-        s = self.cutoff_factors(state)[:, None, None]
-        x, y = np.moveaxis(s * V, 1, 0)
+        C = np.empty((2,) + V.shape[:2] + (self.nu + 1,))    # per-block convolutions
+        s = self.cutoff_factors(state)[..., None, None]
+        x, y = np.moveaxis(s * V, -2, 0)
         for c, (A, F, Gf) in enumerate(self.fields):
-            gY = nD[:, c]
-            gYp = np.zeros((N, nu + 1, d, d))
+            gY = nD[:, :, c]
+            gYp = np.zeros(gY.shape + (self.d,))
             for ch, (g, g_x, g_y) in enumerate(Gf):
                 gY[..., ch] = g(x, y)
-                gYp[..., ch, :] = (g_x(x, y)[..., None] * D[:, 0] +
-                                   g_y(x, y)[..., None] * D[:, 1]) * s
+                gYp[..., ch, :] = (g_x(x, y)[..., None] * D[:, :, 0] +
+                                   g_y(x, y)[..., None] * D[:, :, 1]) * s
             C[c] = bl.convolve(A, F(x, y), gY, gYp)
-        x, y = nV[:, 0], nV[:, 1]
-        x[:] = np.exp(sys.Ac * bl.times) * self.xi + C[0]
+        x, y = nV[:, :, 0], nV[:, :, 1]
+        x[:] = np.exp(sys.Ac * bl.times) * self.xi[rows, None, None] + C[0]
         y[:] = C[1]
-        for k in range(N):    # the tails of earlier blocks, added in order
-            end = bl.times[k, 0] + 1
-            x[:k + 1] -= np.exp(sys.Ac * (bl.times[:k + 1] - end)) * C[0, k, -1]
-            y[k + 1:] += np.exp(sys.As * (bl.times[k + 1:] - end)) * C[1, k, -1]
-        return new, bool(np.any(s < 1.0))
+        ends = C[:, :, :, -1, None, None]
+        for k, (back, forward) in enumerate(self.tails):    # added in order
+            x[:, :k + 1] -= back * ends[0, :, k]
+            y[:, k + 1:] += forward * ends[1, :, k]
+        return new, np.any(s < 1.0, axis=(1, 2, 3))
 
-    def distance(self, state_a: np.ndarray, state_b: np.ndarray) -> float:
-        """Window-truncated exponentially weighted distance of sequences.
+    def distance(self, state_a: np.ndarray, state_b: np.ndarray) -> np.ndarray:
+        """Window-truncated exponentially weighted distance of sequences,
+        per xi.
 
         The max over blocks of weighted exact norms, to the bit: blocks are
         visited in decreasing order of their weighted bounds, stopping once
-        no remaining bound exceeds the largest exact value.  nan if a bound
-        is not finite.
+        no remaining bound exceeds the largest exact value.  nan for a xi
+        with a bound that is not finite.
         """
         diff = state_a - state_b
-        bounds = self.weights * self.norm_bounds(diff)
-        if not np.all(np.isfinite(bounds)):
-            return float("nan")
-        best = -1.0    # below every norm, so the first block is evaluated
-        for i in np.argsort(-bounds, kind="stable"):
-            if best >= bounds[i]:
-                break
-            best = np.maximum(best, self.weights[i] *
-                              norm_d2g(self.pack(diff, i)).total)
-        return best
+        out = np.full(len(diff), np.nan)
+        for k, bounds in enumerate(self.weights * self.norm_bounds(diff)):
+            if not np.all(np.isfinite(bounds)):
+                continue
+            best = -1.0    # below every norm, so the first block is evaluated
+            for i in np.argsort(-bounds, kind="stable"):
+                if best >= bounds[i]:
+                    break
+                best = np.maximum(best, self.weights[i] *
+                                  norm_d2g(self.pack(diff[k], i)).total)
+            out[k] = best
+        return out
+
+    def result(self, state: np.ndarray, **status) -> LPResult:
+        """The LPResult of one xi's (N, .) state."""
+        return LPResult(hc=float(self.values(state)[-1, 1, -1]),
+                        blocks=[self.pack(state, i) for i in range(self.N)], **status)
 
 
 def _gap_bounds(Z: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sup_t |Z_t| per block, and per gap of k cells a bound on |Z_t - Z_s|.
 
-    Z is (blocks, nodes, components).  The bound is the smaller of k times
-    the largest cell increment and twice the sup.
+    Z is (..., blocks, nodes, components).  The bound is the smaller of k
+    times the largest cell increment and twice the sup.
     """
-    sup = np.max(np.linalg.norm(Z, axis=2), axis=1)
-    step = np.max(np.linalg.norm(np.diff(Z, axis=1), axis=2), axis=1)
-    return sup, np.minimum(k * step[:, None], 2 * sup[:, None])
+    sup = np.max(np.linalg.norm(Z, axis=-1), axis=-1)
+    step = np.max(np.linalg.norm(np.diff(Z, axis=-2), axis=-1), axis=-1)
+    return sup, np.minimum(k * step[..., None], 2 * sup[..., None])
 
 
-def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
-                       lp: LPConfig, solver: str = "picard") -> LPResult:
-    """Fixed point of the window-truncated graph-transform iteration.
+def lyapunov_perron_sweep(sys: NumericSystem, xis, rp, lp: LPConfig,
+                          solver: str = "picard") -> list[LPResult]:
+    """Fixed points of the window-truncated graph-transform iteration, one
+    LPResult per boundary value in xis, all on the rough path rp.
 
     The window [-N, 0] is split into unit blocks; each sweep recomputes the
     sequence of controlled paths from the center boundary value xi and the
     cut-off fields, block convolutions reusing the same discretization as
     the stationary-coefficient solver.  The stable component at time 0 of
-    the converged sequence is the reference manifold value h^c(xi, W).
+    the converged sequence is the reference manifold value h^c(xi, W).  rp
+    is a rough path on [-N, 0] or its `_Blocks`.
 
-    solver="picard" iterates the map directly and aborts when it stops
-    contracting.  solver="newton" solves the same fixed-point equation by a
-    Jacobian-free Newton-Krylov method, needed when |xi| is large enough
-    that the backward center orbit grows and the plain iteration expands;
-    it starts from a saturated backward-flow guess.
+    solver="picard" iterates the map for every xi at once, each sweep
+    serving the xi still running.  A xi stops on its own: converged, at a
+    non-finite distance, or once it stops contracting, which its `error`
+    records as a NonContractionError.  solver="newton" solves the same
+    fixed-point equation by a Jacobian-free Newton-Krylov method, one xi at
+    a time; it is needed when |xi| is large enough that the backward center
+    orbit grows and the plain iteration expands, starts from a saturated
+    backward-flow guess, and records a failed solve as a
+    NewtonConvergenceError.
     """
     beta = -sys.As
     if beta <= 0:
         raise ValueError(f"stable block {sys.As} is not exponentially stable")
     if not -beta < lp.eta < 0:
         raise ValueError(f"eta must lie strictly in ({-beta}, 0)")
-    if abs(xi) > lp.cutoff_R:
+    if any(abs(xi) > lp.cutoff_R for xi in xis):
         raise ValueError("xi outside the cutoff radius")
-    sweep = _Sweep(sys, xi, rp, lp)
-
-    distances: list[float] = []
-    rates: list[float] = []
-    converged = False
-    norm_breach = False
-    it = 0
+    sweep = _Sweep(sys, xis, rp, lp)
     if solver == "picard":
-        state = sweep.zero_state()
-        for it in range(1, lp.max_iters + 1):
-            new_state, breach = sweep.apply(state)
-            norm_breach = norm_breach or breach
-            dist = sweep.distance(new_state, state)
-            state = new_state
-            distances.append(dist)
-            if not np.isfinite(dist):
-                break
+        return _picard(sweep)
+    if solver == "newton":
+        return [_newton(sweep, k) for k in range(len(sweep.xi))]
+    raise ValueError("solver must be 'picard' or 'newton'")
+
+
+def _picard(sweep: _Sweep) -> list[LPResult]:
+    """Plain sweeps for every xi at once, each xi stopping on its own."""
+    lp = sweep.lp
+    state = sweep.zero_state()
+    status = [dict(iterations=0, distances=[], rates=[], converged=False,
+                   norm_breach=False, error=None) for _ in sweep.xi]
+    running = np.arange(len(status))
+    for it in range(1, lp.max_iters + 1):
+        if not len(running):
+            break
+        new, breach = sweep.apply(state[running], running)
+        dist = sweep.distance(new, state[running])
+        state[running] = new
+        still = []
+        for k, b, d in zip(running, breach, dist):
+            st = status[k]
+            distances, rates = st["distances"], st["rates"]
+            st["iterations"] = it
+            st["norm_breach"] = st["norm_breach"] or bool(b)
+            distances.append(d)
+            if not np.isfinite(d):
+                continue
             if len(distances) > 1 and distances[-2] > 0:
-                rates.append(dist / distances[-2])
+                rates.append(d / distances[-2])
                 if len(rates) >= 5 and all(r >= 1.0 for r in rates[-5:]):
-                    raise NonContractionError(it, rates[-1])
-            if dist < lp.fp_tol:
-                converged = True
-                break
-    elif solver == "newton":
-        from scipy.optimize import NoConvergence, newton_krylov
+                    st["error"] = NonContractionError(it, rates[-1])
+                    continue
+            if d < lp.fp_tol:
+                st["converged"] = True
+                continue
+            still.append(k)
+        running = np.array(still, dtype=int)
+    return [sweep.result(state[k], **st) for k, st in enumerate(status)]
 
-        def residual(u):
-            new_state, _ = sweep.apply(u.reshape(sweep.N, -1))
-            return u - new_state.ravel()
 
-        # the weighted sequence distance amplifies pointwise residuals by the
-        # fine-scale Hölder factor, so solve a bit below the requested tol
-        f_tol = max(lp.fp_tol / (sweep.nu ** (2 * rp.gamma)), 1e-14)
-        u0 = sweep.flow_state().ravel()
-        try:
-            u = newton_krylov(residual, u0, method="lgmres", f_tol=f_tol,
-                              maxiter=lp.max_iters)
-        except NoConvergence as exc:
-            raise NewtonConvergenceError(
-                f"Newton-Krylov solve did not converge in {lp.max_iters} "
-                "iterations; raise max_iters or shrink |xi|") from exc
-        state = u.reshape(sweep.N, -1)
-        new_state, norm_breach = sweep.apply(state)
-        dist = sweep.distance(new_state, state)
-        distances.append(dist)
-        converged = dist < 2 * lp.fp_tol
-        it = 1
-        state = new_state
-    else:
-        raise ValueError("solver must be 'picard' or 'newton'")
+def _newton(sweep: _Sweep, k: int) -> LPResult:
+    """Newton-Krylov for xi[k] alone, through the same sweep."""
+    from scipy.optimize import NoConvergence, newton_krylov
 
-    return LPResult(hc=float(sweep.values(state)[-1, 1, -1]),
-                    blocks=[sweep.pack(state, i) for i in range(sweep.N)],
-                    iterations=it, distances=distances, rates=rates,
-                    converged=converged, norm_breach=norm_breach)
+    lp, N = sweep.lp, sweep.N
+
+    def residual(u):
+        new_state, _ = sweep.apply(u.reshape(1, N, -1), [k])
+        return u - new_state.ravel()
+
+    # the weighted sequence distance amplifies pointwise residuals by the
+    # fine-scale Hölder factor, so solve a bit below the requested tol
+    f_tol = max(lp.fp_tol / (sweep.nu ** (2 * sweep.blocks.gamma)), 1e-14)
+    u0 = sweep.flow_state(k).ravel()
+    try:
+        u = newton_krylov(residual, u0, method="lgmres", f_tol=f_tol,
+                          maxiter=lp.max_iters)
+    except NoConvergence as exc:
+        error = NewtonConvergenceError(
+            f"Newton-Krylov solve did not converge in {lp.max_iters} "
+            "iterations; raise max_iters or shrink |xi|")
+        error.__cause__ = exc
+        return LPResult(hc=math.nan, blocks=[], iterations=lp.max_iters,
+                        distances=[], rates=[], converged=False,
+                        norm_breach=False, error=error)
+    state = u.reshape(1, N, -1)
+    new_state, breach = sweep.apply(state, [k])
+    dist = sweep.distance(new_state, state)[0]
+    return sweep.result(new_state[0], iterations=1, distances=[dist], rates=[],
+                        converged=bool(dist < 2 * lp.fp_tol),
+                        norm_breach=bool(breach[0]))
+
+
+def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
+                       lp: LPConfig, solver: str = "picard") -> LPResult:
+    """The fixed point for one boundary value xi: `lyapunov_perron_sweep`
+    of [xi], which raises the error the sweep records (NonContractionError
+    or NewtonConvergenceError)."""
+    res, = lyapunov_perron_sweep(sys, [xi], rp, lp, solver)
+    if res.error is not None:
+        raise res.error
+    return res
 
 
 @dataclass

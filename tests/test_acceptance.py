@@ -301,26 +301,26 @@ def test_truncation_remainder_bound(spec_nonlinear):
         Gs=[g.leading(l) for g in nsys.Gs])
     rp = lift_brownian(9, Grid(-2.0, 0.0, 2 * 32), gamma=nsys.gamma)
     lp = LPConfig(eta=-0.5, window=2, cutoff_R=0.5)
-    sw_full = _Sweep(nsys, 0.0, rp, lp)
-    sw_lead = _Sweep(lead, 0.0, rp, lp)
+    sw_full = _Sweep(nsys, [0.0], rp, lp)
+    sw_lead = _Sweep(lead, [0.0], rp, lp)
     zero = sw_full.zero_state()
     rng = np.random.default_rng(7)
     tau = sw_full.tau
     ratios = []
     for _ in range(100):
         state = sw_full.zero_state()
-        V, D = sw_full.values(state), sw_full.derivs(state)
+        V, D = sw_full.values(state)[0], sw_full.derivs(state)[0]
         for i in range(2):
             V[i, 0] = rng.normal() + rng.normal() * tau
             V[i, 1] = rng.normal() + rng.normal() * tau
             D[i, 0] = rng.normal()
             D[i, 1] = rng.normal()
         target = 10.0 ** rng.uniform(np.log10(0.01), np.log10(0.25))
-        scale = target / sw_full.distance(state, zero)
+        scale = target / sw_full.distance(state, zero)[0]
         state = scale * state
         out_full, _ = sw_full.apply(state)
         out_lead, _ = sw_lead.apply(state)
-        ratios.append(sw_full.distance(out_full, out_lead) / target**(l + 1))
+        ratios.append(sw_full.distance(out_full, out_lead)[0] / target**(l + 1))
     spread = max(ratios) / float(np.median(ratios))
     clause(fails, spread <= 50.0, f"max/median {spread:.1f} > 50")
     clause(fails, time.time() - t0 < 30.0, "over 30 s budget")

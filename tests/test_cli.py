@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -35,6 +34,25 @@ BAD_SYMBOLS = {
     "param-E": lambda doc: (doc["Fs"].append({"i": 2, "j": 0, "c": "E"}),
                             doc.update(params={"E": 1.0})),
 }
+
+
+# coefficients that are not real: sympy's imaginary unit, and a square root
+# of a parameter that is negative
+UNREAL = {
+    "I": lambda doc: doc["Fs"].append({"i": 3, "j": 0, "c": "I"}),
+    "sqrt-negative-param": lambda doc: (
+        doc["Fs"].append({"i": 3, "j": 0, "c": "sqrt(mu)"}),
+        doc.update(params={"mu": -1.0})),
+}
+
+
+@pytest.fixture(params=list(UNREAL))
+def unreal_spec(request, tmp_path):
+    doc = json.loads(NONLINEAR.read_text())
+    UNREAL[request.param](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
 
 
 @pytest.fixture(params=[(case, override) for case in BAD_SYMBOLS
@@ -114,6 +132,13 @@ class TestDerive:
                                       "--out-dir", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "validation failure" in result.output
+        assert not (tmp_path / "coefficient_system.json").exists()
+
+    def test_unreal_coefficient_exits_2(self, runner, tmp_path, unreal_spec):
+        result = runner.invoke(main, ["derive", "--spec", str(unreal_spec),
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "not a finite real number" in result.output
         assert not (tmp_path / "coefficient_system.json").exists()
 
 
@@ -210,15 +235,11 @@ class TestVerify:
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_unconverged_xi_reported(self, runner, tmp_path, monkeypatch):
-        # starve the largest xi of iterations so its Picard run stops early
-        real = cli.lyapunov_perron_hc
-
-        def starved(nsys, xi, rp, lp, solver):
-            if xi == 0.1:
-                lp = dataclasses.replace(lp, max_iters=3)
-            return real(nsys, xi, rp, lp, solver=solver)
-
-        monkeypatch.setattr(cli, "lyapunov_perron_hc", starved)
+        # in this sweep the largest xi needs 15 Picard sweeps and the next 11,
+        # so a cap of 12 starves only the largest in the batched solve
+        real = cli.LPConfig
+        monkeypatch.setattr(cli, "LPConfig",
+                            lambda **kw: real(**{**kw, "max_iters": 12}))
         result = self.run_small(runner, tmp_path, "--xi-points", "5")
         assert result.exit_code == 1, result.output
         row = json.loads((tmp_path / "verify_report.json").read_text()
@@ -228,6 +249,18 @@ class TestVerify:
         assert math.isnan(row["hc_values"][0])
         assert all(math.isfinite(h) for h in row["hc_values"][1:])
         assert math.isfinite(row["order_slope"])
+
+    @pytest.mark.parametrize("solver", ["picard", "newton"])
+    def test_one_block_split_per_seed(self, runner, tmp_path, monkeypatch, solver):
+        # h^app and every xi's LP solve share the seed's unit blocks
+        real = roughcm.manifold.unit_block
+        calls = []
+        monkeypatch.setattr(roughcm.manifold, "unit_block",
+                            lambda rp, b: calls.append(b) or real(rp, b))
+        result = self.run_small(runner, tmp_path, "--seeds", "2",
+                                "--xi-points", "5", "--solver", solver)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 2 * 6    # seeds x window
 
     def test_invalid_spec_exits_2(self, runner, tmp_path):
         doc = json.loads(NONLINEAR.read_text())
@@ -255,6 +288,14 @@ class TestVerify:
             "--grid-n", "32", "--window", "6", "--out-dir", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "validation failure" in result.output
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_unreal_coefficient_exits_2(self, runner, tmp_path, unreal_spec):
+        result = runner.invoke(main, [
+            "verify", "--spec", str(unreal_spec), "--seeds", "1",
+            "--grid-n", "32", "--window", "6", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "not a finite real number" in result.output
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_provenance(self, runner, tmp_path):

@@ -132,6 +132,21 @@ class TestValidation:
         with pytest.raises(FieldValidationError, match="no expression"):
             load_system(doc)
 
+    @pytest.mark.parametrize("c, params", [
+        ("I", {}), ("log(-1)", {}), ("sqrt(mu)", {"mu": -1.0}),
+        ("1/(1 + sigma)", {"sigma": -1.0})],
+        ids=["I", "log-negative", "sqrt-negative-param", "pole"])
+    def test_unreal_coefficient_rejected(self, c, params):
+        doc = {**self.base(), "override": True, "params": params}
+        doc["Fs"] = doc["Fs"] + [{"i": 3, "j": 0, "c": c}]
+        with pytest.raises(FieldValidationError, match="not a finite real number"):
+            load_system(doc)
+
+    def test_real_irrational_coefficient_accepted(self):
+        doc = {**self.base(), "params": {"mu": 2.0}}
+        doc["Fs"] = doc["Fs"] + [{"i": 3, "j": 0, "c": "sqrt(mu) - sqrt(2)"}]
+        load_system(doc)
+
     def test_gamma_out_of_range(self):
         doc = self.base()
         doc["gamma"] = 0.25

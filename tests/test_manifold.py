@@ -10,10 +10,10 @@ from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
                      NewtonConvergenceError, NonContractionError, NumericField,
                      convolve_diffusion, convolve_drift, cutoff_scale,
                      derive_system, evaluate_phi, leading_order_happ,
-                     lift_brownian, load_system, lyapunov_perron_hc, norm_d2g,
-                     order_fit, propagate_zeros, smoothstep, solve_hierarchy,
-                     unit_block)
-from roughcm.manifold import _Sweep
+                     lift_brownian, load_system, lyapunov_perron_hc,
+                     lyapunov_perron_sweep, norm_d2g, order_fit,
+                     propagate_zeros, smoothstep, solve_hierarchy, unit_block)
+from roughcm.manifold import _Blocks, _Sweep
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -186,7 +186,7 @@ def _random_states(sw, rng):
         scale = 10.0 ** rng.uniform(-4, 1)
         for kind in kinds + ("mixed",):
             state = sw.zero_state()
-            V, D = sw.values(state), sw.derivs(state)
+            V, D = sw.values(state)[0], sw.derivs(state)[0]
             blocks = [rng.integers(sw.N)] if kind == "spike" else range(sw.N)
             for b in blocks:
                 k = kinds[rng.integers(len(kinds))] if kind == "mixed" else kind
@@ -200,12 +200,12 @@ class TestNormBounds:
     @pytest.fixture(scope="class", params=[1, 2], ids=["d1", "d2"])
     def sweep(self, request, sys_nonlinear):
         rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=request.param, gamma=0.45)
-        return _Sweep(sys_nonlinear, 0.05, rp, LPConfig(eta=-0.5, window=4))
+        return _Sweep(sys_nonlinear, [0.05], rp, LPConfig(eta=-0.5, window=4))
 
     def test_bound_dominates_exact_norm(self, sweep):
         for name, state in _random_states(sweep, np.random.default_rng(11)):
-            U = sweep.norm_bounds(state)
-            exact = [norm_d2g(sweep.pack(state, i)).total for i in range(sweep.N)]
+            U = sweep.norm_bounds(state)[0]
+            exact = [norm_d2g(sweep.pack(state[0], i)).total for i in range(sweep.N)]
             assert np.all(U >= exact), name
 
     def test_pruned_distance_is_exact_max(self, sweep):
@@ -215,38 +215,38 @@ class TestNormBounds:
         for (name, a), (_, b) in itertools.combinations(states, 2):
             diff = a - b
             full = max(np.exp(-eta * (i - N + 1)) *
-                       norm_d2g(sweep.pack(diff, i)).total for i in range(N))
-            assert sweep.distance(a, b) == full, name
+                       norm_d2g(sweep.pack(diff[0], i)).total for i in range(N))
+            assert sweep.distance(a, b)[0] == full, name
 
     def test_cutoff_factor_is_exact(self, sys_nonlinear):
         # scale each state so that the block bounds straddle R/2
         rp = lift_brownian(4, Grid(-4.0, 0.0, 4 * 32), gamma=0.45)
-        sw = _Sweep(sys_nonlinear, 0.05, rp, LPConfig(eta=-0.5, window=4))
+        sw = _Sweep(sys_nonlinear, [0.05], rp, LPConfig(eta=-0.5, window=4))
         R = sw.lp.cutoff_R
         rng = np.random.default_rng(13)
         for name, state in _random_states(sw, rng)[1:]:
-            U = sw.norm_bounds(state)
+            U = sw.norm_bounds(state)[0]
             blocks = np.flatnonzero(U)
             for target in (0.3, 0.49, 0.5, 0.51, 0.7, 1.2):
                 scaled = state * (target * R / U[rng.choice(blocks)])
-                factors = sw.cutoff_factors(scaled)
+                factors = sw.cutoff_factors(scaled)[0]
                 assert [float(f) for f in factors] == [
-                    cutoff_scale(sw.pack(scaled, i), R) for i in range(sw.N)], name
+                    cutoff_scale(sw.pack(scaled[0], i), R) for i in range(sw.N)], name
 
     def test_nan_block_is_not_dropped(self, sweep):
         state = _random_states(sweep, np.random.default_rng(14))[2][1]
-        state[sweep.N - 2, 3] = np.nan
-        assert not np.isfinite(sweep.distance(state, sweep.zero_state()))
+        state[0, sweep.N - 2, 3] = np.nan
+        assert not np.isfinite(sweep.distance(state, sweep.zero_state())[0])
 
     def test_nan_block_ends_picard_unconverged(self, window, sys_linear, monkeypatch):
         real = _Sweep.apply
         sweeps = []
 
-        def planted(self, state):
-            new, breach = real(self, state)
+        def planted(self, state, rows=slice(None)):
+            new, breach = real(self, state, rows)
             sweeps.append(1)
             if len(sweeps) == 3:
-                new[self.N - 2, 5] = np.nan
+                new[0, self.N - 2, 5] = np.nan
             return new, breach
 
         monkeypatch.setattr(_Sweep, "apply", planted)
@@ -276,12 +276,12 @@ class TestNormBounds:
 def _apply_by_block(sw, rp, state):
     """The sweep as a loop over unit blocks, each convolved on its own."""
     sys, N, nu, d = sw.sys, sw.N, sw.nu, sw.d
-    V, D = sw.values(state), sw.derivs(state)
+    V, D = sw.values(state)[0], sw.derivs(state)[0]
     new = sw.zero_state()
-    nV, nD = sw.values(new), sw.derivs(new)
+    nV, nD = sw.values(new)[0], sw.derivs(new)[0]
     fields = ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs))
     C = np.empty((2, N, nu + 1))
-    scales = [cutoff_scale(sw.pack(state, i), sw.lp.cutoff_R) for i in range(N)]
+    scales = [cutoff_scale(sw.pack(state[0], i), sw.lp.cutoff_R) for i in range(N)]
     for i, s in enumerate(scales):
         ub = unit_block(rp, i - N)
         x, y = s * V[i, 0], s * V[i, 1]
@@ -299,7 +299,7 @@ def _apply_by_block(sw, rp, state):
     for i in range(N):
         t = i - N + sw.tau
         x, y = nV[i]
-        x[:] = np.exp(sys.Ac * t) * sw.xi + C[0, i]
+        x[:] = np.exp(sys.Ac * t) * sw.xi[0] + C[0, i]
         for k in range(i, N):
             x -= np.exp(sys.Ac * (t - (k - N + 1))) * C[0, k, -1]
         y[:] = C[1, i]
@@ -356,7 +356,7 @@ class TestStackedBlocks:
     def test_sweep_matches_block_loop(self, case):
         nsys, d = case
         rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=d, gamma=0.45)
-        sw = _Sweep(nsys, 0.05, rp, LPConfig(eta=-0.5, window=4))
+        sw = _Sweep(nsys, [0.05], rp, LPConfig(eta=-0.5, window=4))
         R = sw.lp.cutoff_R
         rng = np.random.default_rng(15)
         for name, state in _random_states(sw, rng):
@@ -366,13 +366,13 @@ class TestStackedBlocks:
                                   for t in (0.3, 1.5) if np.any(U)]
             for st in list(variants):
                 quiet = st.copy()
-                sw.values(quiet)[::2] = 0.0    # no values, some derivatives
+                sw.values(quiet)[:, ::2] = 0.0    # no values, some derivatives
                 variants.append(quiet)
             for st in variants:
                 new, breach = sw.apply(st)
                 ref, ref_breach = _apply_by_block(sw, rp, st)
                 assert np.array_equal(new, ref), name
-                assert breach == ref_breach, name
+                assert breach[0] == ref_breach, name
 
     def test_happ_matches_block_loop(self, case):
         nsys, d = case
@@ -417,6 +417,67 @@ class TestStackedBlocks:
         res = lyapunov_perron_hc(spec.numeric(), 0.05, rp, lp)
         assert res.converged and res.iterations > 1
         assert sorted(calls) == [0, 0, 1, 1]    # Gc and Gs, one channel
+
+
+class TestBatchedSweep:
+    """One Picard solve for a sweep of xi gives each xi the floats and the
+    status of its solo solve."""
+
+    # at cutoff 2 and 6 unit blocks: on the sextic, xi = 2 converges with
+    # the cutoff active, 1 and 0.8 stop contracting (0.8 at the last allowed
+    # sweep), 0.2 and 0.1 run out of sweeps and the rest converge; on the
+    # two-channel spec, 0.5 and 0.2 run out of sweeps and 0.3 stops
+    # contracting with the cutoff active
+    @pytest.mark.parametrize("spec, xis, max_iters", [
+        (EXAMPLES / "chekroun_nonlinear.json",
+         (2.0, 1.0, 0.8, 0.2, 0.1, 0.05, 0.0125), 12),
+        (TWO_CHANNEL, (0.5, 0.3, 0.2, 0.1, 0.05, 0.0125), 20)],
+        ids=["sextic-d1", "two-channel-d2"])
+    def test_matches_solo_solves(self, spec, xis, max_iters):
+        nsys = load_system(spec).numeric()
+        rp = lift_brownian(2, Grid(-6.0, 0.0, 6 * 32), d=nsys.d, gamma=nsys.gamma)
+        lp = LPConfig(eta=0.5 * nsys.As, window=6, cutoff_R=2.0, fp_tol=1e-10,
+                      max_iters=max_iters)
+        seen = set()
+        for xi, res in zip(xis, lyapunov_perron_sweep(nsys, xis, rp, lp)):
+            try:
+                solo = lyapunov_perron_hc(nsys, xi, rp, lp)
+            except NonContractionError as exc:
+                assert isinstance(res.error, NonContractionError), xi
+                assert str(res.error) == str(exc), xi
+                seen.add("non-contracting")
+                continue
+            assert res.error is None, xi
+            assert res.hc == solo.hc, xi
+            assert res.iterations == solo.iterations, xi
+            assert res.distances == solo.distances, xi
+            assert res.rates == solo.rates, xi
+            assert res.converged == solo.converged, xi
+            assert res.norm_breach == solo.norm_breach, xi
+            for a, b in zip(res.blocks, solo.blocks, strict=True):
+                assert np.array_equal(a.Y, b.Y) and np.array_equal(a.Yp, b.Yp), xi
+            seen.add("converged" if res.converged else "out of sweeps")
+            if res.norm_breach:
+                seen.add("cutoff")
+        assert seen >= {"non-contracting", "converged", "out of sweeps"}
+        if nsys.d == 1:
+            assert "cutoff" in seen
+
+    def test_newton_matches_solo_solves(self, sys_linear, window):
+        lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-10)
+        xis = (0.05, 0.0125)
+        for xi, res in zip(xis, lyapunov_perron_sweep(sys_linear, xis, window, lp,
+                                                      solver="newton")):
+            solo = lyapunov_perron_hc(sys_linear, xi, window, lp, solver="newton")
+            assert res.hc == solo.hc and res.distances == solo.distances
+            assert res.converged == solo.converged and res.error is None
+
+    def test_happ_over_xi_matches_scalar(self, sys_nonlinear):
+        rp = lift_brownian(4, Grid(-6.0, 0.0, 6 * 32), gamma=0.45)
+        xis = np.array([0.1, 0.05, 0.0125, 0.0])
+        batch = leading_order_happ(sys_nonlinear, 2, xis, _Blocks(rp, 6))
+        assert batch.tolist() == [leading_order_happ(sys_nonlinear, 2, xi, rp)
+                                  for xi in xis]
 
 
 class TestOrderFit:
