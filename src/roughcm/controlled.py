@@ -12,7 +12,7 @@ import numpy as np
 
 from .roughpath import RoughPath, _pair_table
 
-__all__ = ["ControlledPath", "D2GNorm", "norm_d2g"]
+__all__ = ["ControlledPath", "D2GNorm", "d2g_terms", "norm_d2g"]
 
 
 @dataclass
@@ -62,13 +62,21 @@ def norm_d2g(cp: ControlledPath) -> D2GNorm:
     """The four summands of the equivalent D^{2 gamma}_W norm, grid version."""
     g = cp.ref.gamma
     ii, jj, dt = _pair_table(cp.ref.grid)
-    sup_Y = float(np.max(np.linalg.norm(cp.Y, axis=1)))
-    yp_flat = cp.Yp.reshape(cp.Yp.shape[0], -1)
-    sup_Yp = float(np.max(np.linalg.norm(yp_flat, axis=1)))
-    dYp = np.linalg.norm(yp_flat[jj] - yp_flat[ii], axis=1)
-    holder_Yp = float(np.max(dYp / dt**g))
-    dW = cp.ref.W[jj] - cp.ref.W[ii]
-    R = cp.Y[jj] - cp.Y[ii] - np.einsum("kma,ka->km", cp.Yp[ii], dW)
-    holder_R = float(np.max(np.linalg.norm(R, axis=1) / dt ** (2 * g)))
-    return D2GNorm(sup_Y, sup_Yp, holder_Yp, holder_R)
+    return D2GNorm(*map(float, d2g_terms(cp.Y, cp.Yp, cp.ref.W[jj] - cp.ref.W[ii],
+                                         (ii, jj, dt**g, dt ** (2 * g)))))
 
+
+def d2g_terms(Y: np.ndarray, Yp: np.ndarray, dW: np.ndarray,
+              pairs: tuple) -> tuple[np.ndarray, ...]:
+    """The four summands of `norm_d2g` for Y (..., n+1, m) and Y' (..., n+1,
+    m, d): pairs = (ii, jj, dt**gamma, dt**(2 gamma)) over node pairs i < j,
+    dW (..., pairs, d) their W_j - W_i.  Sum with `D2GNorm(*terms).total`."""
+    ii, jj, dt_g, dt_2g = pairs
+    yp_flat = Yp.reshape(Yp.shape[:-2] + (Yp.shape[-2] * Yp.shape[-1],))
+    dYp = np.linalg.norm(yp_flat[..., jj, :] - yp_flat[..., ii, :], axis=-1)
+    R = (Y[..., jj, :] - Y[..., ii, :]
+         - np.einsum("...kma,...ka->...km", Yp[..., ii, :, :], dW))
+    return (np.max(np.linalg.norm(Y, axis=-1), axis=-1),
+            np.max(np.linalg.norm(yp_flat, axis=-1), axis=-1),
+            np.max(dYp / dt_g, axis=-1),
+            np.max(np.linalg.norm(R, axis=-1) / dt_2g, axis=-1))

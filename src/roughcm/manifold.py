@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, norm_d2g
+from .controlled import ControlledPath, D2GNorm, d2g_terms, norm_d2g
 from .gubinelli import convolve_diffusion, convolve_drift
 from .invariance import NumericSystem
-from .roughpath import RoughPath, unit_block
+from .roughpath import RoughPath, _pair_table, unit_block
 
 __all__ = ["ManifoldApproximation", "LPConfig", "LPResult",
            "NonContractionError", "NewtonConvergenceError", "evaluate_phi",
@@ -77,7 +77,7 @@ def smoothstep(u: float) -> float:
 
 def cutoff_scale(cp: ControlledPath, R: float) -> float:
     """The cutoff factor of a controlled path: the ramp of its norm against R."""
-    if R <= 0:
+    if not R > 0:
         raise ValueError("cutoff radius must be positive")
     return smoothstep(norm_d2g(cp).total / R)
 
@@ -190,6 +190,9 @@ class _Sweep:
         self.dt_g = dt ** self.blocks.gamma
         self.dt_2g = dt ** (2 * self.blocks.gamma)
         _, self.gap_W = _gap_bounds(self.blocks.W, self.gaps)
+        ii, jj, _ = _pair_table(self.blocks.grid)
+        self.pairs = (ii, jj, self.dt_g[jj - ii - 1], self.dt_2g[jj - ii - 1])
+        self.dW = self.blocks.W[:, jj] - self.blocks.W[:, ii]
         # per block k, the decay of its end value back over blocks 0..k (x)
         # and forward over the later blocks (y)
         times = self.blocks.times
@@ -247,6 +250,17 @@ class _Sweep:
         return ControlledPath(self.blocks.paths[i], self.values(state)[i].T,
                               self.derivs(state)[i].transpose(1, 0, 2))
 
+    def exact_norms(self, state: np.ndarray, rows, blocks) -> np.ndarray:
+        """norm_d2g(pack(state[k], i)).total for each k, i of rows, blocks,
+        stacked up to 2**14 node pairs (or one block) per call to bound memory."""
+        out, step = np.empty(len(rows)), max(1, 2**14 // len(self.pairs[0]))
+        for c in range(0, len(rows), step):
+            k, i = rows[c:c + step], blocks[c:c + step]
+            Y = np.swapaxes(self.values(state)[k, i], -1, -2)
+            Yp = np.moveaxis(self.derivs(state)[k, i], -3, -2)
+            out[c:c + step] = D2GNorm(*d2g_terms(Y, Yp, self.dW[i], self.pairs)).total
+        return out
+
     def norm_bounds(self, state: np.ndarray) -> np.ndarray:
         """Upper bounds U[k, i] >= norm_d2g(pack(state[k], i)).total.
 
@@ -271,8 +285,8 @@ class _Sweep:
         R = self.lp.cutoff_R
         U = self.norm_bounds(state)
         s = np.ones(U.shape)
-        for k, i in zip(*np.nonzero(~(U / R <= 0.5))):
-            s[k, i] = cutoff_scale(self.pack(state[k], i), R)
+        k, i = np.nonzero(~(U / R <= 0.5))
+        s[k, i] = [smoothstep(float(n) / R) for n in self.exact_norms(state, k, i)]
         return s
 
     def apply(self, state: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -306,23 +320,21 @@ class _Sweep:
         """Window-truncated exponentially weighted distance of sequences,
         per xi.
 
-        The max over blocks of weighted exact norms, to the bit: blocks are
-        visited in decreasing order of their weighted bounds, stopping once
-        no remaining bound exceeds the largest exact value.  nan for a xi
-        with a bound that is not finite.
+        The max over blocks of weighted exact norms, to the bit, in two
+        stacked evaluations: the block with the largest weighted bound of
+        each xi, then every other block whose bound exceeds that exact value.
+        nan for a xi with a bound that is not finite.
         """
         diff = state_a - state_b
+        bounds = self.weights * self.norm_bounds(diff)
         out = np.full(len(diff), np.nan)
-        for k, bounds in enumerate(self.weights * self.norm_bounds(diff)):
-            if not np.all(np.isfinite(bounds)):
-                continue
-            best = -1.0    # below every norm, so the first block is evaluated
-            for i in np.argsort(-bounds, kind="stable"):
-                if best >= bounds[i]:
-                    break
-                best = np.maximum(best, self.weights[i] *
-                                  norm_d2g(self.pack(diff[k], i)).total)
-            out[k] = best
+        rows = np.flatnonzero(np.all(np.isfinite(bounds), axis=1))
+        top = np.argmax(bounds[rows], axis=1)
+        out[rows] = self.weights[top] * self.exact_norms(diff, rows, top)
+        more = bounds[rows] > out[rows, None]
+        more[np.arange(len(rows)), top] = False
+        k, i = np.nonzero(more)
+        np.maximum.at(out, rows[k], self.weights[i] * self.exact_norms(diff, rows[k], i))
         return out
 
     def result(self, state: np.ndarray, **status) -> LPResult:
@@ -369,7 +381,7 @@ def lyapunov_perron_sweep(sys: NumericSystem, xis, rp, lp: LPConfig,
         raise ValueError(f"stable block {sys.As} is not exponentially stable")
     if not -beta < lp.eta < 0:
         raise ValueError(f"eta must lie strictly in ({-beta}, 0)")
-    if any(abs(xi) > lp.cutoff_R for xi in xis):
+    if not all(math.isfinite(xi) and abs(xi) <= lp.cutoff_R for xi in xis):
         raise ValueError("xi outside the cutoff radius")
     sweep = _Sweep(sys, xis, rp, lp)
     if solver == "picard":

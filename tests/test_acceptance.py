@@ -15,8 +15,9 @@ import sympy as sp
 from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
                      NumericField, NumericSystem, coarsen, derive_system,
                      evaluate_phi, leading_order_happ, lift_brownian, lift_fbm,
-                     lift_smooth, load_system, lyapunov_perron_hc, order_fit,
-                     ou_stationary, propagate_zeros, residuals, rough_integral,
+                     lift_smooth, load_system, lyapunov_perron_hc,
+                     lyapunov_perron_sweep, order_fit, ou_stationary,
+                     propagate_zeros, residuals, rough_integral,
                      solve_hierarchy, solve_rde, stationarity_check, validate)
 from roughcm.manifold import _Sweep
 
@@ -251,8 +252,11 @@ def test_stochastic_order_law(spec_nonlinear, cs_nonlinear):
                            gamma=spec_nonlinear.gamma)
         hier = solve_hierarchy(cs_nonlinear, rp, init="zero")
         ma = ManifoldApproximation(q=6, alpha0=hier.alpha0, radius=0.1)
-        errs = [abs(lyapunov_perron_hc(nsys, xi, rp, lp).hc
-                    - evaluate_phi(ma, xi)) for xi in xis]
+        results = lyapunov_perron_sweep(nsys, xis, rp, lp)
+        for res in results:
+            if res.error is not None:
+                raise res.error
+        errs = [abs(res.hc - evaluate_phi(ma, xi)) for res, xi in zip(results, xis)]
         slopes.append(order_fit(xis, errs).slope)
         ratios = [e / xi**7 for e, xi in zip(errs, xis)]
         clause(fails, max(ratios) / min(ratios) <= 1e2,

@@ -13,6 +13,7 @@ from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
                      lift_brownian, load_system, lyapunov_perron_hc,
                      lyapunov_perron_sweep, norm_d2g, order_fit,
                      propagate_zeros, smoothstep, solve_hierarchy, unit_block)
+from roughcm.controlled import d2g_terms
 from roughcm.manifold import _Blocks, _Sweep
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -71,6 +72,11 @@ class TestCutoff:
         cp = ControlledPath.constant(window, 0.75)
         assert cutoff_scale(cp, 1.0) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("R", [0.0, -0.5, float("nan")])
+    def test_bad_radius_rejected(self, window, R):
+        with pytest.raises(ValueError, match="radius"):
+            cutoff_scale(ControlledPath.constant(window, 0.1), R)
+
 
 class TestLeadingOrderHapp:
     def test_zero_fields(self, window):
@@ -127,6 +133,15 @@ class TestLyapunovPerron:
         lp = LPConfig(eta=-0.5, window=4, max_iters=1)
         with pytest.raises(NewtonConvergenceError, match="did not converge"):
             lyapunov_perron_hc(sys_linear, 0.05, rp, lp, solver="newton")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_xi_rejected(self, window, sys_nonlinear, bad):
+        lp = LPConfig(eta=-0.5, window=12)
+        with pytest.raises(ValueError, match="cutoff radius"):
+            lyapunov_perron_hc(sys_nonlinear, bad, window, lp)
+        with pytest.raises(ValueError, match="cutoff radius"):
+            lyapunov_perron_sweep(sys_nonlinear, [0.05, bad], window, lp)
 
     def test_eta_range_enforced(self, window, sys_linear):
         with pytest.raises(ValueError):
@@ -233,6 +248,51 @@ class TestNormBounds:
                 assert [float(f) for f in factors] == [
                     cutoff_scale(sw.pack(scaled[0], i), R) for i in range(sw.N)], name
 
+    def test_stacked_norms_match_norm_d2g(self, sweep):
+        # every block of every random state, the zero state among them, in
+        # one call of the stacked norm
+        stack = np.stack([s[0] for _, s in _random_states(
+            sweep, np.random.default_rng(15))])
+        k, i = np.divmod(np.arange(len(stack) * sweep.N), sweep.N)
+        Y = np.swapaxes(sweep.values(stack)[k, i], -1, -2)
+        Yp = np.moveaxis(sweep.derivs(stack)[k, i], -3, -2)
+        terms = np.stack(d2g_terms(Y, Yp, sweep.dW[i], sweep.pairs), axis=-1)
+        single = [norm_d2g(sweep.pack(stack[a], b)) for a, b in zip(k, i)]
+        assert terms.tolist() == [list(dataclasses.astuple(n)) for n in single]
+        assert sweep.exact_norms(stack, k, i).tolist() == [n.total for n in single]
+        stack[3, 1, 5] = np.nan
+        totals = sweep.exact_norms(stack, k, i).reshape(len(stack), sweep.N)
+        assert not np.isfinite(totals[3, 1])
+        assert np.isfinite(np.delete(totals.ravel(), 3 * sweep.N + 1)).all()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_xi_rows_match_block_loop(self, sys_nonlinear, d):
+        # three xi rows of distinct random states, and rows scaled so that
+        # their block bounds straddle R/2
+        rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=d, gamma=0.45)
+        sw = _Sweep(sys_nonlinear, [0.05, 0.02, 0.01], rp,
+                    LPConfig(eta=-0.5, window=4))
+        R, N, rng = sw.lp.cutoff_R, sw.N, np.random.default_rng(16)
+        pool = [s[0] for _, s in _random_states(sw, rng)[1:]]
+        ramped = 0
+        for trial in range(8):
+            a, b = (np.stack([pool[j] for j in rng.choice(len(pool), 3)])
+                    for _ in range(2))
+            if trial == 0:
+                a[1, N - 2, 3] = np.nan
+            diff = a - b
+            loop = np.max([[sw.weights[i] * norm_d2g(sw.pack(diff[k], i)).total
+                            for i in range(N)] for k in range(3)], axis=1)
+            dist = sw.distance(a, b)
+            assert np.array_equal(dist, loop, equal_nan=True), trial
+            a = b * (rng.uniform(0.3, 1.2, size=(3, 1, 1)) * R /
+                     np.max(sw.norm_bounds(b), axis=1)[:, None, None])
+            factors = sw.cutoff_factors(a)
+            assert factors.tolist() == [[cutoff_scale(sw.pack(a[k], i), R)
+                                         for i in range(N)] for k in range(3)]
+            ramped += np.sum((factors > 0) & (factors < 1))
+        assert ramped
+
     def test_nan_block_is_not_dropped(self, sweep):
         state = _random_states(sweep, np.random.default_rng(14))[2][1]
         state[0, sweep.N - 2, 3] = np.nan
@@ -261,15 +321,15 @@ class TestNormBounds:
         spec = load_system(EXAMPLES / f"{name}.json")
         rp = lift_brownian(1, Grid(-12.0, 0.0, 12 * 64), gamma=spec.gamma)
         lp = LPConfig(eta=-0.5, window=12, cutoff_R=0.5, fp_tol=1e-8)
-        calls = []
+        calls = []    # one entry per block passed to the stacked exact norm
 
-        def counted(cp):
-            calls.append(1)
-            return norm_d2g(cp)
+        def counted(Y, Yp, dW, pairs):
+            calls.extend([1] * int(np.prod(Y.shape[:-2])))
+            return d2g_terms(Y, Yp, dW, pairs)
 
-        monkeypatch.setattr(roughcm.manifold, "norm_d2g", counted)
+        monkeypatch.setattr(roughcm.manifold, "d2g_terms", counted)
         res = lyapunov_perron_hc(spec.numeric(), 0.05, rp, lp)
-        assert res.converged
+        assert res.converged and calls
         assert len(calls) <= lp.window // 2 * res.iterations
 
 
