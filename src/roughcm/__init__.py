@@ -9,9 +9,9 @@ from .controlled import ControlledPath, D2GNorm, norm_d2g
 from .gubinelli import (cell_terms, convolve_diffusion, convolve_drift,
                         rough_integral, semigroup_step)
 from .invariance import (CoefficientSystem, FieldValidationError,
-                         NumericField, NumericSystem, PolyField, SystemSpec,
-                         derive_system, load_system, propagate_zeros,
-                         residuals)
+                         NumericField, NumericHierarchy, NumericSystem,
+                         PolyField, SystemSpec, derive_system, load_system,
+                         propagate_zeros, residuals)
 from .manifold import (LPConfig, LPResult, ManifoldApproximation,
                        NewtonConvergenceError, NonContractionError, OrderFit,
                        cutoff_scale, evaluate_phi, leading_order_happ,
@@ -22,7 +22,6 @@ from .roughpath import (CovarianceFactorizationError, Grid, RoughPath,
                         coarsen, lift_brownian, lift_fbm, lift_smooth,
                         restrict, shift, unit_block, validate)
 from .stationary import (HierarchyResult, NonStableOrderError,
-                         StationaryPath, ou_stationary, solve_hierarchy,
-                         stationarity_check, stationary_affine)
+                         StationaryPath, solve_hierarchy, stationary_affine)
 
 __version__ = "0.1.0"

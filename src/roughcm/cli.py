@@ -15,7 +15,7 @@ import numpy as np
 import sympy
 
 from . import __version__
-from .invariance import (CoefficientSystem, FieldValidationError,
+from .invariance import (FieldValidationError, NumericHierarchy,
                          NumericSystem, derive_system, load_system,
                          propagate_zeros, residuals)
 from .manifold import (LPConfig, ManifoldApproximation, _Blocks, evaluate_phi,
@@ -70,8 +70,7 @@ def derive(spec_file, q, out_dir):
 class _VerifyPlan:
     """Everything a seed's run needs, derived once per verify."""
     nsys: NumericSystem
-    cs: CoefficientSystem
-    params: dict[str, float]
+    coeffs: NumericHierarchy
     min_degree: int | None
     lead_degree: int | None
     grid: Grid
@@ -83,8 +82,8 @@ class _VerifyPlan:
 def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
     nsys, xis = plan.nsys, plan.xis
     rp = lift_brownian(seed, plan.grid, d=nsys.d, gamma=nsys.gamma)
-    hier = solve_hierarchy(plan.cs, rp, params=plan.params, init="zero")
-    ma = ManifoldApproximation(q=plan.cs.q, alpha0=hier.alpha0, radius=max(xis))
+    hier = solve_hierarchy(plan.coeffs, rp, init="zero")
+    ma = ManifoldApproximation(q=plan.coeffs.q, alpha0=hier.alpha0, radius=max(xis))
     blocks = _Blocks(rp, plan.lp.window)    # one split of the path for h^app and LP
     l = plan.lead_degree
     happ = (leading_order_happ(nsys, l, xis, blocks) if l is not None
@@ -167,6 +166,7 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
         spec = load_system(spec_file)
         nsys = spec.numeric()
         cs = propagate_zeros(derive_system(spec, q=q))
+        coeffs = cs.numeric(spec.params)
         if eta is None:
             eta = 0.5 * nsys.As
         if not nsys.As < eta < 0:
@@ -188,7 +188,7 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
     degs = [min(sum(k) for k in f.coeffs)
             for f in [nsys.Fs] + nsys.Gs if f.coeffs]
     plan = _VerifyPlan(
-        nsys=nsys, cs=cs, params=spec.params,
+        nsys=nsys, coeffs=coeffs,
         min_degree=residuals(cs)["min_degree"],
         lead_degree=min(degs) if degs else None,
         grid=grid, lp=lp, xis=tuple(xis), solver=solver)

@@ -5,11 +5,12 @@ coefficients of x^i exactly (rational arithmetic over abstract coefficient
 atoms alpha_1..alpha_q), propagates forced-zero coefficients, and collects
 the degree > q residual polynomials.  The arithmetic runs on one sparse
 polynomial ring of x, the atoms and the spec's parameters; results leave it
-as sympy expressions.
+as sympy expressions, and as floats at given parameter values (`numeric`).
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -21,8 +22,8 @@ from sympy.polys.rings import PolyElement, PolyRing
 
 __all__ = [
     "X", "alpha", "PolyField", "SystemSpec", "CoefficientSystem",
-    "FieldValidationError", "load_system", "derive_system",
-    "propagate_zeros", "residuals", "NumericField", "NumericSystem",
+    "FieldValidationError", "load_system", "derive_system", "propagate_zeros",
+    "residuals", "NumericField", "NumericSystem", "NumericHierarchy",
 ]
 
 X = sp.Symbol("x")
@@ -232,6 +233,27 @@ class CoefficientSystem:
     def __getstate__(self):
         return {**self.__dict__, "_polys": ()}
 
+    def numeric(self, params: dict[str, float]) -> "NumericHierarchy":
+        """The unflagged orders at the parameter values, from the ring forms
+        with the float operations of substituting into the expressions; a
+        ValueError names the parameters of those orders without a value."""
+        f, g, _, _ = _ring_forms(self)
+        orders = [i for i in range(1, self.q + 1) if i not in self.zero_flags]
+        values = {sp.Symbol(k): float(v) for k, v in params.items()}
+        used = set().union(*(e.free_symbols for i in orders
+                             for e in (self.A_alpha[i], self.f[i], *self.g[i])))
+        atoms = {alpha(i) for i in range(1, self.q + 1)}
+        missing = sorted(map(str, used - atoms - set(values)))
+        if missing:
+            raise ValueError(f"no value for parameter(s) {', '.join(missing)}: pass "
+                             "every parameter of the spec in params")
+        A = {i: float(sp.N(self.A_alpha[i].subs(values))) for i in orders}
+        fs = {i: _numeric_field(f[i], self.q, values) for i in orders}
+        gs = {i: [_numeric_field(p, self.q, values) for p in g[i]] for i in orders}
+        dg = {i: [{k: dk for k in range(self.q) if (dk := e.partial(k)).coeffs}
+                  for e in gs[i]] for i in orders}
+        return NumericHierarchy(self.q, self.noise_dim, A, fs, gs, dg)
+
     def to_json(self) -> str:
         doc = {
             "q": self.q,
@@ -253,6 +275,21 @@ def _ring_forms(cs: CoefficientSystem) -> tuple:
         raise ValueError("this coefficient system has no ring forms (a "
                          "pickled copy?); derive it again with derive_system")
     return cs._polys
+
+
+def _numeric_field(p: PolyElement, q: int, values: dict) -> "NumericField":
+    """p in alpha_1..alpha_q: each coefficient rounded, times the powers of
+    the parameter generators (after x and the atoms), summed per monomial
+    of the atoms.  The ring's lex order puts the terms in the order of
+    sp.Poly.terms(), the order in which NumericField sums them."""
+    K = p.ring.domain
+    num = float if K == QQ else (lambda c: float(K.to_sympy(c).subs(values)))
+    point = [values.get(s) for s in p.ring.symbols[q + 1:]]    # None: exponent 0
+    coeffs: dict[tuple[int, ...], float] = {}
+    for m, c in p.terms():
+        term = math.prod([num(c)] + [v**e for v, e in zip(point, m[q + 1:]) if e])
+        coeffs[m[1:q + 1]] = coeffs.get(m[1:q + 1], 0.0) + term
+    return NumericField(coeffs)
 
 
 def _exprs(polys: tuple) -> dict:
@@ -398,3 +435,17 @@ class NumericSystem:
     Fs: NumericField
     Gc: list[NumericField]
     Gs: list[NumericField]
+
+
+@dataclass
+class NumericHierarchy:
+    """The numeric form of a CoefficientSystem: per unflagged order i, A[i],
+    the drift forcing f[i] and the channels' diffusion forcings g[i] in
+    alpha_1..alpha_q, dg[i][ch][k] the non-vanishing partials of g[i][ch]
+    in alpha_{k+1}.  Plain floats, so it pickles."""
+    q: int
+    d: int
+    A: dict[int, float]
+    f: dict[int, NumericField]
+    g: dict[int, list[NumericField]]
+    dg: dict[int, list[dict[int, NumericField]]]

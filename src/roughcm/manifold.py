@@ -179,6 +179,9 @@ class _Sweep:
         self.blocks = rp if isinstance(rp, _Blocks) else _Blocks(rp, self.N)
         if len(self.blocks.paths) != self.N:
             raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
+        if self.blocks.d != sys.d:
+            raise ValueError(f"the rough path has {self.blocks.d} channel(s) but "
+                             f"the system has {sys.d} noise channel(s)")
         self.nu = self.blocks.grid.n
         self.d = self.blocks.d
         self.width = 2 * (self.nu + 1) * (1 + self.d)    # of one block's row

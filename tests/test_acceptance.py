@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from oracles import ou_stationary, stationarity_check
 from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
                      NumericField, NumericSystem, coarsen, derive_system,
                      evaluate_phi, leading_order_happ, lift_brownian, lift_fbm,
                      lift_smooth, load_system, lyapunov_perron_hc,
-                     lyapunov_perron_sweep, order_fit, ou_stationary,
-                     propagate_zeros, residuals, rough_integral,
-                     solve_hierarchy, solve_rde, stationarity_check, validate)
+                     lyapunov_perron_sweep, order_fit, propagate_zeros,
+                     residuals, rough_integral, solve_hierarchy, solve_rde,
+                     validate)
 from roughcm.manifold import _Sweep
 
 x = sp.Symbol("x")

@@ -262,6 +262,16 @@ class TestVerify:
         assert result.exit_code == 0, result.output
         assert len(calls) == 2 * 6    # seeds x window
 
+    def test_one_numeric_form_per_run(self, runner, tmp_path, monkeypatch):
+        # the coefficient system becomes floats once, not once per seed
+        real = roughcm.CoefficientSystem.numeric
+        calls = []
+        monkeypatch.setattr(roughcm.CoefficientSystem, "numeric",
+                            lambda cs, params: calls.append(params) or real(cs, params))
+        result = self.run_small(runner, tmp_path, "--seeds", "3")
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
+
     def test_invalid_spec_exits_2(self, runner, tmp_path):
         doc = json.loads(NONLINEAR.read_text())
         doc["gamma"] = 0.2

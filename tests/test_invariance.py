@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from roughcm import (FieldValidationError, derive_system, load_system,
-                     propagate_zeros, residuals)
+from roughcm import (FieldValidationError, NumericField, derive_system,
+                     load_system, propagate_zeros, residuals)
 
 x = sp.Symbol("x")
 a2, a4, a5, a6 = [sp.Symbol(f"alpha{i}") for i in (2, 4, 5, 6)]
@@ -172,6 +172,12 @@ class TestDerivation:
         nsys2 = dataclasses.replace(spec, params={**spec.params, "sigma": 0.3}).numeric()
         assert nsys2.Gs[0](0.0, 1.0) == pytest.approx(0.3)
 
+    def test_numeric_names_missing_parameters(self, cs_linear):
+        with pytest.raises(ValueError, match=r"parameter\(s\) kappa, sigma:"):
+            cs_linear.numeric({"lam": 0.0})
+        nh = cs_linear.numeric({"lam": 0.0, "kappa": -1.0, "sigma": 0.5, "mu": 2.0})
+        assert (nh.q, nh.d, sorted(nh.A)) == (4, 1, [2, 4])
+
     def test_to_json_fields(self, cs_nonlinear):
         doc = json.loads(cs_nonlinear.to_json())
         assert doc["zero_flags"] == [1, 3]
@@ -261,6 +267,37 @@ def oracle_json(cs):
         "zero_flags": sorted(cs["zero_flags"])}, indent=2)
 
 
+def oracle_numeric(cs, params):
+    """The per-call conversion of solve_hierarchy that the numeric form
+    replaced: substitute the values, then sp.Poly in the atoms; per
+    unflagged order A, the terms of f, and per channel the terms of g and
+    the non-vanishing partials of g."""
+    values = {sp.Symbol(k): v for k, v in params.items()}
+    atoms = [sp.Symbol(f"alpha{i}") for i in range(1, cs.q + 1)]
+
+    def terms(expr):
+        return [(k, float(c)) for k, c in sp.Poly(expr.subs(values), *atoms).terms()
+                if float(c) != 0.0]
+
+    def partials(expr):
+        field = NumericField(dict(terms(expr)))
+        return {k: list(field.partial(k).coeffs.items())
+                for k in range(cs.q) if field.partial(k).coeffs}
+
+    return {i: (float(sp.N(cs.A_alpha[i].subs(values))), terms(cs.f[i]),
+                [terms(e) for e in cs.g[i]], [partials(e) for e in cs.g[i]])
+            for i in range(1, cs.q + 1) if i not in cs.zero_flags}
+
+
+def numeric_terms(nh):
+    """The NumericHierarchy in the layout of oracle_numeric."""
+    return {i: (nh.A[i], list(nh.f[i].coeffs.items()),
+                [list(e.coeffs.items()) for e in nh.g[i]],
+                [{k: list(dk.coeffs.items()) for k, dk in dg.items()}
+                 for dg in nh.dg[i]])
+            for i in nh.A}
+
+
 FIELDS = ("q", "noise_dim", "Ac", "As", "A_alpha", "f", "g", "M", "Mtilde",
           "zero_flags")
 
@@ -326,20 +363,31 @@ class TestRingDerivationOracle:
         spec = load_system(ORACLE_SPECS[request.param])
         derived = derive_system(spec)
         oracle = oracle_derive(spec)
-        return derived, oracle, propagate_zeros(derived), oracle_propagate(oracle)
+        return (derived, oracle, propagate_zeros(derived), oracle_propagate(oracle),
+                spec.params)
 
     def test_derive_system(self, both):
-        derived, oracle, _, _ = both
+        derived, oracle, _, _, _ = both
         assert {k: getattr(derived, k) for k in FIELDS} == oracle
 
     def test_propagate_zeros(self, both):
-        _, _, cs, oracle = both
+        _, _, cs, oracle, _ = both
         assert {k: getattr(cs, k) for k in FIELDS} == oracle
         assert cs.to_json() == oracle_json(oracle)
 
     def test_residuals(self, both):
-        _, _, cs, oracle = both
+        _, _, cs, oracle, _ = both
         assert residuals(cs) == oracle_residuals(oracle)
+
+    def test_numeric(self, both):
+        # the spec's parameter values and values that are no binary fractions
+        _, _, cs, _, params = both
+        for values in (params, {k: v / 3 + 0.1 for k, v in params.items()}):
+            assert numeric_terms(cs.numeric(values)) == oracle_numeric(cs, values)
+
+    def test_numeric_pickles(self, cs_nonlinear):
+        nh = cs_nonlinear.numeric({})
+        assert numeric_terms(pickle.loads(pickle.dumps(nh))) == numeric_terms(nh)
 
     def test_q_override(self):
         spec = load_system(BENCH_Q8)
@@ -372,6 +420,8 @@ class TestRingDerivationOracle:
         assert sp.expand(cs.M) == sp.expand(oracle["M"])
         assert [sp.expand(e) for e in cs.Mtilde] == \
             [sp.expand(e) for e in oracle["Mtilde"]]
+        for values in (spec.params, {"sigma": 0.3, "lam": 0.7}):
+            assert numeric_terms(cs.numeric(values)) == oracle_numeric(cs, values)
         res, ores = residuals(cs), oracle_residuals(oracle)
         assert [res[k] for k in ("min_degree", "min_degree_M", "min_degree_Mtilde")] == \
             [ores[k] for k in ("min_degree", "min_degree_M", "min_degree_Mtilde")]

@@ -34,6 +34,13 @@ def sys_nonlinear():
     return load_system(EXAMPLES / "chekroun_nonlinear.json").numeric()
 
 
+def _on_channels(nsys, d):
+    """nsys with d noise channels, the added ones without fields: the
+    floats of nsys on a path with d channels."""
+    pad = [NumericField({})] * (d - nsys.d)
+    return dataclasses.replace(nsys, d=d, Gc=nsys.Gc + pad, Gs=nsys.Gs + pad)
+
+
 class TestEvaluatePhi:
     def test_zero(self):
         ma = ManifoldApproximation(q=4, alpha0={2: 1.0, 4: -4.0})
@@ -143,6 +150,21 @@ class TestLyapunovPerron:
         with pytest.raises(ValueError, match="cutoff radius"):
             lyapunov_perron_sweep(sys_nonlinear, [0.05, bad], window, lp)
 
+    @pytest.mark.parametrize("spec, path_d", [("sextic", 2), ("quartic", 2),
+                                              ("two-channel", 1)],
+                             ids=["sextic-d2", "quartic-d2", "two-channel-d1"])
+    def test_channel_count_checked(self, spec, path_d):
+        nsys = load_system({"sextic": EXAMPLES / "chekroun_nonlinear.json",
+                            "quartic": EXAMPLES / "chekroun_linear.json",
+                            "two-channel": TWO_CHANNEL}[spec]).numeric()
+        rp = lift_brownian(0, Grid(-4.0, 0.0, 4 * 16), d=path_d)
+        lp = LPConfig(eta=-0.5, window=4)
+        match = f"has {path_d} channel.*has {nsys.d} noise channel"
+        with pytest.raises(ValueError, match=match):
+            lyapunov_perron_sweep(nsys, [0.05, 0.01], rp, lp)
+        with pytest.raises(ValueError, match=match):
+            lyapunov_perron_hc(nsys, 0.05, rp, lp, solver="newton")
+
     def test_eta_range_enforced(self, window, sys_linear):
         with pytest.raises(ValueError):
             lyapunov_perron_hc(sys_linear, 0.01, window,
@@ -215,7 +237,8 @@ class TestNormBounds:
     @pytest.fixture(scope="class", params=[1, 2], ids=["d1", "d2"])
     def sweep(self, request, sys_nonlinear):
         rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=request.param, gamma=0.45)
-        return _Sweep(sys_nonlinear, [0.05], rp, LPConfig(eta=-0.5, window=4))
+        return _Sweep(_on_channels(sys_nonlinear, request.param), [0.05], rp,
+                      LPConfig(eta=-0.5, window=4))
 
     def test_bound_dominates_exact_norm(self, sweep):
         for name, state in _random_states(sweep, np.random.default_rng(11)):
@@ -270,7 +293,7 @@ class TestNormBounds:
         # three xi rows of distinct random states, and rows scaled so that
         # their block bounds straddle R/2
         rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=d, gamma=0.45)
-        sw = _Sweep(sys_nonlinear, [0.05, 0.02, 0.01], rp,
+        sw = _Sweep(_on_channels(sys_nonlinear, d), [0.05, 0.02, 0.01], rp,
                     LPConfig(eta=-0.5, window=4))
         R, N, rng = sw.lp.cutoff_R, sw.N, np.random.default_rng(16)
         pool = [s[0] for _, s in _random_states(sw, rng)[1:]]
@@ -411,7 +434,7 @@ class TestStackedBlocks:
         else:
             file = "chekroun_nonlinear" if name == "sextic" else "chekroun_linear"
             nsys = load_system(EXAMPLES / f"{file}.json").numeric()
-        return nsys, d
+        return _on_channels(nsys, d), d
 
     def test_sweep_matches_block_loop(self, case):
         nsys, d = case

@@ -3,10 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import ou_stationary, stationarity_check
 from roughcm import (ControlledPath, Grid, NonStableOrderError, derive_system,
-                     lift_brownian, load_system, ou_stationary,
-                     propagate_zeros, solve_hierarchy, stationarity_check,
-                     stationary_affine)
+                     lift_brownian, load_system, propagate_zeros,
+                     solve_hierarchy, stationary_affine)
+from test_manifold import TWO_CHANNEL
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
@@ -83,10 +84,42 @@ class TestHierarchy:
         assert res.alpha0[5] == pytest.approx(-2.0 * z0, abs=1e-12)
         assert res.alpha0[6] == pytest.approx(40.0 + z0, abs=1e-10)
 
-    def test_block_norms_reported(self, window, cs_nonlinear):
-        res = solve_hierarchy(cs_nonlinear, window)
-        assert set(res.block_norms) == {2, 4, 5, 6}
-        assert all(v > 0 for v in res.block_norms.values())
+    def test_numeric_form_gives_the_same_floats(self, window, cs_linear):
+        params = {"lam": 0.0, "kappa": -1.0, "sigma": 0.5}
+        res = solve_hierarchy(cs_linear, window, params=params)
+        again = solve_hierarchy(cs_linear.numeric(params), window)
+        assert again.alpha0 == res.alpha0 and again.zero_flags == {1, 3}
+        for i in res.alphas:
+            assert np.array_equal(again.alphas[i].Y, res.alphas[i].Y)
+            assert np.array_equal(again.alphas[i].Yp, res.alphas[i].Yp)
+
+    @pytest.mark.parametrize("params, missing", [
+        (None, "kappa, lam, sigma"), ({"lam": 0.0, "kappa": -1.0}, "sigma")],
+        ids=["no-params", "no-sigma"])
+    def test_missing_parameter_named(self, window, cs_linear, params, missing):
+        with pytest.raises(ValueError, match=f"parameter\\(s\\) {missing}:"):
+            solve_hierarchy(cs_linear, window, params=params)
+
+    @pytest.mark.parametrize("spec, path_d", [("sextic", 2), ("quartic", 2),
+                                              ("two-channel", 1)],
+                             ids=["sextic-d2", "quartic-d2", "two-channel-d1"])
+    def test_channel_count_checked(self, spec, path_d):
+        spec = load_system({"sextic": EXAMPLES / "chekroun_nonlinear.json",
+                            "quartic": EXAMPLES / "chekroun_linear.json",
+                            "two-channel": TWO_CHANNEL}[spec])
+        cs = propagate_zeros(derive_system(spec))
+        rp = lift_brownian(0, Grid(-4.0, 0.0, 4 * 16), d=path_d)
+        with pytest.raises(ValueError, match=f"has {path_d} channel.*has "
+                                             f"{spec.noise_dim} noise channel"):
+            solve_hierarchy(cs, rp, params=spec.params)
+
+    @pytest.mark.parametrize("spec", ["chekroun_linear", "chekroun_nonlinear", "zero"])
+    def test_bad_init_rejected(self, window, spec):
+        # zero.json flags every order, so no order reaches stationary_affine
+        spec = load_system(EXAMPLES / f"{spec}.json")
+        cs = propagate_zeros(derive_system(spec))
+        with pytest.raises(ValueError, match="init must be"):
+            solve_hierarchy(cs, window, params=spec.params, init="bogus")
 
     def test_zero_orders_are_zero_paths(self, window, cs_linear):
         res = solve_hierarchy(cs_linear, window,
