@@ -16,8 +16,8 @@ import sympy
 
 from . import __version__
 from .invariance import (FieldValidationError, NumericHierarchy,
-                         NumericSystem, derive_system, load_system,
-                         propagate_zeros, residuals)
+                         NumericSystem, _min_degrees, derive_system,
+                         load_system, propagate_zeros, residuals)
 from .manifold import (LPConfig, ManifoldApproximation, _Blocks, evaluate_phi,
                        leading_order_happ, lyapunov_perron_sweep, order_fit)
 from .roughpath import Grid, lift_brownian
@@ -189,7 +189,7 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
             for f in [nsys.Fs] + nsys.Gs if f.coeffs]
     plan = _VerifyPlan(
         nsys=nsys, coeffs=coeffs,
-        min_degree=residuals(cs)["min_degree"],
+        min_degree=_min_degrees(cs)["min_degree"],
         lead_degree=min(degs) if degs else None,
         grid=grid, lp=lp, xis=tuple(xis), solver=solver)
     workers = int(threads)

@@ -4,8 +4,8 @@ Substitutes the ansatz into polynomial drift/diffusion fields, matches
 coefficients of x^i exactly (rational arithmetic over abstract coefficient
 atoms alpha_1..alpha_q), propagates forced-zero coefficients, and collects
 the degree > q residual polynomials.  The arithmetic runs on one sparse
-polynomial ring of x, the atoms and the spec's parameters; results leave it
-as sympy expressions, and as floats at given parameter values (`numeric`).
+polynomial ring of x, the atoms and the spec's parameters; results stay in
+it, with sympy expressions as views and floats at parameter values (`numeric`).
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import sympy as sp
@@ -214,40 +215,47 @@ class CoefficientSystem:
     forcing f[i] and the per-channel diffusion forcings g[i][ch], all exact
     polynomials in the atoms alpha_k.  M and Mtilde are the degree > q
     leftovers of the matching (drift and diffusion defects).  _polys holds
-    f, g, M and Mtilde again as elements of the derivation's ring, the form
-    that propagate_zeros and residuals read.  sympy's rings do not pickle,
-    so a pickled or deep copy keeps the expressions only.
+    them as elements of the derivation's ring, their only stored form; the
+    sympy expressions are views built on first read, and numeric() builds
+    none over QQ.  sympy's rings do not pickle, so neither does this system;
+    numeric(params) does.
     """
     q: int
     noise_dim: int
     Ac: sp.Expr
     As: sp.Expr
-    A_alpha: dict[int, sp.Expr]
-    f: dict[int, sp.Expr]
-    g: dict[int, list[sp.Expr]]
-    M: sp.Expr
-    Mtilde: list[sp.Expr]
+    _polys: dict = field(repr=False)
     zero_flags: set[int] = field(default_factory=set)
-    _polys: tuple = field(default=(), repr=False, compare=False)
 
-    def __getstate__(self):
-        return {**self.__dict__, "_polys": ()}
+    A_alpha = cached_property(lambda self: _each(self._polys["A_alpha"]))
+    f = cached_property(lambda self: _each(self._polys["f"]))
+    g = cached_property(lambda self: _each(self._polys["g"]))
+    M = cached_property(lambda self: _each(self._polys["M"]))
+    Mtilde = cached_property(lambda self: _each(self._polys["Mtilde"]))
+
+    def __reduce_ex__(self, protocol):
+        raise TypeError("a CoefficientSystem holds sympy ring elements and does "
+                        "not pickle or deep-copy; pickle cs.numeric(params)")
 
     def numeric(self, params: dict[str, float]) -> "NumericHierarchy":
         """The unflagged orders at the parameter values, from the ring forms
         with the float operations of substituting into the expressions; a
         ValueError names the parameters of those orders without a value."""
-        f, g, _, _ = _ring_forms(self)
+        f, g = self._polys["f"], self._polys["g"]
         orders = [i for i in range(1, self.q + 1) if i not in self.zero_flags]
         values = {sp.Symbol(k): float(v) for k, v in params.items()}
-        used = set().union(*(e.free_symbols for i in orders
-                             for e in (self.A_alpha[i], self.f[i], *self.g[i])))
-        atoms = {alpha(i) for i in range(1, self.q + 1)}
-        missing = sorted(map(str, used - atoms - set(values)))
+        # A_alpha[i], over QQ without the view: there it is As - i*Ac expanded
+        over_QQ = f[1].ring.domain == QQ
+        linear = {i: sp.expand(self.As - i * self.Ac) if over_QQ else self.A_alpha[i]
+                  for i in orders}
+        used = set().union(*(linear[i].free_symbols for i in orders),
+                           *(_parameters(p, self.q) for i in orders
+                             for p in (f[i], *g[i])))
+        missing = sorted(map(str, used - set(values)))
         if missing:
             raise ValueError(f"no value for parameter(s) {', '.join(missing)}: pass "
                              "every parameter of the spec in params")
-        A = {i: float(sp.N(self.A_alpha[i].subs(values))) for i in orders}
+        A = {i: float(sp.N(linear[i].subs(values))) for i in orders}
         fs = {i: _numeric_field(f[i], self.q, values) for i in orders}
         gs = {i: [_numeric_field(p, self.q, values) for p in g[i]] for i in orders}
         dg = {i: [{k: dk for k in range(self.q) if (dk := e.partial(k)).coeffs}
@@ -255,26 +263,28 @@ class CoefficientSystem:
         return NumericHierarchy(self.q, self.noise_dim, A, fs, gs, dg)
 
     def to_json(self) -> str:
-        doc = {
-            "q": self.q,
-            "noise_dim": self.noise_dim,
-            "Ac": str(self.Ac),
-            "As": str(self.As),
-            "A_alpha": {str(i): str(a) for i, a in self.A_alpha.items()},
-            "f": {str(i): str(e) for i, e in self.f.items()},
-            "g": {str(i): [str(e) for e in ch] for i, ch in self.g.items()},
-            "M": str(self.M),
-            "Mtilde": [str(e) for e in self.Mtilde],
-            "zero_flags": sorted(self.zero_flags),
-        }
-        return json.dumps(doc, indent=2)
+        views = {k: _each(getattr(self, k), str)
+                 for k in ("A_alpha", "f", "g", "M", "Mtilde")}
+        return json.dumps({"q": self.q, "noise_dim": self.noise_dim, "Ac": str(self.Ac),
+                           "As": str(self.As), **views,
+                           "zero_flags": sorted(self.zero_flags)}, indent=2)
 
 
-def _ring_forms(cs: CoefficientSystem) -> tuple:
-    if not cs._polys:
-        raise ValueError("this coefficient system has no ring forms (a "
-                         "pickled copy?); derive it again with derive_system")
-    return cs._polys
+def _each(tree, fn=lambda p: p.as_expr()):
+    """fn, by default the sympy expression, of each leaf of nested dicts and
+    lists; a ring element is a leaf."""
+    if isinstance(tree, dict) and not isinstance(tree, PolyElement):
+        return {k: _each(v, fn) for k, v in tree.items()}
+    return [_each(v, fn) for v in tree] if isinstance(tree, list) else fn(tree)
+
+
+def _parameters(p: PolyElement, q: int) -> set[sp.Symbol]:
+    """The parameters in p: its generators after x and the atoms, or over
+    a domain other than QQ the symbols of its coefficients."""
+    R = p.ring
+    if R.domain == QQ:
+        return {R.symbols[k] for m in p for k in range(q + 1, R.ngens) if m[k]}
+    return set().union(*(R.domain.to_sympy(c).free_symbols for c in p.coeffs()))
 
 
 def _numeric_field(p: PolyElement, q: int, values: dict) -> "NumericField":
@@ -290,15 +300,6 @@ def _numeric_field(p: PolyElement, q: int, values: dict) -> "NumericField":
         term = math.prod([num(c)] + [v**e for v, e in zip(point, m[q + 1:]) if e])
         coeffs[m[1:q + 1]] = coeffs.get(m[1:q + 1], 0.0) + term
     return NumericField(coeffs)
-
-
-def _exprs(polys: tuple) -> dict:
-    """The fields f, g, M and Mtilde of ring elements (f, g, M, Mtilde)."""
-    f, g, M, Mtilde = polys
-    return {"f": {i: p.as_expr() for i, p in f.items()},
-            "g": {i: [p.as_expr() for p in ch] for i, ch in g.items()},
-            "M": M.as_expr(), "Mtilde": [p.as_expr() for p in Mtilde],
-            "_polys": polys}
 
 
 def derive_system(sys: SystemSpec, q: int | None = None) -> CoefficientSystem:
@@ -345,9 +346,9 @@ def derive_system(sys: SystemSpec, q: int | None = None) -> CoefficientSystem:
             g[i].append(forcing[i])
         Mtilde.append(leftover)
     As, Ac = R.from_expr(sys.As), R.from_expr(sys.Ac)
-    A_alpha = {i: (As - i * Ac).as_expr() for i in range(1, q + 1)}
+    A_alpha = {i: As - i * Ac for i in range(1, q + 1)}
     return CoefficientSystem(q=q, noise_dim=sys.noise_dim, Ac=sys.Ac, As=sys.As,
-                             A_alpha=A_alpha, **_exprs((f, g, M, Mtilde)))
+                             _polys=dict(A_alpha=A_alpha, f=f, g=g, M=M, Mtilde=Mtilde))
 
 
 def propagate_zeros(cs: CoefficientSystem) -> CoefficientSystem:
@@ -359,7 +360,7 @@ def propagate_zeros(cs: CoefficientSystem) -> CoefficientSystem:
     polynomials and in the residuals.  Idempotent.  Substituting zero for
     alpha_k drops every monomial with a positive exponent of generator k.
     """
-    f, g, M, Mtilde = _ring_forms(cs)
+    f, g = cs._polys["f"], cs._polys["g"]
 
     def drop(p: PolyElement, atoms: set[int]) -> PolyElement:
         return p.ring.from_dict({m: c for m, c in p.items()
@@ -372,30 +373,22 @@ def propagate_zeros(cs: CoefficientSystem) -> CoefficientSystem:
         trial = flags | {i}
         if not drop(f[i], trial) and not any(drop(e, trial) for e in g[i]):
             flags.add(i)
-    polys = ({i: drop(p, flags) for i, p in f.items()},
-             {i: [drop(p, flags) for p in ch] for i, ch in g.items()},
-             drop(M, flags), [drop(p, flags) for p in Mtilde])
     return CoefficientSystem(q=cs.q, noise_dim=cs.noise_dim, Ac=cs.Ac, As=cs.As,
-                             A_alpha=dict(cs.A_alpha), zero_flags=flags,
-                             **_exprs(polys))
+                             _polys=_each(cs._polys, lambda p: drop(p, flags)),
+                             zero_flags=flags)
 
 
 def residuals(cs: CoefficientSystem) -> dict:
     """Residual polynomials and their minimum surviving x-degrees."""
-    _, _, M, Mtilde = _ring_forms(cs)
+    return {"M": cs.M, "Mtilde": list(cs.Mtilde), **_min_degrees(cs)}
 
-    def min_degree(p: PolyElement) -> int | None:
-        return min((m[0] for m in p), default=None)
 
-    degrees = [d for d in [min_degree(M)] + [min_degree(p) for p in Mtilde]
-               if d is not None]
-    return {
-        "M": cs.M,
-        "Mtilde": list(cs.Mtilde),
-        "min_degree": min(degrees) if degrees else None,
-        "min_degree_M": min_degree(M),
-        "min_degree_Mtilde": [min_degree(p) for p in Mtilde],
-    }
+def _min_degrees(cs: CoefficientSystem) -> dict:
+    """The lowest x-degrees of M, of each Mtilde and of all; None if zero."""
+    M, Mtilde = cs._polys["M"], cs._polys["Mtilde"]
+    low = [min((m[0] for m in p), default=None) for p in [M, *Mtilde]]
+    return {"min_degree": min((d for d in low if d is not None), default=None),
+            "min_degree_M": low[0], "min_degree_Mtilde": low[1:]}
 
 
 class NumericField:

@@ -93,8 +93,7 @@ def leading_order_happ(sys: NumericSystem, l: int, xi, rp) -> float | np.ndarray
     """
     if sys.As >= 0:
         raise ValueError(f"stable block {sys.As} is not exponentially stable")
-    bl = rp if isinstance(rp, _Blocks) else _Blocks(
-        rp, int(round(rp.grid.t1 - rp.grid.t0)))
+    bl = _unit_blocks(rp, sys.d)
     Fl, Gl = sys.Fs.leading(l), [g.leading(l) for g in sys.Gs]
     x = np.exp(sys.Ac * bl.times) * np.asarray(xi, dtype=float)[..., None, None]
     gY = np.stack([g(x, 0.0) for g in Gl], axis=-1)
@@ -128,6 +127,18 @@ class _Blocks:
         if np.any(noisy):
             return np.where(noisy, out + convolve_diffusion(A, gY, gYp, self), out)
         return out
+
+
+def _unit_blocks(rp, d: int, N: int | None = None) -> _Blocks:
+    """rp, a rough path on [-N, 0] or its `_Blocks`, checked for d channels
+    and, unless N is None, for N unit blocks."""
+    bl = rp if isinstance(rp, _Blocks) else _Blocks(rp, N or round(-rp.grid.t0))
+    if N not in (None, len(bl.paths)):
+        raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
+    if bl.d != d:
+        raise ValueError(f"the rough path has {bl.d} channel(s) but the system "
+                         f"has {d} noise channel(s)")
+    return bl
 
 
 @dataclass
@@ -176,12 +187,7 @@ class _Sweep:
         self.xi = np.asarray(xis, dtype=float)
         self.lp = lp
         self.N = lp.window
-        self.blocks = rp if isinstance(rp, _Blocks) else _Blocks(rp, self.N)
-        if len(self.blocks.paths) != self.N:
-            raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
-        if self.blocks.d != sys.d:
-            raise ValueError(f"the rough path has {self.blocks.d} channel(s) but "
-                             f"the system has {sys.d} noise channel(s)")
+        self.blocks = _unit_blocks(rp, sys.d, self.N)
         self.nu = self.blocks.grid.n
         self.d = self.blocks.d
         self.width = 2 * (self.nu + 1) * (1 + self.d)    # of one block's row

@@ -8,6 +8,7 @@ import pytest
 import scipy
 import sympy
 from click.testing import CliRunner
+from sympy.polys.rings import PolyElement
 
 import roughcm
 from roughcm import cli
@@ -271,6 +272,20 @@ class TestVerify:
         result = self.run_small(runner, tmp_path, "--seeds", "3")
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
+
+    def test_no_expression_views(self, runner, tmp_path, monkeypatch):
+        # verify and solve_hierarchy read the ring forms only: no ring
+        # element becomes a sympy expression
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a ring element became a sympy expression")
+
+        monkeypatch.setattr(PolyElement, "as_expr", forbidden)
+        result = self.run_small(runner, tmp_path)
+        assert result.exit_code == 0, result.output
+        spec = roughcm.load_system(LINEAR)
+        cs = roughcm.propagate_zeros(roughcm.derive_system(spec))
+        rp = roughcm.lift_brownian(0, roughcm.Grid(-2.0, 0.0, 2 * 16))
+        roughcm.solve_hierarchy(cs, rp, params=spec.params)
 
     def test_invalid_spec_exits_2(self, runner, tmp_path):
         doc = json.loads(NONLINEAR.read_text())

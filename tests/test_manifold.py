@@ -164,6 +164,15 @@ class TestLyapunovPerron:
             lyapunov_perron_sweep(nsys, [0.05, 0.01], rp, lp)
         with pytest.raises(ValueError, match=match):
             lyapunov_perron_hc(nsys, 0.05, rp, lp, solver="newton")
+        with pytest.raises(ValueError, match=match):
+            leading_order_happ(nsys, 2, [0.05, 0.01], rp)
+
+    def test_window_checked(self, sys_linear):
+        # a path split into 4 unit blocks does not serve a window of 6
+        blocks = _Blocks(lift_brownian(0, Grid(-4.0, 0.0, 4 * 16)), 4)
+        with pytest.raises(ValueError, match="whole unit blocks"):
+            lyapunov_perron_sweep(sys_linear, [0.05], blocks,
+                                  LPConfig(eta=-0.5, window=6))
 
     def test_eta_range_enforced(self, window, sys_linear):
         with pytest.raises(ValueError):
