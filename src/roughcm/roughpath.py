@@ -166,7 +166,7 @@ def _piecewise_linear_lift(samples: np.ndarray, span: Grid, gamma: float) -> Rou
 
 def coarsen(rp: RoughPath, factor: int) -> RoughPath:
     """Chen-compose cells in groups of `factor`."""
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
+    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ValueError("coarsening factor must be a positive integer")
     if rp.n % factor != 0:
         raise ValueError("cell count must be divisible by the coarsening factor")
@@ -204,18 +204,25 @@ def lift_fbm(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3) -> Roug
 
     Samples fBm at the grid refined dyadically by 2**dyadic_level via a
     Cholesky factor of the exact covariance, then lifts the piecewise-linear
-    interpolant and coarsens via Chen.
+    interpolant and coarsens via Chen.  The covariance is filled in one
+    m x m buffer, lower triangle only, in blocks of rows; the factor is the
+    only other m x m array.
     """
     if not (1 / 3 < hurst <= 1 / 2):
         raise ValueError("hurst must lie in (1/3, 1/2]")
-    if not isinstance(dyadic_level, (int, np.integer)) or dyadic_level < 0:
+    if isinstance(dyadic_level, bool) or not isinstance(dyadic_level, (int, np.integer)) \
+            or dyadic_level < 0:
         raise ValueError("dyadic_level must be a non-negative integer")
     gamma = max(hurst - 0.03 if hurst < 0.37 else hurst, 1 / 3 + 1e-6)
     refinement = 2**dyadic_level
     m = grid.n * refinement
     t = (grid.nodes[-1] - grid.t0) * np.arange(1, m + 1) / m
-    tt, ss = np.meshgrid(t, t, indexing="ij")
-    cov = 0.5 * (tt ** (2 * hurst) + ss ** (2 * hurst) - np.abs(tt - ss) ** (2 * hurst))
+    p = t ** (2 * hurst)
+    cov = np.zeros((m, m))  # np.linalg.cholesky reads only the lower triangle and diagonal
+    for r0 in range(0, m, 256):  # 0.5 (t^2H + s^2H - |t - s|^2H), 256 rows at a time
+        block = np.add(p[r0:r0 + 256, None], p[None, :r0 + 256], out=cov[r0:r0 + 256, :r0 + 256])
+        block -= np.abs(t[r0:r0 + 256, None] - t[None, :r0 + 256]) ** (2 * hurst)
+        block *= 0.5
     try:
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:

@@ -1,10 +1,11 @@
 """Test oracles that derive and verify never call: the stationary
-Ornstein-Uhlenbeck process and the random-fixed-point defect of a
-coefficient path."""
+Ornstein-Uhlenbeck process, the random-fixed-point defect of a
+coefficient path and the fBm lift on a dense covariance."""
 import numpy as np
 
-from roughcm import (ControlledPath, RoughPath, convolve_diffusion, restrict,
-                     solve_affine)
+from roughcm import (ControlledPath, Grid, RoughPath, coarsen,
+                     convolve_diffusion, restrict, solve_affine)
+from roughcm.roughpath import _piecewise_linear_lift
 from roughcm.stationary import StationaryPath
 
 
@@ -46,3 +47,21 @@ def stationarity_check(alpha_cp: ControlledPath, A, f: np.ndarray | None,
     y0 = float(alpha_cp.Y[i0, 0])
     evolved = solve_affine(float(np.asarray(A)), f_win, g_win, window, y0)
     return float(abs(evolved.Y[-1, 0] - alpha_cp.Y[-1, 0]))
+
+
+def dense_fbm_lift(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3) -> RoughPath:
+    """lift_fbm with the full covariance built from two m x m meshgrids.
+
+    The same draw and the same float operations as lift_fbm, with every
+    entry of the covariance computed, so the two must agree to the bit.
+    """
+    gamma = max(hurst - 0.03 if hurst < 0.37 else hurst, 1 / 3 + 1e-6)
+    refinement = 2**dyadic_level
+    m = grid.n * refinement
+    t = (grid.nodes[-1] - grid.t0) * np.arange(1, m + 1) / m
+    tt, ss = np.meshgrid(t, t, indexing="ij")
+    cov = 0.5 * (tt ** (2 * hurst) + ss ** (2 * hurst) - np.abs(tt - ss) ** (2 * hurst))
+    L = np.linalg.cholesky(cov)
+    z = np.random.default_rng(seed).standard_normal(m)
+    W = np.concatenate([[0.0], L @ z])[:, None]
+    return coarsen(_piecewise_linear_lift(W, grid, gamma), refinement)

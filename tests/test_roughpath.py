@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from roughcm import (Grid, coarsen, lift_brownian, lift_fbm, lift_smooth,
-                     restrict, shift, unit_block, validate)
+from oracles import dense_fbm_lift
+from roughcm import (CovarianceFactorizationError, Grid, coarsen,
+                     lift_brownian, lift_fbm, lift_smooth, restrict, shift,
+                     unit_block, validate)
 from roughcm.roughpath import _chen_defect
 
 
@@ -103,6 +107,51 @@ class TestFbm:
         # Var W(1) = 1 for the exact covariance at any H
         assert abs(np.var(vals) - 1.0) < 0.25
 
+    @pytest.mark.parametrize("seed, H, grid, level", [
+        (0, 0.34, Grid(0.0, 1.0, 64), 0),
+        (1, 0.4, Grid(0.0, 1.0, 32), 1),
+        (2, 0.5, Grid(-2.0, 0.0, 64), 2),
+        (3, 0.4, Grid(-3.0, 0.0, 100), 2),
+        (4, 0.34, Grid(-2.0, 0.0, 64), 3),
+        (5, 0.45, Grid(-1.0, 0.0, 37), 3),
+        (6, 0.5, Grid(-4.0, 0.0, 128), 3),
+    ], ids=["m64-l0", "m64-l1", "m256", "m400", "m512", "m296", "m1024"])
+    def test_matches_dense_oracle(self, seed, H, grid, level):
+        # the row-block lower-triangle covariance changes no bit of the lift
+        rp, ref = lift_fbm(seed, H, grid, level), dense_fbm_lift(seed, H, grid, level)
+        assert np.array_equal(rp.W, ref.W) and np.array_equal(rp.WW, ref.WW)
+
+    @pytest.mark.parametrize("n", [5, 300])
+    def test_cholesky_reads_lower_triangle_only(self, n):
+        # lift_fbm relies on this: it leaves most of the strict upper triangle zero
+        B = np.random.default_rng(n).standard_normal((n, n))
+        A = B @ B.T + n * np.eye(n)
+        A_lower = A.copy()
+        A_lower[np.triu_indices(n, 1)] = np.nan
+        assert np.array_equal(np.linalg.cholesky(A), np.linalg.cholesky(A_lower))
+
+    def test_covariance_memory(self):
+        # one m x m covariance plus its factor; the meshgrid build held 5 m x m arrays
+        grid, m = Grid(-8.0, 0.0, 256), 2048
+        lift_fbm(1, 0.4, grid, 3)
+        tracemalloc.start()
+        try:
+            lift_fbm(1, 0.4, grid, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * m * m
+
+    def test_failed_factorization_named(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        grid = Grid(0.0, 1.0, 8)
+        with pytest.raises(CovarianceFactorizationError) as info:
+            lift_fbm(0, 0.4, grid, 2)
+        assert info.value.n_nodes == grid.n * 2**2
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestBlocks:
     def test_restrict_window(self):
@@ -133,7 +182,7 @@ class TestBlocks:
         c = coarsen(rp, 4)
         assert np.allclose(c.second(0, c.n), rp.second(0, rp.n))
 
-    @pytest.mark.parametrize("factor", [0, 2.0, -2], ids=["zero", "float", "negative"])
+    @pytest.mark.parametrize("factor", [0, 2.0, -2, True], ids=["zero", "float", "negative", "bool"])
     def test_coarsen_rejects_bad_factor(self, factor):
         rp = lift_brownian(4, Grid(0.0, 1.0, 64), d=2)
         with pytest.raises(ValueError, match="positive integer"):
@@ -142,6 +191,11 @@ class TestBlocks:
     def test_fbm_rejects_negative_dyadic_level(self):
         with pytest.raises(ValueError, match="dyadic_level"):
             lift_fbm(0, 0.4, Grid(0.0, 1.0, 8), dyadic_level=-1)
+
+    @pytest.mark.parametrize("level", [True, False])
+    def test_fbm_rejects_bool_dyadic_level(self, level):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            lift_fbm(0, 0.4, Grid(0.0, 1.0, 8), dyadic_level=level)
 
 
 class TestChenOracle:
