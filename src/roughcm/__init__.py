@@ -7,20 +7,19 @@ Lyapunov-Perron fixed point.
 """
 from .controlled import ControlledPath, D2GNorm, norm_d2g
 from .gubinelli import (cell_terms, convolve_diffusion, convolve_drift,
-                        rough_integral, semigroup_step)
+                        semigroup_step)
 from .invariance import (CoefficientSystem, FieldValidationError,
                          NumericField, NumericHierarchy, NumericSystem,
                          PolyField, SystemSpec, derive_system, load_system,
                          propagate_zeros, residuals)
 from .manifold import (LPConfig, LPResult, ManifoldApproximation,
                        NewtonConvergenceError, NonContractionError, OrderFit,
-                       cutoff_scale, evaluate_phi, leading_order_happ,
-                       lyapunov_perron_hc, lyapunov_perron_sweep, order_fit,
-                       smoothstep)
-from .rde import BlowUpError, solve_affine, solve_rde
+                       evaluate_phi, leading_order_happ, lyapunov_perron_hc,
+                       lyapunov_perron_sweep, order_fit, smoothstep)
+from .rde import solve_affine
 from .roughpath import (CovarianceFactorizationError, Grid, RoughPath,
-                        coarsen, lift_brownian, lift_fbm, lift_smooth,
-                        restrict, shift, unit_block, validate)
+                        coarsen, lift_brownian, lift_fbm, restrict, shift,
+                        unit_block, validate)
 from .stationary import (HierarchyResult, NonStableOrderError,
                          StationaryPath, solve_hierarchy, stationary_affine)
 

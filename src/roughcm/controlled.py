@@ -46,17 +46,6 @@ class ControlledPath:
         self.Y = Y
         self.Yp = Yp
 
-    @classmethod
-    def constant(cls, ref: RoughPath, value) -> "ControlledPath":
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls(ref, np.tile(value, (ref.n + 1, 1)))
-
-    @classmethod
-    def of_reference(cls, ref: RoughPath) -> "ControlledPath":
-        """The path controlled by itself: Y = W, Y' = Id."""
-        Yp = np.tile(np.eye(ref.d), (ref.n + 1, 1, 1))
-        return cls(ref, ref.W.copy(), Yp)
-
 
 def norm_d2g(cp: ControlledPath) -> D2GNorm:
     """The four summands of the equivalent D^{2 gamma}_W norm, grid version."""

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .controlled import ControlledPath
 from .roughpath import Grid
 
-__all__ = ["rough_integral", "convolve_drift", "convolve_diffusion",
-           "cell_terms", "semigroup_step"]
+__all__ = ["convolve_drift", "convolve_diffusion", "cell_terms",
+           "semigroup_step"]
 
 
 def cell_terms(Y: np.ndarray, Yp: np.ndarray, ref) -> np.ndarray:
@@ -38,14 +37,6 @@ def cell_terms(Y: np.ndarray, Yp: np.ndarray, ref) -> np.ndarray:
     first = np.einsum("kb,kb->k", Y.reshape(-1, d), dW)
     second = np.einsum("kba,kab->k", Yp.reshape(-1, d, d), WW)
     return (first + second).reshape(Y.shape[:-2] + (-1,))
-
-
-def rough_integral(cp: ControlledPath, i: int = 0, j: int | None = None) -> float:
-    """Scalar rough integral of cp against its reference path over [t_i, t_j]."""
-    j = cp.ref.n if j is None else j
-    if not 0 <= i <= j <= cp.ref.n:
-        raise ValueError("node range invalid")
-    return float(np.sum(cell_terms(cp.Y, cp.Yp, cp.ref)[i:j]))
 
 
 def semigroup_step(a: float, h: float):

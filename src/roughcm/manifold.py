@@ -15,15 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controlled import ControlledPath, D2GNorm, d2g_terms, norm_d2g
+from .controlled import D2GNorm, d2g_terms
 from .gubinelli import convolve_diffusion, convolve_drift
 from .invariance import NumericSystem
-from .roughpath import RoughPath, _pair_table, unit_block
+from .roughpath import Grid, RoughPath, _pair_table
 
 __all__ = ["ManifoldApproximation", "LPConfig", "LPResult",
            "NonContractionError", "NewtonConvergenceError", "evaluate_phi",
            "leading_order_happ", "lyapunov_perron_hc", "lyapunov_perron_sweep",
-           "cutoff_scale",
            "smoothstep", "order_fit", "OrderFit"]
 
 
@@ -75,13 +74,6 @@ def smoothstep(u: float) -> float:
     return 1.0 - 3.0 * v**2 + 2.0 * v**3
 
 
-def cutoff_scale(cp: ControlledPath, R: float) -> float:
-    """The cutoff factor of a controlled path: the ramp of its norm against R."""
-    if not R > 0:
-        raise ValueError("cutoff radius must be positive")
-    return smoothstep(norm_d2g(cp).total / R)
-
-
 def leading_order_happ(sys: NumericSystem, l: int, xi, rp) -> float | np.ndarray:
     """First-sweep stable value driven by the linearized center flow.
 
@@ -104,19 +96,21 @@ def leading_order_happ(sys: NumericSystem, l: int, xi, rp) -> float | np.ndarray
 
 
 class _Blocks:
-    """The unit blocks [b, b+1], b = -N..-1, of a rough path on [-N, 0]:
-    `paths[i]` is block i on [0, 1], and W, WW and the nodes' window
-    `times` are stacked along a leading block axis."""
+    """The unit blocks [b, b+1], b = -N..-1, of a rough path on [-N, 0],
+    each on the unit `grid` of [0, 1]: W (re-based to vanish at the block's
+    first node), WW and the nodes' window `times` are stacked along a
+    leading block axis."""
 
     def __init__(self, rp: RoughPath, N: int):
         if rp.grid.t0 != -float(N) or rp.grid.t1 != 0.0 or rp.grid.n % N:
             raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
-        self.paths = [unit_block(rp, b) for b in range(-N, 0)]
-        self.grid = self.paths[0].grid
+        nu = rp.grid.n // N
+        self.grid = Grid(0.0, 1.0, nu)
         self.d, self.gamma = rp.d, rp.gamma
         self.times = np.arange(-N, 0)[:, None] + self.grid.nodes
-        self.W = np.stack([p.W for p in self.paths])
-        self.WW = np.stack([p.WW for p in self.paths])
+        idx = nu * np.arange(N)[:, None] + np.arange(nu + 1)    # shared boundary nodes
+        self.W = rp.W[idx] - rp.W[idx[:, :1]]
+        self.WW = rp.WW.reshape(N, nu, rp.d, rp.d)
 
     def convolve(self, A, f: np.ndarray, gY: np.ndarray, gYp: np.ndarray) -> np.ndarray:
         """Drift f and diffusion (gY, gYp) convolved over every block, with
@@ -133,7 +127,7 @@ def _unit_blocks(rp, d: int, N: int | None = None) -> _Blocks:
     """rp, a rough path on [-N, 0] or its `_Blocks`, checked for d channels
     and, unless N is None, for N unit blocks."""
     bl = rp if isinstance(rp, _Blocks) else _Blocks(rp, N or round(-rp.grid.t0))
-    if N not in (None, len(bl.paths)):
+    if N not in (None, len(bl.W)):
         raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
     if bl.d != d:
         raise ValueError(f"the rough path has {bl.d} channel(s) but the system "
@@ -163,7 +157,7 @@ class LPConfig:
 @dataclass
 class LPResult:
     hc: float
-    blocks: list[ControlledPath]
+    state: np.ndarray | None    # the xi's (N, .) sweep state; None if Newton failed
     iterations: int
     distances: list[float]
     rates: list[float]
@@ -191,7 +185,6 @@ class _Sweep:
         self.nu = self.blocks.grid.n
         self.d = self.blocks.d
         self.width = 2 * (self.nu + 1) * (1 + self.d)    # of one block's row
-        self.tau = self.blocks.grid.nodes
         self.weights = np.exp(-lp.eta * (self.blocks.times[:, 0] + 1))
         # gaps of k = 1..nu cells, with the same time spans as norm_d2g's pairs
         self.gaps = np.arange(1, self.nu + 1)
@@ -254,14 +247,10 @@ class _Sweep:
                 D[:, c, :, ch] = g(x, y)
         return state
 
-    def pack(self, state: np.ndarray, i: int) -> ControlledPath:
-        """Block i of the (N, .) state of one xi."""
-        return ControlledPath(self.blocks.paths[i], self.values(state)[i].T,
-                              self.derivs(state)[i].transpose(1, 0, 2))
-
     def exact_norms(self, state: np.ndarray, rows, blocks) -> np.ndarray:
-        """norm_d2g(pack(state[k], i)).total for each k, i of rows, blocks,
-        stacked up to 2**14 node pairs (or one block) per call to bound memory."""
+        """The exact D^{2 gamma} norm of block i of state[k] for each k, i of
+        rows, blocks, stacked up to 2**14 node pairs (or one block) per call
+        to bound memory."""
         out, step = np.empty(len(rows)), max(1, 2**14 // len(self.pairs[0]))
         for c in range(0, len(rows), step):
             k, i = rows[c:c + step], blocks[c:c + step]
@@ -271,7 +260,7 @@ class _Sweep:
         return out
 
     def norm_bounds(self, state: np.ndarray) -> np.ndarray:
-        """Upper bounds U[k, i] >= norm_d2g(pack(state[k], i)).total.
+        """Upper bounds U[k, i] >= the exact norm of block i of state[k].
 
         O(N nu) against the O(N nu^2) exact norms: the sup terms are exact,
         and a pair of nodes k cells apart gets the gap bounds of
@@ -288,9 +277,9 @@ class _Sweep:
         return (sup_Y + sup_Yp + holder_Yp + holder_R) * (1.0 + 1e-9)
 
     def cutoff_factors(self, state: np.ndarray) -> np.ndarray:
-        """cutoff_scale of every block of every xi.  The ramp is exactly 1 up
-        to R/2, so only blocks whose norm bound exceeds R/2 (or is nan) need
-        their exact norm."""
+        """The cutoff factor smoothstep(norm / R) of every block of every xi.
+        The ramp is exactly 1 up to R/2, so only blocks whose norm bound
+        exceeds R/2 (or is nan) need their exact norm."""
         R = self.lp.cutoff_R
         U = self.norm_bounds(state)
         s = np.ones(U.shape)
@@ -348,8 +337,7 @@ class _Sweep:
 
     def result(self, state: np.ndarray, **status) -> LPResult:
         """The LPResult of one xi's (N, .) state."""
-        return LPResult(hc=float(self.values(state)[-1, 1, -1]),
-                        blocks=[self.pack(state, i) for i in range(self.N)], **status)
+        return LPResult(hc=float(self.values(state)[-1, 1, -1]), state=state, **status)
 
 
 def _gap_bounds(Z: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -457,7 +445,7 @@ def _newton(sweep: _Sweep, k: int) -> LPResult:
             f"Newton-Krylov solve did not converge in {lp.max_iters} "
             "iterations; raise max_iters or shrink |xi|")
         error.__cause__ = exc
-        return LPResult(hc=math.nan, blocks=[], iterations=lp.max_iters,
+        return LPResult(hc=math.nan, state=None, iterations=lp.max_iters,
                         distances=[], rates=[], converged=False,
                         norm_breach=False, error=error)
     state = u.reshape(1, N, -1)

@@ -17,7 +17,6 @@ __all__ = [
     "Grid",
     "RoughPath",
     "CovarianceFactorizationError",
-    "lift_smooth",
     "lift_brownian",
     "lift_fbm",
     "shift",
@@ -39,12 +38,19 @@ class CovarianceFactorizationError(RuntimeError):
         self.n_nodes = n_nodes
 
 
+def _is_integer(x) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class Grid:
     """Uniform grid on [t0, t1] with n cells."""
 
     def __init__(self, t0: float, t1: float, n: int):
-        if n < 1:
-            raise ValueError("grid needs at least one cell")
+        if not _is_integer(n) or n < 1:
+            raise ValueError("grid needs a positive integer cell count")
+        if not (math.isfinite(t0) and math.isfinite(t1)):
+            raise ValueError("grid endpoints must be finite")
         if not t1 > t0:
             raise ValueError("grid endpoints must be increasing")
         self.t0 = float(t0)
@@ -138,23 +144,6 @@ def _pair_table(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ii, jj, (jj - ii) * grid.h
 
 
-def lift_smooth(samples: np.ndarray, target: Grid, gamma: float) -> RoughPath:
-    """Lift fine node samples of a path in R^d to a geometric rough path.
-
-    The iterated integral per target cell is the composite trapezoid sum over
-    the fine samples, which equals the canonical lift of the piecewise-linear
-    interpolant.  Requires at least 8 fine sub-nodes per target cell.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] < samples.shape[1]:
-        samples = samples.T
-    m = samples.shape[0] - 1
-    if m % target.n != 0 or m // target.n < 8:
-        raise ValueError("samples must resolve at least 8 sub-nodes per target cell")
-    fine = _piecewise_linear_lift(samples, target, gamma)
-    return coarsen(fine, m // target.n)
-
-
 def _piecewise_linear_lift(samples: np.ndarray, span: Grid, gamma: float) -> RoughPath:
     """Canonical lift at the sample resolution: WW = (1/2) dW (x) dW per cell."""
     m = samples.shape[0] - 1
@@ -166,7 +155,7 @@ def _piecewise_linear_lift(samples: np.ndarray, span: Grid, gamma: float) -> Rou
 
 def coarsen(rp: RoughPath, factor: int) -> RoughPath:
     """Chen-compose cells in groups of `factor`."""
-    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
+    if not _is_integer(factor) or factor < 1:
         raise ValueError("coarsening factor must be a positive integer")
     if rp.n % factor != 0:
         raise ValueError("cell count must be divisible by the coarsening factor")
@@ -183,8 +172,8 @@ def lift_brownian(seed: int, grid: Grid, d: int = 1, gamma: float = 0.45) -> Rou
     lifted as a piecewise-linear path and coarsened via Chen, so the Levy
     area carries the bias of the linear interpolant only.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    if not _is_integer(d) or d < 1:
+        raise ValueError("d must be a positive integer")
     rng = np.random.default_rng(seed)
     if d == 1:
         dW = rng.normal(0.0, math.sqrt(grid.h), size=(grid.n, 1))
@@ -210,8 +199,7 @@ def lift_fbm(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3) -> Roug
     """
     if not (1 / 3 < hurst <= 1 / 2):
         raise ValueError("hurst must lie in (1/3, 1/2]")
-    if isinstance(dyadic_level, bool) or not isinstance(dyadic_level, (int, np.integer)) \
-            or dyadic_level < 0:
+    if not _is_integer(dyadic_level) or dyadic_level < 0:
         raise ValueError("dyadic_level must be a non-negative integer")
     gamma = max(hurst - 0.03 if hurst < 0.37 else hurst, 1 / 3 + 1e-6)
     refinement = 2**dyadic_level

@@ -1,12 +1,106 @@
-"""Test oracles that derive and verify never call: the stationary
-Ornstein-Uhlenbeck process, the random-fixed-point defect of a
-coefficient path and the fBm lift on a dense covariance."""
+"""Test oracles that derive and verify never call: the rough integral,
+constant and self-controlled paths, the explicit level-2 RDE scheme, smooth
+lifts, the cutoff factor of one block, the stationary Ornstein-Uhlenbeck
+process, the random-fixed-point defect of a coefficient path and the fBm
+lift on a dense covariance."""
 import numpy as np
 
-from roughcm import (ControlledPath, Grid, RoughPath, coarsen,
-                     convolve_diffusion, restrict, solve_affine)
+from roughcm import (ControlledPath, Grid, RoughPath, cell_terms, coarsen,
+                     convolve_diffusion, norm_d2g, restrict, smoothstep,
+                     solve_affine)
 from roughcm.roughpath import _piecewise_linear_lift
 from roughcm.stationary import StationaryPath
+
+
+def constant_path(ref: RoughPath, value) -> ControlledPath:
+    """The constant path `value` (one component per entry) with Y' = 0."""
+    value = np.atleast_1d(np.asarray(value, dtype=float))
+    return ControlledPath(ref, np.tile(value, (ref.n + 1, 1)))
+
+
+def reference_path(ref: RoughPath) -> ControlledPath:
+    """The path controlled by itself: Y = W, Y' = Id."""
+    Yp = np.tile(np.eye(ref.d), (ref.n + 1, 1, 1))
+    return ControlledPath(ref, ref.W.copy(), Yp)
+
+
+def rough_integral(cp: ControlledPath, i: int = 0, j: int | None = None) -> float:
+    """Scalar rough integral of cp against its reference path over [t_i, t_j]."""
+    j = cp.ref.n if j is None else j
+    if not 0 <= i <= j <= cp.ref.n:
+        raise ValueError("node range invalid")
+    return float(np.sum(cell_terms(cp.Y, cp.Yp, cp.ref)[i:j]))
+
+
+class BlowUpError(RuntimeError):
+    def __init__(self, node: int, value: float):
+        super().__init__(f"solution exceeded the blow-up guard at node {node} "
+                         f"(|Y| = {value:.3e})")
+        self.node = node
+
+
+def solve_rde(A, F, G, DG, rp: RoughPath, y0, bound: float = 1e6) -> ControlledPath:
+    """Solve dY = (A Y + F(Y)) dt + G(Y) dW along rp by the explicit
+    level-2 (Davie) step per cell [u, v],
+
+        Y_v = Y_u + (A Y_u + F(Y_u)) h + G(Y_u) W_{u,v} + (DG(Y_u) G(Y_u)) WW_{u,v},
+
+    with Gubinelli derivative Y' = G(Y).  F: y -> R^m, G: y -> R^{m x d},
+    DG: y -> R^{m x d x m} with DG[i, b, j] = d G[i, b] / d y_j.  A is
+    scalar or (m, m).
+    """
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    m, d, n, h = y0.shape[0], rp.d, rp.n, rp.grid.h
+    A = np.asarray(A, dtype=float)
+    Amat = A * np.eye(m) if A.ndim == 0 else A
+    Y = np.empty((n + 1, m))
+    Yp = np.empty((n + 1, m, d))
+    Y[0] = y0
+    dW = np.diff(rp.W, axis=0)
+    for k in range(n):
+        y = Y[k]
+        g = np.asarray(G(y), dtype=float).reshape(m, d)
+        Yp[k] = g
+        dg = np.asarray(DG(y), dtype=float).reshape(m, d, m)
+        second = np.einsum("ibj,ja,ab->i", dg, g, rp.WW[k])
+        Y[k + 1] = (y + (Amat @ y + np.asarray(F(y), dtype=float)) * h
+                    + g @ dW[k] + second)
+        val = float(np.max(np.abs(Y[k + 1])))
+        if val > bound:
+            raise BlowUpError(k + 1, val)
+    Yp[n] = np.asarray(G(Y[n]), dtype=float).reshape(m, d)
+    return ControlledPath(rp, Y, Yp)
+
+
+def lift_smooth(samples: np.ndarray, target: Grid, gamma: float) -> RoughPath:
+    """Lift fine node samples of a path in R^d to a geometric rough path.
+
+    The iterated integral per target cell is the composite trapezoid sum over
+    the fine samples, which equals the canonical lift of the piecewise-linear
+    interpolant.  Requires at least 8 fine sub-nodes per target cell.
+    """
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    if samples.shape[0] < samples.shape[1]:
+        samples = samples.T
+    m = samples.shape[0] - 1
+    if m % target.n != 0 or m // target.n < 8:
+        raise ValueError("samples must resolve at least 8 sub-nodes per target cell")
+    fine = _piecewise_linear_lift(samples, target, gamma)
+    return coarsen(fine, m // target.n)
+
+
+def cutoff_scale(cp: ControlledPath, R: float) -> float:
+    """The cutoff factor of a controlled path: the ramp of its norm against R."""
+    return smoothstep(norm_d2g(cp).total / R)
+
+
+def block_path(sweep, state: np.ndarray, i: int) -> ControlledPath:
+    """Block i of one xi's (N, .) state of an LP sweep, as a controlled path
+    on the block's unit-interval rough path."""
+    bl = sweep.blocks
+    ref = RoughPath(bl.gamma, bl.grid, bl.W[i], bl.WW[i])
+    return ControlledPath(ref, sweep.values(state)[i].T,
+                          sweep.derivs(state)[i].transpose(1, 0, 2))
 
 
 def ou_stationary(rp: RoughPath) -> StationaryPath:

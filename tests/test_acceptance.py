@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from oracles import ou_stationary, stationarity_check
-from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
-                     NumericField, NumericSystem, coarsen, derive_system,
-                     evaluate_phi, leading_order_happ, lift_brownian, lift_fbm,
-                     lift_smooth, load_system, lyapunov_perron_hc,
-                     lyapunov_perron_sweep, order_fit, propagate_zeros,
-                     residuals, rough_integral, solve_hierarchy, solve_rde,
-                     validate)
+from oracles import (constant_path, lift_smooth, ou_stationary,
+                     reference_path, rough_integral, solve_rde,
+                     stationarity_check)
+from roughcm import (Grid, LPConfig, ManifoldApproximation, NumericField,
+                     NumericSystem, coarsen, derive_system, evaluate_phi,
+                     leading_order_happ, lift_brownian, lift_fbm, load_system,
+                     lyapunov_perron_hc, lyapunov_perron_sweep, order_fit,
+                     propagate_zeros, residuals, solve_hierarchy, validate)
 from roughcm.manifold import _Sweep
 
 x = sp.Symbol("x")
@@ -165,7 +165,7 @@ def test_level2_identity_and_stratonovich_rate():
     fails = []
     t0 = time.time()
     rp = lift_brownian(5, Grid(0.0, 1.0, 256))
-    cp = ControlledPath.of_reference(rp)
+    cp = reference_path(rp)
     ww = rough_integral(cp, 0, rp.n)
     clause(fails, abs(ww - 0.5 * rp.W[-1, 0]**2) < 1e-14,
            "int W dW != W_1^2 / 2")
@@ -200,7 +200,7 @@ def test_ou_variance_and_fixed_point_defect():
            f"variance {var:.4f} outside 0.5 +- {band:.4f}")
     rp = lift_brownian(0, Grid(-6.0, 0.0, 6 * 256))
     st = ou_stationary(rp)
-    g = ControlledPath.constant(rp, 1.0)
+    g = constant_path(rp, 1.0)
     defect = stationarity_check(st.path, -1.0, None, g, rp, horizon=3.0)
     clause(fails, defect <= 1e-3, f"fixed-point defect {defect:.2e} > 1e-3")
     clause(fails, time.time() - t0 < 60.0, "over 60 s budget")
@@ -310,7 +310,7 @@ def test_truncation_remainder_bound(spec_nonlinear):
     sw_lead = _Sweep(lead, [0.0], rp, lp)
     zero = sw_full.zero_state()
     rng = np.random.default_rng(7)
-    tau = sw_full.tau
+    tau = sw_full.blocks.grid.nodes
     ratios = []
     for _ in range(100):
         state = sw_full.zero_state()

@@ -254,14 +254,14 @@ class TestVerify:
     @pytest.mark.parametrize("solver", ["picard", "newton"])
     def test_one_block_split_per_seed(self, runner, tmp_path, monkeypatch, solver):
         # h^app and every xi's LP solve share the seed's unit blocks
-        real = roughcm.manifold.unit_block
+        real = roughcm.manifold._Blocks.__init__
         calls = []
-        monkeypatch.setattr(roughcm.manifold, "unit_block",
-                            lambda rp, b: calls.append(b) or real(rp, b))
+        monkeypatch.setattr(roughcm.manifold._Blocks, "__init__",
+                            lambda self, rp, N: calls.append(N) or real(self, rp, N))
         result = self.run_small(runner, tmp_path, "--seeds", "2",
                                 "--xi-points", "5", "--solver", solver)
         assert result.exit_code == 0, result.output
-        assert len(calls) == 2 * 6    # seeds x window
+        assert calls == [6, 6]    # one split of the window per seed
 
     def test_one_numeric_form_per_run(self, runner, tmp_path, monkeypatch):
         # the coefficient system becomes floats once, not once per seed

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import constant_path, reference_path
 from roughcm import ControlledPath, Grid, lift_brownian, norm_d2g
 
 
@@ -11,11 +12,11 @@ def rp():
 
 class TestControlledPath:
     def test_reference_remainder_vanishes(self, rp):
-        cp = ControlledPath.of_reference(rp)
+        cp = reference_path(rp)
         assert norm_d2g(cp).holder_remainder <= 1e-15
 
     def test_constant(self, rp):
-        cp = ControlledPath.constant(rp, [2.0, -1.0])
+        cp = constant_path(rp, [2.0, -1.0])
         n = norm_d2g(cp)
         assert n.sup_Y == pytest.approx(np.sqrt(5.0))
         assert n.sup_Yp == 0.0 and n.holder_Yp == 0.0 and n.holder_remainder == 0.0
@@ -41,7 +42,7 @@ class TestNorm:
         assert norm_d2g(cp).holder_remainder < np.inf
 
     def test_homogeneity(self, rp):
-        cp = ControlledPath.of_reference(rp)
+        cp = reference_path(rp)
         n1, n3 = norm_d2g(cp), norm_d2g(ControlledPath(rp, 3 * cp.Y, 3 * cp.Yp))
         assert n3.total == pytest.approx(3.0 * n1.total)
 

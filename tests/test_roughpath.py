@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from oracles import dense_fbm_lift
+from oracles import dense_fbm_lift, lift_smooth
 from roughcm import (CovarianceFactorizationError, Grid, coarsen,
-                     lift_brownian, lift_fbm, lift_smooth, restrict, shift,
-                     unit_block, validate)
+                     lift_brownian, lift_fbm, restrict, shift, unit_block,
+                     validate)
 from roughcm.roughpath import _chen_defect
 
 
@@ -31,6 +31,22 @@ class TestGrid:
         assert g.index(0.375) == 3
         with pytest.raises(ValueError):
             g.index(0.3)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, False, 0, -3],
+                             ids=["fraction", "float", "true", "false", "zero", "negative"])
+    def test_rejects_bad_cell_count(self, n):
+        with pytest.raises(ValueError, match="positive integer cell count"):
+            Grid(0.0, 1.0, n)
+
+    @pytest.mark.parametrize("t0, t1", [(-np.inf, 0.0), (0.0, np.inf), (np.nan, 1.0),
+                                        (0.0, np.nan)],
+                             ids=["-inf", "inf", "nan-t0", "nan-t1"])
+    def test_rejects_non_finite_endpoint(self, t0, t1):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(t0, t1, 4)
+
+    def test_accepts_numpy_integer(self):
+        assert Grid(0.0, 1.0, np.int64(4)).h == 0.25
 
 
 class TestLiftSmooth:
@@ -88,6 +104,11 @@ class TestBrownian:
         a = lift_brownian(9, Grid(0.0, 1.0, 32), d=2)
         b = lift_brownian(9, Grid(0.0, 1.0, 32), d=2)
         assert np.array_equal(a.W, b.W) and np.array_equal(a.WW, b.WW)
+
+    @pytest.mark.parametrize("d", [True, 2.0, 0], ids=["bool", "float", "zero"])
+    def test_rejects_bad_channel_count(self, d):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            lift_brownian(0, Grid(0.0, 1.0, 8), d=d)
 
     def test_increment_scale(self):
         # W(1) over many seeds is standard normal

@@ -3,10 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import ou_stationary, stationarity_check
-from roughcm import (ControlledPath, Grid, NonStableOrderError, derive_system,
-                     lift_brownian, load_system, propagate_zeros,
-                     solve_hierarchy, stationary_affine)
+from oracles import constant_path, ou_stationary, stationarity_check
+from roughcm import (Grid, NonStableOrderError, derive_system, lift_brownian,
+                     load_system, propagate_zeros, solve_hierarchy,
+                     stationary_affine)
 from test_manifold import TWO_CHANNEL
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -63,7 +63,7 @@ class TestStationaryAffine:
             stationary_affine(0.5, None, None, window)
 
     def test_diffusion_derivative(self, window):
-        g = ControlledPath.constant(window, 1.0)
+        g = constant_path(window, 1.0)
         st = stationary_affine(-1.0, None, g, window)
         assert np.allclose(st.path.Yp[:, 0, 0], 1.0)
 
@@ -143,12 +143,12 @@ class TestHierarchy:
 class TestStationarityCheck:
     def test_ou_defect_matches_recursion(self, window):
         st = ou_stationary(window)
-        g = ControlledPath.constant(window, 1.0)
+        g = constant_path(window, 1.0)
         defect = stationarity_check(st.path, -1.0, None, g, window, horizon=6.0)
         assert defect < 1e-12
 
     def test_detects_wrong_path(self, window):
-        wrong = ControlledPath.constant(window, 1.0)
-        g = ControlledPath.constant(window, 1.0)
+        wrong = constant_path(window, 1.0)
+        g = constant_path(window, 1.0)
         defect = stationarity_check(wrong, -1.0, None, g, window, horizon=6.0)
         assert defect > 1e-3
