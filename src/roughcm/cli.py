@@ -163,6 +163,16 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
         if xi_min > cutoff_r:
             raise ValueError(f"--xi-min {xi_min:g} exceeds --cutoff-r "
                              f"{cutoff_r:g}; no xi would remain")
+        xis = []
+        for xi in np.geomspace(xi_max, xi_min, xi_points):
+            if xi > cutoff_r:
+                click.echo(f"warning: dropping xi = {xi:g}, which exceeds the "
+                           f"cutoff radius {cutoff_r:g}", err=True)
+            else:
+                xis.append(xi)
+        if len(xis) < 4:
+            raise ValueError(f"only {len(xis)} xi value(s) lie within --cutoff-r "
+                             f"{cutoff_r:g}; an order fit needs at least 4")
         spec = load_system(spec_file)
         nsys = spec.numeric()
         cs = propagate_zeros(derive_system(spec, q=q))
@@ -178,13 +188,6 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
     except (FieldValidationError, ValueError, KeyError) as exc:
         click.echo(f"validation failure: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    xis = []
-    for xi in np.geomspace(xi_max, xi_min, xi_points):
-        if xi > cutoff_r:
-            click.echo(f"warning: dropping xi = {xi:g}, which exceeds the "
-                       f"cutoff radius {cutoff_r:g}", err=True)
-        else:
-            xis.append(xi)
     degs = [min(sum(k) for k in f.coeffs)
             for f in [nsys.Fs] + nsys.Gs if f.coeffs]
     plan = _VerifyPlan(

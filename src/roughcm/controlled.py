@@ -59,13 +59,37 @@ def d2g_terms(Y: np.ndarray, Yp: np.ndarray, dW: np.ndarray,
               pairs: tuple) -> tuple[np.ndarray, ...]:
     """The four summands of `norm_d2g` for Y (..., n+1, m) and Y' (..., n+1,
     m, d): pairs = (ii, jj, dt**gamma, dt**(2 gamma)) over node pairs i < j,
-    dW (..., pairs, d) their W_j - W_i.  Sum with `D2GNorm(*terms).total`."""
+    dW (..., pairs, d) their W_j - W_i.  Sum with `D2GNorm(*terms).total`.
+
+    Works on one (..., pairs) array per component and channel: the
+    remainder is R_c = (Y_c[j] - Y_c[i]) - sum_a Y'_ca[i] dW_a, and each
+    norm is the root of the squares added over the entries left to right.
+    numpy adds fewer than 8 entries in that order, and einsum adds fewer
+    than 8 channels as the even ones plus the odd ones, so the terms equal
+    those of a stacked (..., pairs, m, d) computation to the bit.
+    """
     ii, jj, dt_g, dt_2g = pairs
-    yp_flat = Yp.reshape(Yp.shape[:-2] + (Yp.shape[-2] * Yp.shape[-1],))
-    dYp = np.linalg.norm(yp_flat[..., jj, :] - yp_flat[..., ii, :], axis=-1)
-    R = (Y[..., jj, :] - Y[..., ii, :]
-         - np.einsum("...kma,...ka->...km", Yp[..., ii, :, :], dW))
-    return (np.max(np.linalg.norm(Y, axis=-1), axis=-1),
-            np.max(np.linalg.norm(yp_flat, axis=-1), axis=-1),
-            np.max(dYp / dt_g, axis=-1),
-            np.max(np.linalg.norm(R, axis=-1) / dt_2g, axis=-1))
+    sq = [None] * 4                     # |Y|^2, |Y'|^2, |dY'|^2, |R|^2
+
+    def add(k, term):
+        sq[k] = term if sq[k] is None else np.add(sq[k], term, out=sq[k])
+
+    for c in range(Y.shape[-1]):
+        y = Y[..., c]
+        add(0, y * y)
+        R = np.take(y, jj, axis=-1) - np.take(y, ii, axis=-1)
+        lanes = [None, None]            # einsum's even and odd channels
+        for a in range(Yp.shape[-1]):
+            yp = Yp[..., c, a]
+            yp_i = np.take(yp, ii, axis=-1)
+            dyp = np.take(yp, jj, axis=-1) - yp_i
+            add(1, yp * yp)
+            add(2, np.multiply(dyp, dyp, out=dyp))
+            term = yp_i * dW[..., a]
+            lanes[a % 2] = term if a < 2 else lanes[a % 2] + term
+        R = R - (lanes[0] if lanes[1] is None else lanes[0] + lanes[1])
+        add(3, np.multiply(R, R, out=R))
+    for x in sq:
+        np.sqrt(x, out=x)
+    return (np.max(sq[0], axis=-1), np.max(sq[1], axis=-1),
+            np.max(sq[2] / dt_g, axis=-1), np.max(sq[3] / dt_2g, axis=-1))

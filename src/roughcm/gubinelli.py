@@ -48,37 +48,55 @@ def semigroup_step(a: float, h: float):
 
 
 def convolve_drift(A, f: np.ndarray, grid: Grid) -> np.ndarray:
-    """t -> int_0^t e^{A (t - r)} f_r dr on the grid nodes, for scalar A.
+    """t -> int_0^t e^{A (t - r)} f_r dr on the grid nodes.
 
     Each cell uses the midpoint value (f_k + f_{k+1}) / 2 as a piecewise
     constant and integrates the semigroup factor exactly.  f is (..., n+1)
     with leading batch axes, and so is the result; as a controlled path it
-    has zero Gubinelli derivative.
+    has zero Gubinelli derivative.  A is a scalar or an array that
+    broadcasts to the batch axes, one rate per row.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[-1:] != (grid.n + 1,):
         raise ValueError("f must be sampled on the grid nodes")
-    E, Phi = semigroup_step(A, grid.h)
-    mid = _nodes_first(0.5 * (f[..., :-1] + f[..., 1:]))
-    out = np.zeros((grid.n + 1,) + mid.shape[1:])
+    E, Phi = _steps(A, f.shape[:-1], grid.h)
+    P = Phi * _nodes_first(0.5 * (f[..., :-1] + f[..., 1:]))
+    out = np.zeros((grid.n + 1,) + P.shape[1:])
     for k in range(grid.n):
-        out[k + 1] = E * out[k] + Phi * mid[k]
+        out[k + 1] = E * out[k] + P[k]
     return np.moveaxis(out, 0, -1).reshape(f.shape)
 
 
 def convolve_diffusion(A, Y: np.ndarray, Yp: np.ndarray, ref) -> np.ndarray:
-    """t -> int_0^t e^{A (t - r)} G_r dW_r on the nodes of ref, for scalar A.
+    """t -> int_0^t e^{A (t - r)} G_r dW_r on the nodes of ref.
 
-    (G, G') = (Y, Yp) and ref are as in `cell_terms`, batch axes included.
-    The semigroup factor is frozen at the left node of each cell, matching
-    the compound-sum order of the rough integral.
+    (G, G') = (Y, Yp) and ref are as in `cell_terms`, batch axes included,
+    and A is as in `convolve_drift`.  The semigroup factor is frozen at the
+    left node of each cell, matching the compound-sum order of the rough
+    integral.
     """
-    terms = _nodes_first(cell_terms(Y, Yp, ref))
-    E = np.exp(float(np.asarray(A)) * ref.grid.h)
+    terms = cell_terms(Y, Yp, ref)
+    E, _ = _steps(A, terms.shape[:-1], ref.grid.h)
+    terms = _nodes_first(terms)
     out = np.zeros((ref.grid.n + 1,) + terms.shape[1:])
     for k in range(ref.grid.n):
         out[k + 1] = E * (out[k] + terms[k])
     return np.moveaxis(out, 0, -1).reshape(Y.shape[:-2] + (-1,))
+
+
+def _steps(A, batch: tuple, h: float):
+    """`semigroup_step` of each entry of A: a pair of scalars for a scalar A,
+    else of flat rows matching `_nodes_first` of a (*batch, .) array."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim == 0:
+        return semigroup_step(A, h)
+    steps = np.array([semigroup_step(a, h) for a in A.ravel()]).reshape(A.shape + (2,))
+    try:
+        steps = np.broadcast_to(steps, batch + (2,))
+    except ValueError:
+        raise ValueError(f"A of shape {A.shape} does not broadcast to the "
+                         f"batch axes {batch}") from None
+    return steps[..., 0].ravel(), steps[..., 1].ravel()
 
 
 def _nodes_first(a: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .controlled import D2GNorm, d2g_terms
 from .gubinelli import convolve_diffusion, convolve_drift
 from .invariance import NumericSystem
-from .roughpath import Grid, RoughPath, _pair_table
+from .roughpath import Grid, RoughPath, _is_integer, _pair_table
 
 __all__ = ["ManifoldApproximation", "LPConfig", "LPResult",
            "NonContractionError", "NewtonConvergenceError", "evaluate_phi",
@@ -114,8 +114,9 @@ class _Blocks:
 
     def convolve(self, A, f: np.ndarray, gY: np.ndarray, gYp: np.ndarray) -> np.ndarray:
         """Drift f and diffusion (gY, gYp) convolved over every block, with
-        any leading axes before the block axis; a block where gY vanishes
-        gets no diffusion part, not even from gYp."""
+        any leading axes before the block axis; A is a scalar or one rate per
+        row of those axes.  A block where gY vanishes gets no diffusion part,
+        not even from gYp."""
         out = convolve_drift(A, f, self.grid)
         noisy = np.any(gY, axis=(-2, -1))[..., None]
         if np.any(noisy):
@@ -144,6 +145,10 @@ class LPConfig:
     fp_tol: float = 1e-8
 
     def __post_init__(self):
+        for name in ("window", "max_iters"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
         if self.window < 2:
             raise ValueError("window must span at least 2 unit blocks")
         if not self.cutoff_R > 0:
@@ -201,10 +206,11 @@ class _Sweep:
         self.tails = [(np.exp(sys.Ac * (times[:k + 1] - end)),
                        np.exp(sys.As * (times[k + 1:] - end)))
                       for k, end in enumerate(times[:, 0] + 1)]
-        # per component: A, F and each channel's G with its partials in x, y
-        self.fields = tuple(
-            (A, F, [(g, g.partial(0), g.partial(1)) for g in Gf])
-            for A, F, Gf in ((sys.Ac, sys.Fc, sys.Gc), (sys.As, sys.Fs, sys.Gs)))
+        # per component (center, stable): F and each channel's G with its
+        # partials in x, y, and A as the rate of the component's rows
+        self.fields = tuple((F, [(g, g.partial(0), g.partial(1)) for g in Gf])
+                            for F, Gf in ((sys.Fc, sys.Gc), (sys.Fs, sys.Gs)))
+        self.A = np.array([sys.Ac, sys.As])[:, None, None]
 
     def zero_state(self) -> np.ndarray:
         return np.zeros((len(self.xi), self.N, self.width))
@@ -293,18 +299,21 @@ class _Sweep:
         sys, bl = self.sys, self.blocks
         V, D = self.values(state), self.derivs(state)
         new = np.zeros(state.shape)
-        nV, nD = self.values(new), self.derivs(new)
-        C = np.empty((2,) + V.shape[:2] + (self.nu + 1,))    # per-block convolutions
+        nV = self.values(new)
+        # both components in one convolution: (2, K, N, .) with the center
+        # first; the diffusion is written straight into the new derivatives
+        gY = np.moveaxis(self.derivs(new), 2, 0)
+        gYp = np.zeros(gY.shape + (self.d,))
+        f = np.empty(gY.shape[:-1])
         s = self.cutoff_factors(state)[..., None, None]
         x, y = np.moveaxis(s * V, -2, 0)
-        for c, (A, F, Gf) in enumerate(self.fields):
-            gY = nD[:, :, c]
-            gYp = np.zeros(gY.shape + (self.d,))
+        for c, (F, Gf) in enumerate(self.fields):
+            f[c] = F(x, y)
             for ch, (g, g_x, g_y) in enumerate(Gf):
-                gY[..., ch] = g(x, y)
-                gYp[..., ch, :] = (g_x(x, y)[..., None] * D[:, :, 0] +
-                                   g_y(x, y)[..., None] * D[:, :, 1]) * s
-            C[c] = bl.convolve(A, F(x, y), gY, gYp)
+                gY[c, ..., ch] = g(x, y)
+                gYp[c, ..., ch, :] = (g_x(x, y)[..., None] * D[:, :, 0] +
+                                      g_y(x, y)[..., None] * D[:, :, 1]) * s
+        C = bl.convolve(self.A, f, gY, gYp)
         x, y = nV[:, :, 0], nV[:, :, 1]
         x[:] = np.exp(sys.Ac * bl.times) * self.xi[rows, None, None] + C[0]
         y[:] = C[1]

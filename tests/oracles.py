@@ -1,13 +1,15 @@
 """Test oracles that derive and verify never call: the rough integral,
 constant and self-controlled paths, the explicit level-2 RDE scheme, smooth
 lifts, the cutoff factor of one block, the stationary Ornstein-Uhlenbeck
-process, the random-fixed-point defect of a coefficient path and the fBm
-lift on a dense covariance."""
+process, the random-fixed-point defect of a coefficient path, the fBm lift
+on a dense covariance, the D^{2 gamma} terms on gathered (pairs, m, d)
+arrays and the scalar-rate convolution loops."""
 import numpy as np
 
 from roughcm import (ControlledPath, Grid, RoughPath, cell_terms, coarsen,
-                     convolve_diffusion, norm_d2g, restrict, smoothstep,
-                     solve_affine)
+                     convolve_diffusion, norm_d2g, restrict, semigroup_step,
+                     smoothstep, solve_affine)
+from roughcm.gubinelli import _nodes_first
 from roughcm.roughpath import _piecewise_linear_lift
 from roughcm.stationary import StationaryPath
 
@@ -159,3 +161,40 @@ def dense_fbm_lift(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3) -
     z = np.random.default_rng(seed).standard_normal(m)
     W = np.concatenate([[0.0], L @ z])[:, None]
     return coarsen(_piecewise_linear_lift(W, grid, gamma), refinement)
+
+
+def gathered_d2g_terms(Y: np.ndarray, Yp: np.ndarray, dW: np.ndarray,
+                       pairs: tuple) -> tuple[np.ndarray, ...]:
+    """`d2g_terms` on (..., pairs, m[, d]) gathers of Y and Y', with the
+    channel sum in one einsum and each norm one np.linalg.norm."""
+    ii, jj, dt_g, dt_2g = pairs
+    yp_flat = Yp.reshape(Yp.shape[:-2] + (Yp.shape[-2] * Yp.shape[-1],))
+    dYp = np.linalg.norm(yp_flat[..., jj, :] - yp_flat[..., ii, :], axis=-1)
+    R = (Y[..., jj, :] - Y[..., ii, :]
+         - np.einsum("...kma,...ka->...km", Yp[..., ii, :, :], dW))
+    return (np.max(np.linalg.norm(Y, axis=-1), axis=-1),
+            np.max(np.linalg.norm(yp_flat, axis=-1), axis=-1),
+            np.max(dYp / dt_g, axis=-1),
+            np.max(np.linalg.norm(R, axis=-1) / dt_2g, axis=-1))
+
+
+def loop_convolve_drift(A, f: np.ndarray, grid: Grid) -> np.ndarray:
+    """`convolve_drift` for a scalar A, with Phi times the cell midpoint
+    taken inside the node loop."""
+    f = np.asarray(f, dtype=float)
+    E, Phi = semigroup_step(A, grid.h)
+    mid = _nodes_first(0.5 * (f[..., :-1] + f[..., 1:]))
+    out = np.zeros((grid.n + 1,) + mid.shape[1:])
+    for k in range(grid.n):
+        out[k + 1] = E * out[k] + Phi * mid[k]
+    return np.moveaxis(out, 0, -1).reshape(f.shape)
+
+
+def loop_convolve_diffusion(A, Y: np.ndarray, Yp: np.ndarray, ref) -> np.ndarray:
+    """`convolve_diffusion` for a scalar A."""
+    terms = _nodes_first(cell_terms(Y, Yp, ref))
+    E = np.exp(float(np.asarray(A)) * ref.grid.h)
+    out = np.zeros((ref.grid.n + 1,) + terms.shape[1:])
+    for k in range(ref.grid.n):
+        out[k + 1] = E * (out[k] + terms[k])
+    return np.moveaxis(out, 0, -1).reshape(Y.shape[:-2] + (-1,))

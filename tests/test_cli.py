@@ -206,17 +206,29 @@ class TestVerify:
         assert [f["xi"] for f in failures] == [0.2]
 
     def test_xi_above_cutoff_dropped(self, runner, tmp_path):
+        # 6 xi from 0.1 down to 0.0125, of which 0.1 and 0.066 exceed 0.05
         result = runner.invoke(main, [
             "verify", "--spec", str(LINEAR), "--seeds", "1",
             "--grid-n", "16", "--window", "4", "--xi-max", "0.1",
-            "--cutoff-r", "0.05", "--out-dir", str(tmp_path)])
-        assert result.exit_code == 1, result.output
-        assert "warning" in result.output
-        assert "dropping" in result.output
+            "--xi-points", "6", "--cutoff-r", "0.05", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert result.output.count("warning: dropping") == 2
         xis = json.loads((tmp_path / "verify_report.json").read_text()
                          )["per_seed"][0]["xi_sweep"]
-        assert len(set(xis)) == len(xis) == 3
+        assert len(set(xis)) == len(xis) == 4
         assert max(xis) <= 0.05
+
+    def test_too_few_xi_below_cutoff_exits_2(self, runner, tmp_path, monkeypatch):
+        # of 0.9, 0.43, 0.21 and 0.1, three lie within 0.5: no order fit, so
+        # no LP solve either
+        monkeypatch.setattr(cli, "lyapunov_perron_sweep", None)
+        result = runner.invoke(main, [
+            "verify", "--spec", str(LINEAR), "--xi-points", "4",
+            "--xi-max", "0.9", "--xi-min", "0.1", "--cutoff-r", "0.5",
+            "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "validation failure: only 3 xi value(s)" in result.output
+        assert not (tmp_path / "verify_report.json").exists()
 
     @pytest.mark.parametrize("extra", [
         ["--xi-points", "3"], ["--xi-points", "0"], ["--xi-min", "0"],

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import (lift_smooth, reference_path, rough_integral,
+from oracles import (lift_smooth, loop_convolve_diffusion,
+                     loop_convolve_drift, reference_path, rough_integral,
                      solve_rde)
 from roughcm import (ControlledPath, Grid, coarsen, convolve_diffusion,
                      convolve_drift, lift_brownian, semigroup_step)
@@ -78,6 +79,59 @@ class TestConvolutions:
         out = convolve_diffusion(0.0, cp.Y, cp.Yp, rp)
         ref = [rough_integral(cp, 0, k) for k in range(rp.n + 1)]
         assert np.allclose(out, ref)
+
+
+class TestPerRowRate:
+    """An array A gives each batch row its own rate: the floats of one
+    scalar-A call per row, and a scalar A those of the node loop."""
+
+    RATES = np.array([[-1.5], [0.0], [0.7]])    # (3, 1) over (3, 2) rows
+
+    @pytest.fixture()
+    def data(self):
+        rng = np.random.default_rng(21)
+        rp = lift_brownian(4, Grid(0.0, 1.0, 32), d=2)
+        f = rng.normal(size=(3, 2, rp.n + 1))
+        Y = rng.normal(size=(3, 2, rp.n + 1, 2))
+        Yp = rng.normal(size=(3, 2, rp.n + 1, 2, 2))
+        return rp, f, Y, Yp
+
+    def test_drift_matches_rows(self, data):
+        rp, f, _, _ = data
+        for A in (self.RATES, np.broadcast_to(self.RATES, (3, 2))):
+            out = convolve_drift(A, f, rp.grid)
+            rows = [convolve_drift(A[r, 0], f[r], rp.grid) for r in range(3)]
+            assert out.tobytes() == np.stack(rows).tobytes()
+
+    def test_diffusion_matches_rows(self, data):
+        rp, _, Y, Yp = data
+        out = convolve_diffusion(self.RATES, Y, Yp, rp)
+        rows = [convolve_diffusion(a, Y[r], Yp[r], rp)
+                for r, a in enumerate(self.RATES[:, 0])]
+        assert out.shape == (3, 2, rp.n + 1)
+        assert out.tobytes() == np.stack(rows).tobytes()
+
+    @pytest.mark.parametrize("A", [-1.5, 0.0, 0.7])
+    def test_scalar_matches_loop(self, data, A):
+        rp, f, Y, Yp = data
+        for ff in (f, f[0, 0]):
+            assert (convolve_drift(A, ff, rp.grid).tobytes()
+                    == loop_convolve_drift(A, ff, rp.grid).tobytes())
+        for y, yp in ((Y, Yp), (Y[0, 0], Yp[0, 0])):
+            assert (convolve_diffusion(A, y, yp, rp).tobytes()
+                    == loop_convolve_diffusion(A, y, yp, rp).tobytes())
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (1, 3, 2)])
+    def test_rate_must_broadcast_to_rows(self, data, shape):
+        rp, f, Y, Yp = data
+        A = np.full(shape, -1.0)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            convolve_drift(A, f, rp.grid)
+        with pytest.raises(ValueError, match="does not broadcast"):
+            convolve_diffusion(A, Y, Yp, rp)
+        # a single path has no batch axes, so only a scalar A fits it
+        with pytest.raises(ValueError, match="does not broadcast"):
+            convolve_drift(A[..., :1], f[0, 0], rp.grid)
 
 
 def test_stratonovich_convergence_slope():
