@@ -13,8 +13,9 @@ from .invariance import (CoefficientSystem, FieldValidationError,
                          PolyField, SystemSpec, derive_system, load_system,
                          propagate_zeros, residuals)
 from .manifold import (LPConfig, LPResult, ManifoldApproximation,
-                       NewtonConvergenceError, NonContractionError, OrderFit,
-                       evaluate_phi, leading_order_happ, lyapunov_perron_hc,
+                       NewtonConvergenceError, NonContractionError,
+                       NonConvergenceError, OrderFit, evaluate_phi,
+                       leading_order_happ, lyapunov_perron_hc,
                        lyapunov_perron_sweep, order_fit, smoothstep)
 from .rde import solve_affine
 from .roughpath import (CovarianceFactorizationError, Grid, RoughPath,

@@ -18,7 +18,7 @@ from . import __version__
 from .invariance import (FieldValidationError, NumericHierarchy,
                          NumericSystem, _min_degrees, derive_system,
                          load_system, propagate_zeros, residuals)
-from .manifold import (LPConfig, ManifoldApproximation, _Blocks, evaluate_phi,
+from .manifold import (LPConfig, ManifoldApproximation, evaluate_phi,
                        leading_order_happ, lyapunov_perron_sweep, order_fit)
 from .roughpath import Grid, lift_brownian
 from .stationary import solve_hierarchy
@@ -84,9 +84,8 @@ def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
     rp = lift_brownian(seed, plan.grid, d=nsys.d, gamma=nsys.gamma)
     hier = solve_hierarchy(plan.coeffs, rp, init="zero")
     ma = ManifoldApproximation(q=plan.coeffs.q, alpha0=hier.alpha0, radius=max(xis))
-    blocks = _Blocks(rp, plan.lp.window)    # one split of the path for h^app and LP
     l = plan.lead_degree
-    happ = (leading_order_happ(nsys, l, xis, blocks) if l is not None
+    happ = (leading_order_happ(nsys, l, xis, rp) if l is not None
             else [0.0] * len(xis))
     row = {"seed": seed, "xi_sweep": list(xis),
            "phi_values": [evaluate_phi(ma, xi) for xi in xis],
@@ -94,23 +93,15 @@ def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
            "contraction_rates": [],
            "tail_bounds": {str(k): v for k, v in hier.tail_bounds.items()},
            "residual_min_degree": plan.min_degree, "failures": []}
-    for xi, r in zip(xis, lyapunov_perron_sweep(nsys, xis, blocks, plan.lp,
+    for xi, r in zip(xis, lyapunov_perron_sweep(nsys, xis, rp, plan.lp,
                                                 solver=plan.solver)):
-        if r.error is not None:
-            error = str(r.error)
-        elif not r.converged:
-            error = (f"not converged: fixed-point distance {r.distances[-1]:.3g} "
-                     f"after {r.iterations} iteration(s) (max_iters = "
-                     f"{plan.lp.max_iters})")
-        else:
-            error = None
-        if error is None:
+        if r.converged:
             row["hc_values"].append(r.hc)
             row["contraction_rates"].append(r.rates[-1] if r.rates else 0.0)
         else:
             row["hc_values"].append(float("nan"))
             row["contraction_rates"].append(float("nan"))
-            row["failures"].append({"xi": xi, "error": error})
+            row["failures"].append({"xi": xi, "error": str(r.error)})
     errs = np.abs(np.subtract(row["hc_values"], row["phi_values"]))
     ok = np.isfinite(errs)
     try:

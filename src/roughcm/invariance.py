@@ -122,7 +122,7 @@ class SystemSpec:
             return NumericField({k: num(c) for k, c in pf.terms.items()})
 
         return NumericSystem(
-            gamma=self.gamma, q=self.q, d=self.noise_dim,
+            gamma=self.gamma, d=self.noise_dim,
             Ac=num(self.Ac), As=num(self.As),
             Fc=numfield(self.Fc), Fs=numfield(self.Fs),
             Gc=[numfield(g) for g in self.Gc],
@@ -420,7 +420,6 @@ class NumericField:
 @dataclass
 class NumericSystem:
     gamma: float
-    q: int
     d: int
     Ac: float
     As: float

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,10 +20,14 @@ from .gubinelli import convolve_diffusion, convolve_drift
 from .invariance import NumericSystem
 from .roughpath import Grid, RoughPath, _is_integer, _pair_table
 
-__all__ = ["ManifoldApproximation", "LPConfig", "LPResult",
+__all__ = ["ManifoldApproximation", "LPConfig", "LPResult", "NonConvergenceError",
            "NonContractionError", "NewtonConvergenceError", "evaluate_phi",
            "leading_order_happ", "lyapunov_perron_hc", "lyapunov_perron_sweep",
            "smoothstep", "order_fit", "OrderFit"]
+
+
+class NonConvergenceError(RuntimeError):
+    """The iteration ran out of sweeps or met a non-finite distance."""
 
 
 class NonContractionError(RuntimeError):
@@ -74,14 +78,15 @@ def smoothstep(u: float) -> float:
     return 1.0 - 3.0 * v**2 + 2.0 * v**3
 
 
-def leading_order_happ(sys: NumericSystem, l: int, xi, rp) -> float | np.ndarray:
+def leading_order_happ(sys: NumericSystem, l: int, xi,
+                       rp: RoughPath) -> float | np.ndarray:
     """First-sweep stable value driven by the linearized center flow.
 
     Sums, over unit blocks of the window [-N, 0], the stable-semigroup
     convolution of the degree-l parts of the fields evaluated along
     t -> e^{Ac t} xi, each block weighted by the decay to time 0.  xi is a
     number or an array, and the result has its shape; rp is a rough path on
-    [-N, 0] or its `_Blocks`.
+    [-N, 0].
     """
     if sys.As >= 0:
         raise ValueError(f"stable block {sys.As} is not exponentially stable")
@@ -124,12 +129,10 @@ class _Blocks:
         return out
 
 
-def _unit_blocks(rp, d: int, N: int | None = None) -> _Blocks:
-    """rp, a rough path on [-N, 0] or its `_Blocks`, checked for d channels
-    and, unless N is None, for N unit blocks."""
-    bl = rp if isinstance(rp, _Blocks) else _Blocks(rp, N or round(-rp.grid.t0))
-    if N not in (None, len(bl.W)):
-        raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
+def _unit_blocks(rp: RoughPath, d: int, N: int | None = None) -> _Blocks:
+    """The unit blocks of rp, a rough path on [-N, 0], checked for d
+    channels; N defaults to the length of rp's window."""
+    bl = _Blocks(rp, N or round(-rp.grid.t0))
     if bl.d != d:
         raise ValueError(f"the rough path has {bl.d} channel(s) but the system "
                          f"has {d} noise channel(s)")
@@ -161,14 +164,19 @@ class LPConfig:
 
 @dataclass
 class LPResult:
-    hc: float
-    state: np.ndarray | None    # the xi's (N, .) sweep state; None if Newton failed
-    iterations: int
-    distances: list[float]
-    rates: list[float]
-    converged: bool
-    norm_breach: bool
-    error: RuntimeError | None = None    # NonContraction- or NewtonConvergenceError
+    """How the solve of one xi ended: converged exactly when `error` is None,
+    else `error` is a NonConvergence-, NonContraction- or NewtonConvergenceError."""
+    hc: float = math.nan
+    state: np.ndarray | None = None    # the xi's (N, .) state; None if Newton failed
+    iterations: int = 0
+    distances: list[float] = field(default_factory=list)
+    rates: list[float] = field(default_factory=list)
+    norm_breach: bool = False
+    error: RuntimeError | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.error is None
 
 
 class _Sweep:
@@ -227,21 +235,16 @@ class _Sweep:
     def flow_state(self, k: int) -> np.ndarray:
         """Initial guess for xi[k], an (N, .) state: a saturated backward
         sweep with the stable component slaved to its quasi-static balance
-        y = -Fs(x, y)/As."""
-        sys, N, nu, xi = self.sys, self.N, self.nu, self.xi[k]
+        y = -Fs(x, 0)/As."""
+        sys, N, nu = self.sys, self.N, self.nu
         cap = 0.5 * self.lp.cutoff_R
         h = 1.0 / nu
-        M = N * nu
-        xs = np.empty(M + 1)
-        ys = np.empty(M + 1)
-        xs[-1] = xi
-        ys[-1] = -sys.Fs(xi, 0.0) / sys.As
-        for j in range(M, 0, -1):
-            x, y = xs[j], ys[j]
-            x_prev = x - h * (sys.Ac * x + sys.Fc(x, y))
-            x_prev = float(np.clip(x_prev, -cap, cap))
-            xs[j - 1] = x_prev
-            ys[j - 1] = -sys.Fs(x_prev, 0.0) / sys.As
+        xs = np.empty(N * nu + 1)
+        x = xs[-1] = self.xi[k]
+        for j in range(N * nu, 0, -1):
+            y = -sys.Fs(x, 0.0) / sys.As
+            x = xs[j - 1] = min(max(x - h * (sys.Ac * x + sys.Fc(x, y)), -cap), cap)
+        ys = -sys.Fs(xs, 0.0) / sys.As
         # adjacent blocks share their boundary node
         idx = nu * np.arange(N)[:, None] + np.arange(nu + 1)
         x, y = xs[idx], ys[idx]
@@ -344,10 +347,6 @@ class _Sweep:
         np.maximum.at(out, rows[k], self.weights[i] * self.exact_norms(diff, rows[k], i))
         return out
 
-    def result(self, state: np.ndarray, **status) -> LPResult:
-        """The LPResult of one xi's (N, .) state."""
-        return LPResult(hc=float(self.values(state)[-1, 1, -1]), state=state, **status)
-
 
 def _gap_bounds(Z: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """sup_t |Z_t| per block, and per gap of k cells a bound on |Z_t - Z_s|.
@@ -360,7 +359,7 @@ def _gap_bounds(Z: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sup, np.minimum(k * step[..., None], 2 * sup[..., None])
 
 
-def lyapunov_perron_sweep(sys: NumericSystem, xis, rp, lp: LPConfig,
+def lyapunov_perron_sweep(sys: NumericSystem, xis, rp: RoughPath, lp: LPConfig,
                           solver: str = "picard") -> list[LPResult]:
     """Fixed points of the window-truncated graph-transform iteration, one
     LPResult per boundary value in xis, all on the rough path rp.
@@ -370,17 +369,18 @@ def lyapunov_perron_sweep(sys: NumericSystem, xis, rp, lp: LPConfig,
     cut-off fields, block convolutions reusing the same discretization as
     the stationary-coefficient solver.  The stable component at time 0 of
     the converged sequence is the reference manifold value h^c(xi, W).  rp
-    is a rough path on [-N, 0] or its `_Blocks`.
+    is a rough path on [-N, 0].
 
     solver="picard" iterates the map for every xi at once, each sweep
-    serving the xi still running.  A xi stops on its own: converged, at a
-    non-finite distance, or once it stops contracting, which its `error`
-    records as a NonContractionError.  solver="newton" solves the same
-    fixed-point equation by a Jacobian-free Newton-Krylov method, one xi at
-    a time; it is needed when |xi| is large enough that the backward center
-    orbit grows and the plain iteration expands, starts from a saturated
-    backward-flow guess, and records a failed solve as a
-    NewtonConvergenceError.
+    serving the xi still running.  A xi stops on its own: converged, or
+    with its `error` set to a NonConvergenceError at a non-finite distance
+    or out of sweeps, or to a NonContractionError once it stops
+    contracting.  solver="newton" solves the same fixed-point equation by a
+    Jacobian-free Newton-Krylov method, one xi at a time; it is needed when
+    |xi| is large enough that the backward center orbit grows and the plain
+    iteration expands, starts from a saturated backward-flow guess, and
+    records a failed solve, or a solution whose distance is not below
+    2 fp_tol, as a NewtonConvergenceError.
     """
     beta = -sys.As
     if beta <= 0:
@@ -401,9 +401,8 @@ def _picard(sweep: _Sweep) -> list[LPResult]:
     """Plain sweeps for every xi at once, each xi stopping on its own."""
     lp = sweep.lp
     state = sweep.zero_state()
-    status = [dict(iterations=0, distances=[], rates=[], converged=False,
-                   norm_breach=False, error=None) for _ in sweep.xi]
-    running = np.arange(len(status))
+    results = [LPResult(state=st) for st in state]
+    running = np.arange(len(results))
     for it in range(1, lp.max_iters + 1):
         if not len(running):
             break
@@ -412,24 +411,30 @@ def _picard(sweep: _Sweep) -> list[LPResult]:
         state[running] = new
         still = []
         for k, b, d in zip(running, breach, dist):
-            st = status[k]
-            distances, rates = st["distances"], st["rates"]
-            st["iterations"] = it
-            st["norm_breach"] = st["norm_breach"] or bool(b)
-            distances.append(d)
+            res = results[k]
+            res.iterations = it
+            res.norm_breach = res.norm_breach or bool(b)
+            res.distances.append(d)
             if not np.isfinite(d):
+                res.error = NonConvergenceError(
+                    f"not converged: fixed-point distance {d} is not finite at "
+                    f"iteration {it}")
                 continue
-            if len(distances) > 1 and distances[-2] > 0:
-                rates.append(d / distances[-2])
-                if len(rates) >= 5 and all(r >= 1.0 for r in rates[-5:]):
-                    st["error"] = NonContractionError(it, rates[-1])
+            if len(res.distances) > 1 and res.distances[-2] > 0:
+                res.rates.append(d / res.distances[-2])
+                if len(res.rates) >= 5 and all(r >= 1.0 for r in res.rates[-5:]):
+                    res.error = NonContractionError(it, res.rates[-1])
                     continue
-            if d < lp.fp_tol:
-                st["converged"] = True
-                continue
-            still.append(k)
+            if d >= lp.fp_tol:
+                still.append(k)
         running = np.array(still, dtype=int)
-    return [sweep.result(state[k], **st) for k, st in enumerate(status)]
+    for res in (results[k] for k in running):
+        res.error = NonConvergenceError(
+            f"not converged: fixed-point distance {res.distances[-1]:.3g} after "
+            f"{res.iterations} iteration(s) (max_iters = {lp.max_iters})")
+    for res in results:
+        res.hc = float(sweep.values(res.state)[-1, 1, -1])
+    return results
 
 
 def _newton(sweep: _Sweep, k: int) -> LPResult:
@@ -454,22 +459,23 @@ def _newton(sweep: _Sweep, k: int) -> LPResult:
             f"Newton-Krylov solve did not converge in {lp.max_iters} "
             "iterations; raise max_iters or shrink |xi|")
         error.__cause__ = exc
-        return LPResult(hc=math.nan, state=None, iterations=lp.max_iters,
-                        distances=[], rates=[], converged=False,
-                        norm_breach=False, error=error)
+        return LPResult(iterations=lp.max_iters, error=error)
     state = u.reshape(1, N, -1)
     new_state, breach = sweep.apply(state, [k])
     dist = sweep.distance(new_state, state)[0]
-    return sweep.result(new_state[0], iterations=1, distances=[dist], rates=[],
-                        converged=bool(dist < 2 * lp.fp_tol),
-                        norm_breach=bool(breach[0]))
+    error = None if dist < 2 * lp.fp_tol else NewtonConvergenceError(
+        f"Newton-Krylov solution has fixed-point distance {dist:.3g}, not below "
+        f"2 fp_tol = {2 * lp.fp_tol:.3g}")
+    return LPResult(hc=float(sweep.values(new_state)[0, -1, 1, -1]),
+                    state=new_state[0], iterations=1, distances=[dist],
+                    norm_breach=bool(breach[0]), error=error)
 
 
 def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
                        lp: LPConfig, solver: str = "picard") -> LPResult:
     """The fixed point for one boundary value xi: `lyapunov_perron_sweep`
-    of [xi], which raises the error the sweep records (NonContractionError
-    or NewtonConvergenceError)."""
+    of [xi], which raises the error the sweep records for a xi that did not
+    converge."""
     res, = lyapunov_perron_sweep(sys, [xi], rp, lp, solver)
     if res.error is not None:
         raise res.error

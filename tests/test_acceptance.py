@@ -300,7 +300,7 @@ def test_truncation_remainder_bound(spec_nonlinear):
     nsys = spec_nonlinear.numeric()
     l = 2
     lead = NumericSystem(
-        gamma=nsys.gamma, q=nsys.q, d=nsys.d, Ac=nsys.Ac, As=nsys.As,
+        gamma=nsys.gamma, d=nsys.d, Ac=nsys.Ac, As=nsys.As,
         Fc=nsys.Fc.leading(l), Fs=nsys.Fs.leading(l),
         Gc=[g.leading(l) for g in nsys.Gc],
         Gs=[g.leading(l) for g in nsys.Gs])

@@ -263,17 +263,44 @@ class TestVerify:
         assert all(math.isfinite(h) for h in row["hc_values"][1:])
         assert math.isfinite(row["order_slope"])
 
+    def test_nan_distance_reported(self, runner, tmp_path, monkeypatch):
+        # a nan planted in the largest xi's first sweep stops that xi alone,
+        # reported as a distance that is not finite, not as out of sweeps
+        real = roughcm.manifold._Sweep.apply
+
+        def planted(sweep, state, rows=slice(None)):
+            new, breach = real(sweep, state, rows)
+            new[numpy.asarray(rows) == 0, -1, 0] = numpy.nan
+            return new, breach
+
+        monkeypatch.setattr(roughcm.manifold._Sweep, "apply", planted)
+        result = self.run_small(runner, tmp_path)
+        assert result.exit_code == 1, result.output
+        row = json.loads((tmp_path / "verify_report.json").read_text()
+                         )["per_seed"][0]
+        assert [f["xi"] for f in row["failures"]] == [0.1]
+        error = row["failures"][0]["error"]
+        assert "nan is not finite at iteration 1" in error
+        assert "max_iters" not in error
+        assert math.isnan(row["hc_values"][0])
+        assert all(math.isfinite(h) for h in row["hc_values"][1:])
+
     @pytest.mark.parametrize("solver", ["picard", "newton"])
-    def test_one_block_split_per_seed(self, runner, tmp_path, monkeypatch, solver):
-        # h^app and every xi's LP solve share the seed's unit blocks
-        real = roughcm.manifold._Blocks.__init__
-        calls = []
-        monkeypatch.setattr(roughcm.manifold._Blocks, "__init__",
-                            lambda self, rp, N: calls.append(N) or real(self, rp, N))
+    def test_lp_reads_the_rough_path(self, runner, tmp_path, monkeypatch, solver):
+        # h^app and the LP solve of each seed get that seed's rough path
+        # itself, which they split into unit blocks on their own
+        paths = {"happ": [], "lp": []}
+        happ, sweep = cli.leading_order_happ, cli.lyapunov_perron_sweep
+        monkeypatch.setattr(cli, "leading_order_happ", lambda nsys, l, xis, rp: (
+            paths["happ"].append(rp) or happ(nsys, l, xis, rp)))
+        monkeypatch.setattr(cli, "lyapunov_perron_sweep", lambda nsys, xis, rp, lp, solver: (
+            paths["lp"].append(rp) or sweep(nsys, xis, rp, lp, solver=solver)))
         result = self.run_small(runner, tmp_path, "--seeds", "2",
                                 "--xi-points", "5", "--solver", solver)
         assert result.exit_code == 0, result.output
-        assert calls == [6, 6]    # one split of the window per seed
+        assert len(paths["happ"]) == len(paths["lp"]) == 2
+        for a, b in zip(paths["happ"], paths["lp"]):
+            assert type(a) is roughcm.RoughPath and a is b
 
     def test_one_numeric_form_per_run(self, runner, tmp_path, monkeypatch):
         # the coefficient system becomes floats once, not once per seed

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import roughcm.manifold
 from oracles import block_path, constant_path, cutoff_scale
 from roughcm import (Grid, LPConfig, ManifoldApproximation,
-                     NewtonConvergenceError, NonContractionError, NumericField,
+                     NewtonConvergenceError, NonContractionError,
+                     NonConvergenceError, NumericField,
                      convolve_diffusion, convolve_drift, derive_system,
                      evaluate_phi, leading_order_happ, lift_brownian,
                      load_system, lyapunov_perron_hc, lyapunov_perron_sweep,
@@ -166,10 +168,10 @@ class TestLyapunovPerron:
             leading_order_happ(nsys, 2, [0.05, 0.01], rp)
 
     def test_window_checked(self, sys_linear):
-        # a path split into 4 unit blocks does not serve a window of 6
-        blocks = _Blocks(lift_brownian(0, Grid(-4.0, 0.0, 4 * 16)), 4)
+        # a path over 4 unit blocks does not serve a window of 6
+        rp = lift_brownian(0, Grid(-4.0, 0.0, 4 * 16))
         with pytest.raises(ValueError, match="whole unit blocks"):
-            lyapunov_perron_sweep(sys_linear, [0.05], blocks,
+            lyapunov_perron_sweep(sys_linear, [0.05], rp,
                                   LPConfig(eta=-0.5, window=6))
 
     def test_eta_range_enforced(self, window, sys_linear):
@@ -351,9 +353,12 @@ class TestNormBounds:
 
         monkeypatch.setattr(_Sweep, "apply", planted)
         lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-12)
-        res = lyapunov_perron_hc(sys_linear, 0.05, window, lp)
-        assert not res.converged
+        res, = lyapunov_perron_sweep(sys_linear, [0.05], window, lp)
+        assert not res.converged and isinstance(res.error, NonConvergenceError)
         assert res.iterations == 3 and not np.isfinite(res.distances[-1])
+        sweeps.clear()
+        with pytest.raises(NonConvergenceError, match="nan is not finite at iteration 3"):
+            lyapunov_perron_hc(sys_linear, 0.05, window, lp)
 
     @pytest.mark.parametrize("name", ["chekroun_linear", "chekroun_nonlinear"])
     def test_few_exact_norms_per_sweep(self, name, monkeypatch):
@@ -556,20 +561,21 @@ class TestBatchedSweep:
         for xi, res in zip(xis, lyapunov_perron_sweep(nsys, xis, rp, lp)):
             try:
                 solo = lyapunov_perron_hc(nsys, xi, rp, lp)
-            except NonContractionError as exc:
-                assert isinstance(res.error, NonContractionError), xi
+            except (NonContractionError, NonConvergenceError) as exc:
+                assert type(res.error) is type(exc), xi
                 assert str(res.error) == str(exc), xi
-                seen.add("non-contracting")
+                seen.add("non-contracting" if isinstance(exc, NonContractionError)
+                         else "out of sweeps")
                 continue
             assert res.error is None, xi
             assert res.hc == solo.hc, xi
             assert res.iterations == solo.iterations, xi
             assert res.distances == solo.distances, xi
             assert res.rates == solo.rates, xi
-            assert res.converged == solo.converged, xi
+            assert res.converged and solo.converged, xi
             assert res.norm_breach == solo.norm_breach, xi
             assert np.array_equal(res.state, solo.state), xi
-            seen.add("converged" if res.converged else "out of sweeps")
+            seen.add("converged")
             if res.norm_breach:
                 seen.add("cutoff")
         assert seen >= {"non-contracting", "converged", "out of sweeps"}
@@ -588,9 +594,50 @@ class TestBatchedSweep:
     def test_happ_over_xi_matches_scalar(self, sys_nonlinear):
         rp = lift_brownian(4, Grid(-6.0, 0.0, 6 * 32), gamma=0.45)
         xis = np.array([0.1, 0.05, 0.0125, 0.0])
-        batch = leading_order_happ(sys_nonlinear, 2, xis, _Blocks(rp, 6))
+        batch = leading_order_happ(sys_nonlinear, 2, xis, rp)
         assert batch.tolist() == [leading_order_happ(sys_nonlinear, 2, xi, rp)
                                   for xi in xis]
+
+
+class TestOutcome:
+    """Every way a xi can end unconverged leaves `converged` False, names
+    the cause in `error`, and makes lyapunov_perron_hc raise that error."""
+
+    # on this path, cutoff 2 and 12 sweeps: the sextic runs out of sweeps at
+    # xi = 0.2, stops contracting at 1.0 and converges at 0.05
+    @pytest.mark.parametrize("case, xi, solver, error, match", [
+        ("out of sweeps", 0.2, "picard", NonConvergenceError,
+         r"after 12 iteration\(s\) \(max_iters = 12\)"),
+        ("nan", 0.05, "picard", NonConvergenceError, "nan is not finite"),
+        ("non-contraction", 1.0, "picard", NonContractionError, "stopped contracting"),
+        ("newton-krylov", 0.05, "newton", NewtonConvergenceError, "did not converge"),
+        ("newton final distance", 0.05, "newton", NewtonConvergenceError,
+         "not below 2 fp_tol")],
+        ids=["out-of-sweeps", "nan", "non-contraction", "newton-krylov",
+             "newton-final-distance"])
+    def test_unconverged_xi_named(self, sys_nonlinear, monkeypatch, case, xi,
+                                  solver, error, match):
+        rp = lift_brownian(2, Grid(-6.0, 0.0, 6 * 32), gamma=sys_nonlinear.gamma)
+        lp = LPConfig(eta=-0.5, window=6, cutoff_R=2.0, fp_tol=1e-10,
+                      max_iters=1 if case == "newton-krylov" else 12)
+        if case == "nan":
+            real = _Sweep.apply
+
+            def planted(self, state, rows=slice(None)):
+                new, breach = real(self, state, rows)
+                new[:, -1, 0] = np.nan
+                return new, breach
+
+            monkeypatch.setattr(_Sweep, "apply", planted)
+        if case == "newton final distance":
+            # a solve that returns its start, the backward-flow guess
+            monkeypatch.setattr("scipy.optimize.newton_krylov",
+                                lambda residual, u0, **kwargs: u0)
+        res, = lyapunov_perron_sweep(sys_nonlinear, [xi], rp, lp, solver=solver)
+        assert res.converged is False
+        assert type(res.error) is error and re.search(match, str(res.error))
+        with pytest.raises(error, match=match):
+            lyapunov_perron_hc(sys_nonlinear, xi, rp, lp, solver=solver)
 
 
 class TestOrderFit:
