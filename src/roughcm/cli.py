@@ -1,12 +1,10 @@
 """Command-line front end: derive coefficient systems and verify order laws."""
 from __future__ import annotations
 
-import csv
-import hashlib
 import json
 import os
+import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,6 +113,8 @@ def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
 def _provenance(spec_file, q: int) -> dict:
     """What a report depends on besides its arguments: the spec file's
     bytes, the expansion order and the versions of the numerical code."""
+    import hashlib
+
     import scipy    # only for its version: no solver of a Picard run needs it
     return {"spec_sha256": hashlib.sha256(Path(spec_file).read_bytes()).hexdigest(),
             "q": q, "roughcm": __version__, "numpy": np.__version__,
@@ -188,6 +188,7 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
         grid=grid, lp=lp, xis=tuple(xis), solver=solver)
     workers = int(threads)
     if workers > 1 and seeds > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_verify_seed, [plan] * seeds, range(seeds)))
     else:
@@ -195,7 +196,8 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
     rows.sort(key=lambda r: r["seed"])
 
     slopes = [r["order_slope"] for r in rows if np.isfinite(r["order_slope"])]
-    median_slope = float(np.median(slopes)) if slopes else float("nan")
+    # statistics, not np.median, whose first call imports numpy.ma
+    median_slope = float(statistics.median(slopes)) if slopes else float("nan")
     report = {"spec": str(spec_file), "provenance": _provenance(spec_file, cs.q),
               "q": cs.q, "window": window, "grid_n": grid_n, "eta": eta,
               "cutoff_r": cutoff_r, "solver": solver, "median_slope": median_slope,
@@ -204,6 +206,7 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
     out.mkdir(parents=True, exist_ok=True)
     (out / "verify_report.json").write_text(json.dumps(report, indent=2))
     if fmt == "csv":
+        import csv
         with open(out / "verify_data.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["seed", "xi", "phi", "hc", "happ",

@@ -165,7 +165,13 @@ class LPConfig:
 @dataclass
 class LPResult:
     """How the solve of one xi ended: converged exactly when `error` is None,
-    else `error` is a NonConvergence-, NonContraction- or NewtonConvergenceError."""
+    else `error` is a NonConvergence-, NonContraction- or NewtonConvergenceError.
+
+    `distances` holds a certified upper bound on each step's distance, the
+    exact distance where a test needed it, and the last two are exact.
+    `rates` holds a certified upper bound on each contraction rate where
+    that is below 1, the exact rate otherwise, and the last one is exact.
+    """
     hc: float = math.nan
     state: np.ndarray | None = None    # the xi's (N, .) state; None if Newton failed
     iterations: int = 0
@@ -268,13 +274,14 @@ class _Sweep:
             out[c:c + step] = D2GNorm(*d2g_terms(Y, Yp, self.dW[i], self.pairs)).total
         return out
 
-    def norm_bounds(self, state: np.ndarray) -> np.ndarray:
-        """Upper bounds U[k, i] >= the exact norm of block i of state[k].
+    def norm_bounds(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds L[k, i] <= the exact norm of block i of state[k] <= U[k, i].
 
-        O(N nu) against the O(N nu^2) exact norms: the sup terms are exact,
-        and a pair of nodes k cells apart gets the gap bounds of
-        `_gap_bounds` for Y, Y' and W, with |R| <= |dY| + sup|Y'| |dW|.  The
-        relative margin covers the rounding of both computations.
+        O(N nu) against the O(N nu^2) exact norms: L is the two sup terms,
+        which are exact, and U adds to them the Hölder terms with a pair of
+        nodes k cells apart given the gap bounds of `_gap_bounds` for Y, Y'
+        and W, and |R| <= |dY| + sup|Y'| |dW|.  The relative margins cover
+        the rounding of both computations.
         """
         Y = np.swapaxes(self.values(state), -1, -2)
         Yp = np.moveaxis(self.derivs(state), -3, -2)
@@ -283,14 +290,15 @@ class _Sweep:
         holder_Yp = np.max(gap_Yp / self.dt_g, axis=-1)
         holder_R = np.max((gap_Y + sup_Yp[..., None] * self.gap_W) / self.dt_2g,
                           axis=-1)
-        return (sup_Y + sup_Yp + holder_Yp + holder_R) * (1.0 + 1e-9)
+        sup = sup_Y + sup_Yp
+        return sup * (1.0 - 1e-9), (sup + holder_Yp + holder_R) * (1.0 + 1e-9)
 
     def cutoff_factors(self, state: np.ndarray) -> np.ndarray:
         """The cutoff factor smoothstep(norm / R) of every block of every xi.
         The ramp is exactly 1 up to R/2, so only blocks whose norm bound
         exceeds R/2 (or is nan) need their exact norm."""
         R = self.lp.cutoff_R
-        U = self.norm_bounds(state)
+        _, U = self.norm_bounds(state)
         s = np.ones(U.shape)
         k, i = np.nonzero(~(U / R <= 0.5))
         s[k, i] = [smoothstep(float(n) / R) for n in self.exact_norms(state, k, i)]
@@ -328,23 +336,31 @@ class _Sweep:
 
     def distance(self, state_a: np.ndarray, state_b: np.ndarray) -> np.ndarray:
         """Window-truncated exponentially weighted distance of sequences,
-        per xi.
-
-        The max over blocks of weighted exact norms, to the bit, in two
-        stacked evaluations: the block with the largest weighted bound of
-        each xi, then every other block whose bound exceeds that exact value.
+        per xi: the max over blocks of weighted exact norms, to the bit.
         nan for a xi with a bound that is not finite.
         """
         diff = state_a - state_b
-        bounds = self.weights * self.norm_bounds(diff)
+        bounds = self.weights * self.norm_bounds(diff)[1]
         out = np.full(len(diff), np.nan)
         rows = np.flatnonzero(np.all(np.isfinite(bounds), axis=1))
-        top = np.argmax(bounds[rows], axis=1)
-        out[rows] = self.weights[top] * self.exact_norms(diff, rows, top)
-        more = bounds[rows] > out[rows, None]
-        more[np.arange(len(rows)), top] = False
+        out[rows] = self.exact_distances(diff[rows], bounds[rows])
+        return out
+
+    def exact_distances(self, diff: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """The weighted distance max_i weights[i] |diff[k, i]| of each row k,
+        exact, given finite bounds[k, i] >= weights[i] |diff[k, i]|.
+
+        Two stacked evaluations: the block with the largest bound of each
+        row, then every other block whose bound exceeds that exact value;
+        no block left out can hold the maximum.
+        """
+        rows = np.arange(len(diff))
+        top = np.argmax(bounds, axis=1)
+        out = self.weights[top] * self.exact_norms(diff, rows, top)
+        more = bounds > out[:, None]
+        more[rows, top] = False
         k, i = np.nonzero(more)
-        np.maximum.at(out, rows[k], self.weights[i] * self.exact_norms(diff, rows[k], i))
+        np.maximum.at(out, k, self.weights[i] * self.exact_norms(diff, k, i))
         return out
 
 
@@ -398,34 +414,88 @@ def lyapunov_perron_sweep(sys: NumericSystem, xis, rp: RoughPath, lp: LPConfig,
 
 
 def _picard(sweep: _Sweep) -> list[LPResult]:
-    """Plain sweeps for every xi at once, each xi stopping on its own."""
-    lp = sweep.lp
+    """Plain sweeps for every xi at once, each xi stopping on its own.
+
+    A sweep's bound pass gives each running xi bounds L <= d <= U on the
+    distance d of its step, and each test is decided on them where they
+    suffice: U < fp_tol stops, L >= fp_tol goes on, and U over the previous
+    step's lower bound, when below 1, bounds the contraction rate.  The
+    exact d is taken, in one stacked evaluation per sweep, where they do
+    not, and for the last two steps of a xi that may stop.  So every
+    decision is that of the exact distances, and each xi's last two
+    distances and last rate are exact; the others are upper bounds.
+    """
+    lp, tol = sweep.lp, sweep.lp.fp_tol
     state = sweep.zero_state()
     results = [LPResult(state=st) for st in state]
+    # per xi, its steps n, n-1 and n-2 in slots n % 3: the state difference
+    # and weighted block bounds, in buffers made once (keeping each sweep's
+    # own arrays instead made the heap re-fault its pages every sweep), and
+    # L and the exact d, None until taken
+    diffs = np.zeros((3,) + state.shape)
+    bounds = np.zeros((3,) + state.shape[:2])
+    lower = [[0.0] * len(state) for _ in range(3)]
+    exact = [[None] * len(state) for _ in range(3)]
     running = np.arange(len(results))
     for it in range(1, lp.max_iters + 1):
         if not len(running):
             break
-        new, breach = sweep.apply(state[running], running)
-        dist = sweep.distance(new, state[running])
+        now, prev, prev2 = it % 3, (it - 1) % 3, (it - 2) % 3
+        old = state[running]
+        new, breach = sweep.apply(old, running)
+        diffs[now, running] = new - old
         state[running] = new
+        L, U = sweep.norm_bounds(diffs[now, running])
+        U *= sweep.weights
+        bounds[now, running] = U
+        lows = np.max(sweep.weights * L, axis=1).tolist()
+        ups = [u if math.isfinite(u) else math.nan for u in np.max(U, axis=1).tolist()]
+        rate_bounds, todo = [], []
+        for k, low, up in zip(running.tolist(), lows, ups):
+            lower[now][k], exact[now][k] = low, None
+            rate = None
+            if it > 1 and not math.isnan(up):
+                # the xi went on from a step with d >= fp_tol > 0
+                known = exact[prev][k]
+                rate = up / (lower[prev][k] if known is None else known)
+                rate = rate if rate < 1.0 else None
+            rate_bounds.append(rate)
+            # the exact d of this step where the bounds leave a test open
+            # or the xi may stop, and of the last step too for the exact
+            # rate; of the two steps before a non-finite one for its last rate
+            if math.isnan(up):
+                todo += [(prev, k)] * (it > 1) + [(prev2, k)] * (it > 2)
+            elif it == lp.max_iters or low < tol or (it > 1 and rate is None):
+                todo += [(now, k)] + [(prev, k)] * (it > 1)
+        todo = [(s, k) for s, k in todo if exact[s][k] is None]
+        if todo:
+            slot, rows = np.array(todo).T
+            for (s, k), d in zip(todo, sweep.exact_distances(diffs[slot, rows],
+                                                             bounds[slot, rows])):
+                exact[s][k] = d
         still = []
-        for k, b, d in zip(running, breach, dist):
+        for k, b, up, rate in zip(running.tolist(), breach.tolist(), ups, rate_bounds):
             res = results[k]
             res.iterations = it
-            res.norm_breach = res.norm_breach or bool(b)
+            res.norm_breach = res.norm_breach or b
+            if it > 1 and exact[prev][k] is not None:
+                res.distances[-1] = exact[prev][k]
+            # U only where it decided the stop, so d >= fp_tol is the test
+            d = up if exact[now][k] is None else exact[now][k]
             res.distances.append(d)
-            if not np.isfinite(d):
+            if math.isnan(d):
+                if it > 2:
+                    res.rates[-1] = exact[prev][k] / exact[prev2][k]
                 res.error = NonConvergenceError(
                     f"not converged: fixed-point distance {d} is not finite at "
                     f"iteration {it}")
                 continue
-            if len(res.distances) > 1 and res.distances[-2] > 0:
-                res.rates.append(d / res.distances[-2])
+            if it > 1:
+                res.rates.append(rate if exact[now][k] is None else d / exact[prev][k])
                 if len(res.rates) >= 5 and all(r >= 1.0 for r in res.rates[-5:]):
                     res.error = NonContractionError(it, res.rates[-1])
                     continue
-            if d >= lp.fp_tol:
+            if d >= tol:
                 still.append(k)
         running = np.array(still, dtype=int)
     for res in (results[k] for k in running):

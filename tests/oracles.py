@@ -3,13 +3,15 @@ constant and self-controlled paths, the explicit level-2 RDE scheme, smooth
 lifts, the cutoff factor of one block, the stationary Ornstein-Uhlenbeck
 process, the random-fixed-point defect of a coefficient path, the fBm lift
 on a dense covariance, the D^{2 gamma} terms on gathered (pairs, m, d)
-arrays and the scalar-rate convolution loops."""
+arrays, the scalar-rate convolution loops and the Picard iteration on exact
+distances."""
 import numpy as np
 
 from roughcm import (ControlledPath, Grid, RoughPath, cell_terms, coarsen,
                      convolve_diffusion, norm_d2g, restrict, semigroup_step,
                      smoothstep, solve_affine)
 from roughcm.gubinelli import _nodes_first
+from roughcm.manifold import LPResult, NonContractionError, NonConvergenceError
 from roughcm.roughpath import _piecewise_linear_lift
 from roughcm.stationary import StationaryPath
 
@@ -198,3 +200,45 @@ def loop_convolve_diffusion(A, Y: np.ndarray, Yp: np.ndarray, ref) -> np.ndarray
     for k in range(ref.grid.n):
         out[k + 1] = E * (out[k] + terms[k])
     return np.moveaxis(out, 0, -1).reshape(Y.shape[:-2] + (-1,))
+
+
+def exact_picard(sweep) -> list:
+    """The Picard iteration of `lyapunov_perron_sweep` on an LP sweep, with
+    the exact distance of every step: each step's tests are decided on it,
+    and every distance and rate recorded is exact."""
+    lp = sweep.lp
+    state = sweep.zero_state()
+    results = [LPResult(state=st) for st in state]
+    running = np.arange(len(results))
+    for it in range(1, lp.max_iters + 1):
+        if not len(running):
+            break
+        new, breach = sweep.apply(state[running], running)
+        dist = sweep.distance(new, state[running])
+        state[running] = new
+        still = []
+        for k, b, d in zip(running, breach, dist):
+            res = results[k]
+            res.iterations = it
+            res.norm_breach = res.norm_breach or bool(b)
+            res.distances.append(d)
+            if not np.isfinite(d):
+                res.error = NonConvergenceError(
+                    f"not converged: fixed-point distance {d} is not finite at "
+                    f"iteration {it}")
+                continue
+            if len(res.distances) > 1 and res.distances[-2] > 0:
+                res.rates.append(d / res.distances[-2])
+                if len(res.rates) >= 5 and all(r >= 1.0 for r in res.rates[-5:]):
+                    res.error = NonContractionError(it, res.rates[-1])
+                    continue
+            if d >= lp.fp_tol:
+                still.append(k)
+        running = np.array(still, dtype=int)
+    for res in (results[k] for k in running):
+        res.error = NonConvergenceError(
+            f"not converged: fixed-point distance {res.distances[-1]:.3g} after "
+            f"{res.iterations} iteration(s) (max_iters = {lp.max_iters})")
+    for res in results:
+        res.hc = float(sweep.values(res.state)[-1, 1, -1])
+    return results

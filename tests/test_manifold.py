@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import roughcm.manifold
-from oracles import block_path, constant_path, cutoff_scale
+from oracles import block_path, constant_path, cutoff_scale, exact_picard
 from roughcm import (Grid, LPConfig, ManifoldApproximation,
                      NewtonConvergenceError, NonContractionError,
                      NonConvergenceError, NumericField,
@@ -261,9 +261,22 @@ class TestNormBounds:
 
     def test_bound_dominates_exact_norm(self, sweep):
         for name, state in _random_states(sweep, np.random.default_rng(11)):
-            U = sweep.norm_bounds(state)[0]
+            U = sweep.norm_bounds(state)[1][0]
             exact = [norm_d2g(block_path(sweep, state[0], i)).total for i in range(sweep.N)]
             assert np.all(U >= exact), name
+
+    def test_lower_bound_below_exact_norm(self, sweep):
+        states = _random_states(sweep, np.random.default_rng(11))
+        spiked = states[1][1].copy()
+        spiked[0, sweep.N - 2, 3] = np.nan
+        for name, state in states + [("nan-spike", spiked)]:
+            L = sweep.norm_bounds(state)[0][0]
+            exact = np.array([norm_d2g(block_path(sweep, state[0], i)).total
+                              for i in range(sweep.N)])
+            finite = np.isfinite(exact)
+            assert finite.all() == (name != "nan-spike"), name
+            assert np.array_equal(np.isfinite(L), finite), name
+            assert np.all(L[finite] <= exact[finite]), name
 
     def test_pruned_distance_is_exact_max(self, sweep):
         rng = np.random.default_rng(12)
@@ -282,7 +295,7 @@ class TestNormBounds:
         R = sw.lp.cutoff_R
         rng = np.random.default_rng(13)
         for name, state in _random_states(sw, rng)[1:]:
-            U = sw.norm_bounds(state)[0]
+            U = sw.norm_bounds(state)[1][0]
             blocks = np.flatnonzero(U)
             for target in (0.3, 0.49, 0.5, 0.51, 0.7, 1.2):
                 scaled = state * (target * R / U[rng.choice(blocks)])
@@ -328,7 +341,7 @@ class TestNormBounds:
             dist = sw.distance(a, b)
             assert np.array_equal(dist, loop, equal_nan=True), trial
             a = b * (rng.uniform(0.3, 1.2, size=(3, 1, 1)) * R /
-                     np.max(sw.norm_bounds(b), axis=1)[:, None, None])
+                     np.max(sw.norm_bounds(b)[1], axis=1)[:, None, None])
             factors = sw.cutoff_factors(a)
             assert factors.tolist() == [[cutoff_scale(block_path(sw, a[k], i), R)
                                          for i in range(N)] for k in range(3)]
@@ -362,7 +375,9 @@ class TestNormBounds:
 
     @pytest.mark.parametrize("name", ["chekroun_linear", "chekroun_nonlinear"])
     def test_few_exact_norms_per_sweep(self, name, monkeypatch):
-        # exact norms for every block would be 2N = 24 per sweep
+        # exact norms for every block would be 2N = 24 per sweep; the
+        # distances are decided on bounds but for the last two steps, so
+        # the count does not grow with the iterations
         spec = load_system(EXAMPLES / f"{name}.json")
         rp = lift_brownian(1, Grid(-12.0, 0.0, 12 * 64), gamma=spec.gamma)
         lp = LPConfig(eta=-0.5, window=12, cutoff_R=0.5, fp_tol=1e-8)
@@ -375,7 +390,7 @@ class TestNormBounds:
         monkeypatch.setattr(roughcm.manifold, "d2g_terms", counted)
         res = lyapunov_perron_hc(spec.numeric(), 0.05, rp, lp)
         assert res.converged and calls
-        assert len(calls) <= lp.window // 2 * res.iterations
+        assert len(calls) <= 2 * lp.window
 
 
 def _apply_by_block(sw, rp, state):
@@ -436,6 +451,71 @@ TWO_CHANNEL = {
     "Gs": [[{"i": 0, "j": 3, "c": 1}], [{"i": 3, "j": 0, "c": "1/2"}]]}
 
 
+class TestCertifiedStopping:
+    """The Picard solve decides each step's tests on distance bounds where
+    they suffice, and on exact distances elsewhere: every outcome, and each
+    xi's last two distances and last rate, are those of the iteration on
+    exact distances, and every recorded distance and rate bounds the exact
+    one from above."""
+
+    # (spec, path seed, window, cells per unit, xis, cutoff R, max_iters,
+    # sweep that plants a NaN in its first row, outcomes): the sextic's
+    # sweep; the two-channel spec, where 0.5 and 0.2 run out of sweeps and
+    # 0.3 stops contracting; the quartic at R = 1, where 0.19 converges
+    # slowly, 0.2 stops contracting at sweep 31 and 0.3 runs out of sweeps
+    # at 200; and the sextic with a NaN planted in 0.1 at sweep 4
+    @pytest.mark.parametrize("case", [
+        (EXAMPLES / "chekroun_nonlinear.json", 0, 12, 64, (0.1, 0.05, 0.025, 0.0125),
+         0.5, 200, None, {None}),
+        (TWO_CHANNEL, 2, 6, 32, (0.5, 0.3, 0.2, 0.1, 0.05, 0.0125), 2.0, 20, None,
+         {None, NonContractionError, NonConvergenceError}),
+        (EXAMPLES / "chekroun_linear.json", 0, 12, 64, (0.0125, 0.1, 0.19, 0.2, 0.3),
+         1.0, 200, None, {None, NonContractionError, NonConvergenceError}),
+        (EXAMPLES / "chekroun_nonlinear.json", 1, 6, 32, (0.1, 0.05, 0.0125),
+         0.5, 200, 4, {None, NonConvergenceError}),
+    ], ids=["sextic", "two-channel-d2", "quartic-R1", "planted-nan"])
+    def test_matches_exact_iteration(self, case, monkeypatch):
+        spec, seed, window, nu, xis, R, max_iters, nan_at, outcomes = case
+        nsys = load_system(spec).numeric()
+        rp = lift_brownian(seed, Grid(-float(window), 0.0, window * nu), d=nsys.d,
+                           gamma=nsys.gamma)
+        lp = LPConfig(eta=0.5 * nsys.As, window=window, cutoff_R=R, fp_tol=1e-10,
+                      max_iters=max_iters)
+        if nan_at:
+            real = _Sweep.apply
+
+            def planted(self, state, rows=slice(None)):
+                new, breach = real(self, state, rows)
+                self.sweeps_done = getattr(self, "sweeps_done", 0) + 1
+                if self.sweeps_done == nan_at:
+                    new[0, self.N - 2, 5] = np.nan
+                return new, breach
+
+            monkeypatch.setattr(_Sweep, "apply", planted)
+        seen, bounded = set(), 0
+        for xi, res, ref in zip(xis, lyapunov_perron_sweep(nsys, xis, rp, lp),
+                                exact_picard(_Sweep(nsys, xis, rp, lp))):
+            assert np.array_equal([res.hc], [ref.hc], equal_nan=True), xi
+            assert np.array_equal(res.state, ref.state, equal_nan=True), xi
+            assert res.iterations == ref.iterations, xi
+            assert res.norm_breach == ref.norm_breach, xi
+            assert type(res.error) is type(ref.error), xi
+            assert str(res.error) == str(ref.error), xi
+            seen.add(type(res.error) if res.error else None)
+            got, want = np.array(res.distances), np.array(ref.distances)
+            assert len(got) == len(want) and len(res.rates) == len(ref.rates), xi
+            assert np.array_equal(got[-2:], want[-2:], equal_nan=True), xi
+            assert np.all(got[:-1] >= want[:-1]), xi
+            bounded += np.sum(got[:-1] > want[:-1])
+            assert res.rates[-1:] == ref.rates[-1:], xi
+            got, want = np.array(res.rates), np.array(ref.rates)
+            assert np.all(got >= want), xi
+            assert np.array_equal(got >= 1, want >= 1), xi
+            assert np.array_equal(got[got >= 1], want[got >= 1]), xi
+        assert seen == outcomes
+        assert bounded
+
+
 class TestStackedBlocks:
     """The sweep and h^app over stacked blocks give the floats of a loop
     over the blocks, each convolved on its own."""
@@ -478,7 +558,7 @@ class TestStackedBlocks:
         R = sw.lp.cutoff_R
         rng = np.random.default_rng(15)
         for name, state in _random_states(sw, rng):
-            U = sw.norm_bounds(state)
+            U = sw.norm_bounds(state)[1]
             # the largest bound at 0.3 R (no cutoff) and at 1.5 R (some blocks cut)
             variants = [state] + [state * (t * R / np.max(U))
                                   for t in (0.3, 1.5) if np.any(U)]

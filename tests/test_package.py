@@ -1,5 +1,5 @@
 """Package-level guards: the benchmark's trace targets and gated values,
-and a cheap import."""
+a cheap import, and a verify run that imports only what it uses."""
 import importlib
 import importlib.util
 import os
@@ -38,6 +38,29 @@ def test_import_does_not_load_scipy():
          "import roughcm, sys; sys.exit('scipy' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr or "import roughcm loaded scipy"
+
+
+def test_verify_imports_only_what_it_uses(tmp_path):
+    # a serial run starts no process pool, and its median slope (of two
+    # seeds here) does not go through np.median, whose first call imports
+    # numpy.ma
+    script = ("import sys\n"
+              "from roughcm.cli import main\n"
+              "try:\n"
+              "    main(sys.argv[1:], standalone_mode=False)\n"
+              "finally:\n"
+              "    print(sorted({'numpy.ma', 'concurrent.futures.process'}"
+              " & set(sys.modules)))\n")
+    spec = SRC.parent / "examples" / "chekroun_linear.json"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, "verify", "--spec", str(spec), "--seeds", "2",
+         "--grid-n", "32", "--window", "6", "--xi-points", "4",
+         "--out-dir", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path, "RM_THREADS": "1"},
+        capture_output=True, text=True)
+    assert (tmp_path / "verify_report.json").exists(), result.stderr
+    assert result.stdout.splitlines()[-1] == "[]", result.stdout
 
 
 @pytest.mark.parametrize("name", ["order_law_picard", "order_law_newton",
