@@ -19,8 +19,7 @@ from .manifold import (LPConfig, LPResult, ManifoldApproximation,
                        lyapunov_perron_sweep, order_fit, smoothstep)
 from .rde import solve_affine
 from .roughpath import (CovarianceFactorizationError, Grid, RoughPath,
-                        coarsen, lift_brownian, lift_fbm, restrict, shift,
-                        unit_block, validate)
+                        coarsen, lift_brownian, lift_fbm, unit_block, validate)
 from .stationary import (HierarchyResult, NonStableOrderError,
                          StationaryPath, solve_hierarchy, stationary_affine)
 

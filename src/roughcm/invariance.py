@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -62,12 +63,25 @@ class PolyField:
                     f"{min_degree - 1} at the origin (term x^{i} y^{j})")
 
     @classmethod
-    def from_entries(cls, entries: list[dict]) -> "PolyField":
+    def from_entries(cls, entries: list[dict], name: str) -> "PolyField":
+        """The field of the term list `name` of a spec."""
         terms: dict[tuple[int, int], sp.Expr] = {}
         for e in entries:
-            key = (int(e["i"]), int(e["j"]))
+            key = tuple(_spec_int(e[k], f"{name} term {e}: exponent {k}", 0)
+                        for k in "ij")
             terms[key] = terms.get(key, sp.Integer(0)) + _parse_coeff(e["c"])
         return cls(terms)
+
+
+def _spec_int(value, name: str, minimum: int | None = None) -> int:
+    """An integer field of a spec: an int or an integral float such as 2.0,
+    not a bool or a fractional value, and at least `minimum` if given."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float)
+                                                    and value.is_integer())
+    if isinstance(value, bool) or not whole or (minimum is not None and value < minimum):
+        kind = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise FieldValidationError(f"{name} = {value!r} must be {kind}")
+    return int(value)
 
 
 def _parse_coeff(c) -> sp.Expr:
@@ -137,7 +151,7 @@ def load_system(path_or_dict) -> SystemSpec:
     else:
         with open(path_or_dict) as fh:
             doc = json.load(fh)
-    d = int(doc.get("noise_dim", 1))
+    d = _spec_int(doc.get("noise_dim", 1), "noise_dim")
     if d < 1:
         raise FieldValidationError(f"noise_dim = {d}: give at least one noise channel")
     gc_entries = doc.get("Gc", [[] for _ in range(d)])
@@ -149,14 +163,14 @@ def load_system(path_or_dict) -> SystemSpec:
                 "give one term list per noise channel")
     spec = SystemSpec(
         gamma=float(doc["gamma"]),
-        q=int(doc["q"]),
+        q=_spec_int(doc["q"], "q"),
         noise_dim=d,
         Ac=_parse_coeff(doc["Ac"]),
         As=_parse_coeff(doc["As"]),
-        Fc=PolyField.from_entries(doc.get("Fc", [])),
-        Fs=PolyField.from_entries(doc.get("Fs", [])),
-        Gc=[PolyField.from_entries(ch) for ch in gc_entries],
-        Gs=[PolyField.from_entries(ch) for ch in gs_entries],
+        Fc=PolyField.from_entries(doc.get("Fc", []), "Fc"),
+        Fs=PolyField.from_entries(doc.get("Fs", []), "Fs"),
+        Gc=[PolyField.from_entries(ch, f"Gc[{k}]") for k, ch in enumerate(gc_entries)],
+        Gs=[PolyField.from_entries(ch, f"Gs[{k}]") for k, ch in enumerate(gs_entries)],
         params={k: float(v) for k, v in doc.get("params", {}).items()},
         override=bool(doc.get("override", False)),
     )

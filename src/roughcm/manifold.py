@@ -18,7 +18,7 @@ import numpy as np
 from .controlled import D2GNorm, d2g_terms
 from .gubinelli import convolve_diffusion, convolve_drift
 from .invariance import NumericSystem
-from .roughpath import Grid, RoughPath, _is_integer, _pair_table
+from .roughpath import RoughPath, _is_integer, _pair_table, _unit_split
 
 __all__ = ["ManifoldApproximation", "LPConfig", "LPResult", "NonConvergenceError",
            "NonContractionError", "NewtonConvergenceError", "evaluate_phi",
@@ -90,7 +90,7 @@ def leading_order_happ(sys: NumericSystem, l: int, xi,
     """
     if sys.As >= 0:
         raise ValueError(f"stable block {sys.As} is not exponentially stable")
-    bl = _unit_blocks(rp, sys.d)
+    bl = _Blocks(rp, sys.d)
     Fl, Gl = sys.Fs.leading(l), [g.leading(l) for g in sys.Gs]
     x = np.exp(sys.Ac * bl.times) * np.asarray(xi, dtype=float)[..., None, None]
     gY = np.stack([g(x, 0.0) for g in Gl], axis=-1)
@@ -101,21 +101,22 @@ def leading_order_happ(sys: NumericSystem, l: int, xi,
 
 
 class _Blocks:
-    """The unit blocks [b, b+1], b = -N..-1, of a rough path on [-N, 0],
-    each on the unit `grid` of [0, 1]: W (re-based to vanish at the block's
-    first node), WW and the nodes' window `times` are stacked along a
-    leading block axis."""
+    """The unit blocks [b, b+1], b = -N..-1, of a rough path on [-N, 0]
+    with d channels, each on the unit `grid` of [0, 1]: W (re-based to
+    vanish at the block's first node), WW, the nodes' window `times` and
+    their indices `idx` in the path are stacked along a leading block axis.
+    N defaults to the length of the path's window."""
 
-    def __init__(self, rp: RoughPath, N: int):
-        if rp.grid.t0 != -float(N) or rp.grid.t1 != 0.0 or rp.grid.n % N:
+    def __init__(self, rp: RoughPath, d: int, N: int | None = None):
+        N = N or round(-rp.grid.t0)
+        if rp.grid.t0 != -float(N) or rp.grid.t1 != 0.0:
             raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
-        nu = rp.grid.n // N
-        self.grid = Grid(0.0, 1.0, nu)
+        self.grid, self.idx, self.W, self.WW = _unit_split(rp)
+        if rp.d != d:
+            raise ValueError(f"the rough path has {rp.d} channel(s) but the system "
+                             f"has {d} noise channel(s)")
         self.d, self.gamma = rp.d, rp.gamma
         self.times = np.arange(-N, 0)[:, None] + self.grid.nodes
-        idx = nu * np.arange(N)[:, None] + np.arange(nu + 1)    # shared boundary nodes
-        self.W = rp.W[idx] - rp.W[idx[:, :1]]
-        self.WW = rp.WW.reshape(N, nu, rp.d, rp.d)
 
     def convolve(self, A, f: np.ndarray, gY: np.ndarray, gYp: np.ndarray) -> np.ndarray:
         """Drift f and diffusion (gY, gYp) convolved over every block, with
@@ -127,16 +128,6 @@ class _Blocks:
         if np.any(noisy):
             return np.where(noisy, out + convolve_diffusion(A, gY, gYp, self), out)
         return out
-
-
-def _unit_blocks(rp: RoughPath, d: int, N: int | None = None) -> _Blocks:
-    """The unit blocks of rp, a rough path on [-N, 0], checked for d
-    channels; N defaults to the length of rp's window."""
-    bl = _Blocks(rp, N or round(-rp.grid.t0))
-    if bl.d != d:
-        raise ValueError(f"the rough path has {bl.d} channel(s) but the system "
-                         f"has {d} noise channel(s)")
-    return bl
 
 
 @dataclass
@@ -200,7 +191,7 @@ class _Sweep:
         self.xi = np.asarray(xis, dtype=float)
         self.lp = lp
         self.N = lp.window
-        self.blocks = _unit_blocks(rp, sys.d, self.N)
+        self.blocks = _Blocks(rp, sys.d, self.N)
         self.nu = self.blocks.grid.n
         self.d = self.blocks.d
         self.width = 2 * (self.nu + 1) * (1 + self.d)    # of one block's row
@@ -251,9 +242,7 @@ class _Sweep:
             y = -sys.Fs(x, 0.0) / sys.As
             x = xs[j - 1] = min(max(x - h * (sys.Ac * x + sys.Fc(x, y)), -cap), cap)
         ys = -sys.Fs(xs, 0.0) / sys.As
-        # adjacent blocks share their boundary node
-        idx = nu * np.arange(N)[:, None] + np.arange(nu + 1)
-        x, y = xs[idx], ys[idx]
+        x, y = xs[self.blocks.idx], ys[self.blocks.idx]
         state = np.zeros((N, self.width))
         V, D = self.values(state), self.derivs(state)
         V[:, 0], V[:, 1] = x, y
@@ -296,11 +285,14 @@ class _Sweep:
     def cutoff_factors(self, state: np.ndarray) -> np.ndarray:
         """The cutoff factor smoothstep(norm / R) of every block of every xi.
         The ramp is exactly 1 up to R/2, so only blocks whose norm bound
-        exceeds R/2 (or is nan) need their exact norm."""
+        exceeds R/2 (or is nan) need their exact norm, and the ramp is
+        exactly 0 from R on, so no block whose finite lower bound reaches R."""
         R = self.lp.cutoff_R
-        _, U = self.norm_bounds(state)
+        L, U = self.norm_bounds(state)
         s = np.ones(U.shape)
-        k, i = np.nonzero(~(U / R <= 0.5))
+        cut = (L >= R) & np.isfinite(L)
+        s[cut] = 0.0
+        k, i = np.nonzero(~(U / R <= 0.5) & ~cut)
         s[k, i] = [smoothstep(float(n) / R) for n in self.exact_norms(state, k, i)]
         return s
 

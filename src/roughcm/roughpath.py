@@ -19,8 +19,6 @@ __all__ = [
     "CovarianceFactorizationError",
     "lift_brownian",
     "lift_fbm",
-    "shift",
-    "restrict",
     "unit_block",
     "coarsen",
     "validate",
@@ -64,14 +62,6 @@ class Grid:
     @property
     def nodes(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.n + 1)
-
-    def index(self, t: float) -> int:
-        """Node index of a grid-aligned time t."""
-        k = (t - self.t0) / self.h
-        ki = round(k)
-        if not (0 <= ki <= self.n) or abs(k - ki) > 1e-9 * max(1, abs(k)) + 1e-9:
-            raise ValueError(f"time {t} is not a node of the grid")
-        return ki
 
     def __repr__(self) -> str:
         return f"Grid({self.t0}, {self.t1}, {self.n})"
@@ -222,31 +212,31 @@ def lift_fbm(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3) -> Roug
     return coarsen(fine, refinement)
 
 
-def shift(rp: RoughPath, tau: float) -> RoughPath:
-    """Time shift: (Theta_tau W)_t = W_{t + tau} - W_tau on [t0-tau, t1-tau].
-
-    The node samples are re-based so the path vanishes at its first node;
-    all increments and second-level values agree with the shift definition.
-    """
-    if not (rp.grid.t0 <= tau <= rp.grid.t1):
-        raise ValueError("tau must lie inside the stored window")
-    rp.grid.index(tau)  # raises unless tau is grid-aligned
-    grid = Grid(rp.grid.t0 - tau, rp.grid.t1 - tau, rp.grid.n)
-    return RoughPath(rp.gamma, grid, rp.W, rp.WW)
-
-
-def restrict(rp: RoughPath, a: float, b: float) -> RoughPath:
-    """Sub-path over the grid-aligned window [a, b], same time labels."""
-    i, j = rp.grid.index(a), rp.grid.index(b)
-    if i >= j:
-        raise ValueError("window must contain at least one cell")
-    grid = Grid(a, b, j - i)
-    return RoughPath(rp.gamma, grid, rp.W[i:j + 1], rp.WW[i:j])
+def _unit_split(rp: RoughPath) -> tuple[Grid, np.ndarray, np.ndarray, np.ndarray]:
+    """rp cut into the unit blocks [b, b+1] of its window, each moved to
+    [0, 1]: the unit grid, the (blocks, nu+1) table of each block's node
+    indices in rp (adjacent blocks share their boundary node), and W,
+    re-based to vanish at each block's first node, and WW, both stacked
+    along a leading block axis.  The window's ends must be integer times."""
+    t0, t1 = rp.grid.t0, rp.grid.t1
+    if not (t0.is_integer() and t1.is_integer() and rp.n % (t1 - t0) == 0):
+        raise ValueError(f"the window of {rp.grid} does not split into whole "
+                         "unit blocks [b, b+1] of integer b")
+    N = round(t1 - t0)
+    nu = rp.n // N
+    idx = nu * np.arange(N)[:, None] + np.arange(nu + 1)
+    return (Grid(0.0, 1.0, nu), idx, rp.W[idx] - rp.W[idx[:, :1]],
+            rp.WW.reshape(N, nu, rp.d, rp.d))
 
 
 def unit_block(rp: RoughPath, k: int) -> RoughPath:
     """The block of rp over [k, k+1], shifted to live on [0, 1]."""
-    return restrict(shift(rp, float(k)), 0.0, 1.0)
+    if not (_is_integer(k) and rp.grid.t0 <= k < rp.grid.t1):
+        raise ValueError(f"[{k!r}, {k!r} + 1] is no unit block of the window "
+                         f"of {rp.grid}")
+    grid, _, W, WW = _unit_split(rp)
+    b = k - round(rp.grid.t0)
+    return RoughPath(rp.gamma, grid, W[b], WW[b])
 
 
 def validate(rp: RoughPath) -> dict:

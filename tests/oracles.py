@@ -1,19 +1,51 @@
-"""Test oracles that derive and verify never call: the rough integral,
-constant and self-controlled paths, the explicit level-2 RDE scheme, smooth
-lifts, the cutoff factor of one block, the stationary Ornstein-Uhlenbeck
-process, the random-fixed-point defect of a coefficient path, the fBm lift
-on a dense covariance, the D^{2 gamma} terms on gathered (pairs, m, d)
-arrays, the scalar-rate convolution loops and the Picard iteration on exact
-distances."""
+"""Test oracles that derive and verify never call: the node index of a
+grid-aligned time, the time shift and the window restriction of a rough
+path, the rough integral, constant and self-controlled paths, the explicit
+level-2 RDE scheme, smooth lifts, the cutoff factor of one block, the
+stationary Ornstein-Uhlenbeck process, the random-fixed-point defect of a
+coefficient path, the fBm lift on a dense covariance, the D^{2 gamma}
+terms on gathered (pairs, m, d) arrays, the scalar-rate convolution loops
+and the Picard iteration on exact distances."""
 import numpy as np
 
 from roughcm import (ControlledPath, Grid, RoughPath, cell_terms, coarsen,
-                     convolve_diffusion, norm_d2g, restrict, semigroup_step,
-                     smoothstep, solve_affine)
+                     convolve_diffusion, norm_d2g, semigroup_step, smoothstep,
+                     solve_affine)
 from roughcm.gubinelli import _nodes_first
 from roughcm.manifold import LPResult, NonContractionError, NonConvergenceError
 from roughcm.roughpath import _piecewise_linear_lift
 from roughcm.stationary import StationaryPath
+
+
+def grid_index(grid: Grid, t: float) -> int:
+    """Node index of a grid-aligned time t."""
+    k = (t - grid.t0) / grid.h
+    ki = round(k)
+    if not (0 <= ki <= grid.n) or abs(k - ki) > 1e-9 * max(1, abs(k)) + 1e-9:
+        raise ValueError(f"time {t} is not a node of the grid")
+    return ki
+
+
+def shift(rp: RoughPath, tau: float) -> RoughPath:
+    """Time shift: (Theta_tau W)_t = W_{t + tau} - W_tau on [t0-tau, t1-tau].
+
+    The node samples are re-based so the path vanishes at its first node;
+    all increments and second-level values agree with the shift definition.
+    """
+    if not (rp.grid.t0 <= tau <= rp.grid.t1):
+        raise ValueError("tau must lie inside the stored window")
+    grid_index(rp.grid, tau)  # raises unless tau is grid-aligned
+    grid = Grid(rp.grid.t0 - tau, rp.grid.t1 - tau, rp.grid.n)
+    return RoughPath(rp.gamma, grid, rp.W, rp.WW)
+
+
+def restrict(rp: RoughPath, a: float, b: float) -> RoughPath:
+    """Sub-path over the grid-aligned window [a, b], same time labels."""
+    i, j = grid_index(rp.grid, a), grid_index(rp.grid, b)
+    if i >= j:
+        raise ValueError("window must contain at least one cell")
+    grid = Grid(a, b, j - i)
+    return RoughPath(rp.gamma, grid, rp.W[i:j + 1], rp.WW[i:j])
 
 
 def constant_path(ref: RoughPath, value) -> ControlledPath:
@@ -136,7 +168,7 @@ def stationarity_check(alpha_cp: ControlledPath, A, f: np.ndarray | None,
     window [-s, 0]; the defect is |result(0) - alpha(0)|.
     """
     s = float(horizon)
-    i0 = rp.grid.index(-s)
+    i0 = grid_index(rp.grid, -s)
     window = restrict(rp, -s, rp.grid.t1)
     f_win = None if f is None else np.asarray(f)[i0:]
     g_win = None

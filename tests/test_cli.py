@@ -47,6 +47,24 @@ UNREAL = {
 }
 
 
+# integer fields that int() used to truncate or that ended in a KeyError
+BAD_INTEGERS = {
+    "fractional-exponent": lambda doc: doc["Fs"].append({"i": 2.5, "j": 0, "c": 1}),
+    "negative-exponent": lambda doc: doc["Fs"].append({"i": -1, "j": 0, "c": 1}),
+    "fractional-q": lambda doc: doc.update(q=6.7),
+    "fractional-noise-dim": lambda doc: doc.update(noise_dim=1.9),
+}
+
+
+@pytest.fixture(params=list(BAD_INTEGERS))
+def bad_integer_spec(request, tmp_path):
+    doc = json.loads(NONLINEAR.read_text())
+    BAD_INTEGERS[request.param](doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
 @pytest.fixture(params=list(UNREAL))
 def unreal_spec(request, tmp_path):
     doc = json.loads(NONLINEAR.read_text())
@@ -143,6 +161,14 @@ class TestDerive:
         assert not (tmp_path / "coefficient_system.json").exists()
 
 
+    def test_non_integer_field_exits_2(self, runner, tmp_path, bad_integer_spec):
+        result = runner.invoke(main, ["derive", "--spec", str(bad_integer_spec),
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "must be an integer" in result.output
+        assert not (tmp_path / "coefficient_system.json").exists()
+
+
 class TestVerify:
     def run_small(self, runner, tmp_path, *extra):
         return runner.invoke(main, [
@@ -150,6 +176,16 @@ class TestVerify:
             "--grid-n", "32", "--window", "6", "--xi-min", "0.0125",
             "--xi-max", "0.1", "--xi-points", "4",
             "--out-dir", str(tmp_path), *extra])
+
+    def test_non_integer_field_exits_2(self, runner, tmp_path, bad_integer_spec,
+                                       monkeypatch):
+        monkeypatch.setattr(cli, "lyapunov_perron_sweep", None)
+        result = runner.invoke(main, ["verify", "--spec", str(bad_integer_spec),
+                                      "--seeds", "1", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "validation failure" in result.output
+        assert "must be an integer" in result.output
+        assert not (tmp_path / "verify_report.json").exists()
 
     def test_report_and_exit(self, runner, tmp_path):
         result = self.run_small(runner, tmp_path)

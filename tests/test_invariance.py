@@ -148,6 +148,36 @@ class TestValidation:
         doc["Fs"] = doc["Fs"] + [{"i": 3, "j": 0, "c": "sqrt(mu) - sqrt(2)"}]
         load_system(doc)
 
+    @pytest.mark.parametrize("override", [False, True])
+    @pytest.mark.parametrize("change, match", [
+        (lambda doc: doc["Fs"].append({"i": 2.5, "j": 0, "c": 1}),
+         r"Fs term \{'i': 2\.5, 'j': 0, 'c': 1\}: exponent i = 2\.5 must be an integer >= 0"),
+        (lambda doc: doc["Fs"].append({"i": -1, "j": 0, "c": 1}),
+         r"Fs term .*: exponent i = -1 must be an integer >= 0"),
+        (lambda doc: doc["Gc"][0].append({"i": 3, "j": True, "c": 1}),
+         r"Gc\[0\] term .*: exponent j = True must be"),
+        (lambda doc: doc.update(q=6.7), r"q = 6\.7 must be an integer"),
+        (lambda doc: doc.update(q=True), r"q = True must be an integer"),
+        (lambda doc: doc.update(noise_dim=1.9), r"noise_dim = 1\.9 must be an integer"),
+        (lambda doc: doc.update(noise_dim=True), r"noise_dim = True must be an integer")],
+        ids=["fractional-exponent", "negative-exponent", "bool-exponent",
+             "fractional-q", "bool-q", "fractional-noise-dim", "bool-noise-dim"])
+    def test_non_integer_field_rejected(self, change, match, override):
+        # int() used to truncate these: i = 2.5 was summed into x^2, q = 6.7
+        # ran as 6, and i = -1 ended in a bare KeyError
+        doc = {**self.base(), "override": override}
+        change(doc)
+        with pytest.raises(FieldValidationError, match=match):
+            load_system(doc)
+
+    def test_integral_float_fields_accepted(self):
+        doc = self.base()
+        doc.update(q=6.0, noise_dim=1.0)
+        doc["Fs"] = [{"i": 2.0, "j": 0.0, "c": 1}]
+        spec, ref = load_system(doc), load_system(self.base())
+        assert (spec.q, spec.noise_dim, spec.Fs) == (ref.q, ref.noise_dim, ref.Fs)
+        assert all(type(k) is int for key in spec.Fs.terms for k in key)
+
     def test_gamma_out_of_range(self):
         doc = self.base()
         doc["gamma"] = 0.25

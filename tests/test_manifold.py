@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import roughcm.manifold
-from oracles import block_path, constant_path, cutoff_scale, exact_picard
+from oracles import (block_path, constant_path, cutoff_scale, exact_picard,
+                     restrict, shift)
 from roughcm import (Grid, LPConfig, ManifoldApproximation,
                      NewtonConvergenceError, NonContractionError,
                      NonConvergenceError, NumericField,
@@ -303,6 +304,33 @@ class TestNormBounds:
                 assert [float(f) for f in factors] == [
                     cutoff_scale(block_path(sw, scaled[0], i), R) for i in range(sw.N)], name
 
+    def test_cutoff_takes_no_norm_past_R(self, sys_nonlinear, monkeypatch):
+        # block 0's lower bound reaches R, block 1's bounds straddle the ramp
+        # and blocks 2, 3 sit below R/2: only block 1 needs its exact norm
+        rp = lift_brownian(4, Grid(-4.0, 0.0, 4 * 32), gamma=0.45)
+        sw = _Sweep(sys_nonlinear, [0.05], rp, LPConfig(eta=-0.5, window=4))
+        R = sw.lp.cutoff_R
+        for name, state in _random_states(sw, np.random.default_rng(17))[1:]:
+            L, U = (b[0] for b in sw.norm_bounds(state))
+            if not np.all(L > 0):
+                continue
+            scale = np.array([2.0 * R / L[0], 0.8 * R / U[1], 0.3 * R / U[2],
+                              0.3 * R / U[3]])
+            scaled = state * scale[:, None]
+            blocks = []
+
+            def counted(Y, Yp, dW, pairs):
+                blocks.extend([1] * int(np.prod(Y.shape[:-2])))
+                return d2g_terms(Y, Yp, dW, pairs)
+
+            with monkeypatch.context() as m:
+                m.setattr(roughcm.manifold, "d2g_terms", counted)
+                factors = sw.cutoff_factors(scaled)[0]
+            assert len(blocks) == 1, name
+            assert factors[0] == 0.0 and factors[2:].tolist() == [1.0, 1.0], name
+            assert [float(f) for f in factors] == [
+                cutoff_scale(block_path(sw, scaled[0], i), R) for i in range(sw.N)], name
+
     def test_stacked_norms_match_norm_d2g(self, sweep):
         # every block of every random state, the zero state among them, in
         # one call of the stacked norm
@@ -538,17 +566,25 @@ class TestStackedBlocks:
             nsys = load_system(EXAMPLES / f"{file}.json").numeric()
         return _on_channels(nsys, d), d
 
-    @pytest.mark.parametrize("N, nu", [(12, 64), (4, 32), (6, 128)])
+    @pytest.mark.parametrize("nu", [32, 64, 128])
+    @pytest.mark.parametrize("N", [2, 4, 6, 12])
     @pytest.mark.parametrize("d", [1, 2])
     def test_blocks_match_unit_block(self, N, nu, d):
-        # indexing the path gives every unit block's W and WW to the bit,
-        # signed zeros included
+        # the split gives every unit block's grid, W and WW of the shift and
+        # restriction of the path to the bit, signed zeros included, also on
+        # a window [0, N]
         rp = lift_brownian(5, Grid(-float(N), 0.0, N * nu), d=d)
-        bl = _Blocks(rp, N)
-        ref = [unit_block(rp, b) for b in range(-N, 0)]
-        assert bl.grid.nodes.tobytes() == ref[0].grid.nodes.tobytes()
+        ref = [restrict(shift(rp, float(b)), 0.0, 1.0) for b in range(-N, 0)]
+        bl = _Blocks(rp, d, N)
+        late = shift(rp, -float(N))
+        for got in [bl] + [unit_block(rp, b) for b in range(-N, 0)] + [
+                unit_block(late, b) for b in range(N)]:
+            assert got.grid.nodes.tobytes() == ref[0].grid.nodes.tobytes()
         for got, want in ((bl.W, np.stack([p.W for p in ref])),
-                          (bl.WW, np.stack([p.WW for p in ref]))):
+                          (bl.WW, np.stack([p.WW for p in ref])),
+                          (np.stack([unit_block(rp, b).W for b in range(-N, 0)]), bl.W),
+                          (np.stack([unit_block(late, b).W for b in range(N)]), bl.W),
+                          (np.stack([unit_block(rp, b).WW for b in range(-N, 0)]), bl.WW)):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_sweep_matches_block_loop(self, case):

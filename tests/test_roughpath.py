@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from oracles import dense_fbm_lift, lift_smooth
+from oracles import dense_fbm_lift, grid_index, lift_smooth, restrict, shift
 from roughcm import (CovarianceFactorizationError, Grid, coarsen,
-                     lift_brownian, lift_fbm, restrict, shift, unit_block,
-                     validate)
+                     lift_brownian, lift_fbm, unit_block, validate)
 from roughcm.roughpath import _chen_defect
 
 
@@ -28,9 +27,9 @@ class TestGrid:
 
     def test_index_alignment(self):
         g = Grid(0.0, 1.0, 8)
-        assert g.index(0.375) == 3
+        assert grid_index(g, 0.375) == 3
         with pytest.raises(ValueError):
-            g.index(0.3)
+            grid_index(g, 0.3)
 
     @pytest.mark.parametrize("n", [2.5, 2.0, True, False, 0, -3],
                              ids=["fraction", "float", "true", "false", "zero", "negative"])
@@ -197,6 +196,21 @@ class TestBlocks:
         ub = unit_block(rp, -2)
         assert ub.grid.t0 == 0.0 and ub.grid.t1 == 1.0 and ub.n == 32
         assert np.allclose(ub.W[32] - ub.W[0], rp.W[64] - rp.W[32])
+
+    @pytest.mark.parametrize("grid, k, match", [
+        (Grid(-3.0, 0.0, 96), -1.5, "no unit block"),
+        (Grid(0.0, 3.0, 96), True, "no unit block"),
+        (Grid(-3.0, 0.0, 96), -4, "no unit block"),
+        (Grid(-3.0, 0.0, 96), 0, "no unit block"),
+        (Grid(0.5, 2.5, 64), 1, "whole unit blocks"),
+        (Grid(0.0, 2.5, 80), 1, "whole unit blocks"),
+        (Grid(0.0, 3.0, 64), 1, "whole unit blocks")],
+        ids=["fraction", "bool", "before-window", "after-window",
+             "non-integer-start", "non-integer-end", "partial-cells"])
+    def test_unit_block_rejects_bad_block(self, grid, k, match):
+        rp = lift_brownian(3, grid)
+        with pytest.raises(ValueError, match=match):
+            unit_block(rp, k)
 
     def test_coarsen_chen_consistent(self):
         rp = lift_brownian(4, Grid(0.0, 1.0, 64), d=2)
