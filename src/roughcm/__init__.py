@@ -20,7 +20,6 @@ from .manifold import (LPConfig, LPResult, ManifoldApproximation,
 from .rde import solve_affine
 from .roughpath import (CovarianceFactorizationError, Grid, RoughPath,
                         coarsen, lift_brownian, lift_fbm, unit_block, validate)
-from .stationary import (HierarchyResult, NonStableOrderError,
-                         StationaryPath, solve_hierarchy, stationary_affine)
+from .stationary import HierarchyResult, NonStableOrderError, solve_hierarchy
 
 __version__ = "0.1.0"

@@ -161,6 +161,12 @@ def load_system(path_or_dict) -> SystemSpec:
             raise FieldValidationError(
                 f"{name} has {len(entries)} channel(s) but noise_dim = {d}: "
                 "give one term list per noise channel")
+    override, params = doc.get("override", False), doc.get("params", {})
+    if not isinstance(override, bool):
+        raise FieldValidationError(f"override = {override!r} must be a JSON bool")
+    for k, v in params.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise FieldValidationError(f"parameter {k} = {v!r} must be a number")
     spec = SystemSpec(
         gamma=float(doc["gamma"]),
         q=_spec_int(doc["q"], "q"),
@@ -171,8 +177,8 @@ def load_system(path_or_dict) -> SystemSpec:
         Fs=PolyField.from_entries(doc.get("Fs", []), "Fs"),
         Gc=[PolyField.from_entries(ch, f"Gc[{k}]") for k, ch in enumerate(gc_entries)],
         Gs=[PolyField.from_entries(ch, f"Gs[{k}]") for k, ch in enumerate(gs_entries)],
-        params={k: float(v) for k, v in doc.get("params", {}).items()},
-        override=bool(doc.get("override", False)),
+        params={k: float(v) for k, v in params.items()},
+        override=override,
     )
     clashes = [k for k in spec.params if k == "x" or re.fullmatch(r"alpha\d+", k)
                or sp.sympify(k) != sp.Symbol(k)]

@@ -16,49 +16,15 @@ from .invariance import CoefficientSystem, NumericHierarchy
 from .rde import solve_affine
 from .roughpath import RoughPath
 
-__all__ = ["NonStableOrderError", "StationaryPath", "HierarchyResult",
-           "stationary_affine", "solve_hierarchy"]
+__all__ = ["NonStableOrderError", "HierarchyResult", "solve_hierarchy"]
 
 
 class NonStableOrderError(ValueError):
-    def __init__(self, A: float, order: int | None = None):
-        label = f"order {order}: " if order is not None else ""
+    def __init__(self, A: float, order: int):
         super().__init__(
-            f"{label}linear part {A} is not exponentially stable; the "
+            f"order {order}: linear part {A} is not exponentially stable; the "
             "stationary backward integral needs Re(A) < 0 (a non-resonance "
             "condition on the block spectra)")
-
-
-@dataclass
-class StationaryPath:
-    path: ControlledPath
-    tail_bound: float
-
-
-def stationary_affine(A, f: np.ndarray | None, g: ControlledPath | None,
-                      rp: RoughPath, init: str = "quasistatic",
-                      order: int | None = None) -> StationaryPath:
-    """Stationary solution of d alpha = (A alpha + f) dt + g dW on [-T, 0].
-
-    The backward integral over the infinite past is truncated at -T.  With
-    init="quasistatic" the drift part starts from the slowly-varying value
-    -f(-T)/A instead of zero, which removes the O(e^{-(t+T)}) transient of a
-    cold start; init="zero" keeps the plain truncated integral (useful when
-    a matching truncation is needed elsewhere).
-    """
-    a = float(np.asarray(A))
-    if a >= 0:
-        raise NonStableOrderError(a, order)
-    T = rp.grid.t1 - rp.grid.t0
-    if init == "quasistatic" and f is not None:
-        y0 = -float(np.asarray(f).reshape(rp.n + 1, -1)[0, 0]) / a
-    elif init in ("quasistatic", "zero"):
-        y0 = 0.0
-    else:
-        raise ValueError("init must be 'quasistatic' or 'zero'")
-    cp = solve_affine(a, f, g, rp, y0)
-    scale = 1.0 if f is None else float(np.max(np.abs(f)))
-    return StationaryPath(cp, tail_bound=np.exp(a * T) * max(scale, 1.0))
 
 
 @dataclass
@@ -76,10 +42,14 @@ def solve_hierarchy(cs: CoefficientSystem | NumericHierarchy, rp: RoughPath,
 
     cs is a CoefficientSystem, with its parameter values in params, or its
     numeric form cs.numeric(params), which a caller solving many paths
-    builds once (params is then unused).  Forcings are evaluated pathwise
-    by substituting the already-solved orders; diffusion forcings become
-    controlled paths via the product rule on the solved Gubinelli
-    derivatives.  Flagged orders are the zero path.
+    builds once (params is then unused).  Order i, d alpha_i = (A_i alpha_i
+    + f_i) dt + g_i dW with A_i < 0, is solved by `rde.solve_affine` from -T,
+    starting at -f_i(-T)/A_i (init="quasistatic", no cold-start transient)
+    or at 0 (init="zero", the plain truncated integral); its tail bound is
+    e^{A_i T} max(max|f_i|, 1).  Forcings are evaluated pathwise on the
+    solved orders; diffusion forcings become controlled paths via the
+    product rule on the solved Gubinelli derivatives.  Flagged orders are
+    the zero path.
     """
     if init not in ("quasistatic", "zero"):
         raise ValueError("init must be 'quasistatic' or 'zero'")
@@ -88,6 +58,7 @@ def solve_hierarchy(cs: CoefficientSystem | NumericHierarchy, rp: RoughPath,
     if d != nh.d:
         raise ValueError(f"the rough path has {d} channel(s) but the system "
                          f"has {nh.d} noise channel(s)")
+    T = rp.grid.t1 - rp.grid.t0
     vals: list[np.ndarray] = [np.zeros(n + 1) for _ in range(nh.q)]
     derivs: list[np.ndarray] = [np.zeros((n + 1, d)) for _ in range(nh.q)]
     alphas: dict[int, ControlledPath] = {}
@@ -99,6 +70,9 @@ def solve_hierarchy(cs: CoefficientSystem | NumericHierarchy, rp: RoughPath,
             alpha0[i] = 0.0
             tails[i] = 0.0
             continue
+        a = float(nh.A[i])
+        if a >= 0:
+            raise NonStableOrderError(a, i)
         g_cp = None
         if any(g.coeffs for g in nh.g[i]):
             gY = np.zeros((n + 1, d))
@@ -108,12 +82,14 @@ def solve_hierarchy(cs: CoefficientSystem | NumericHierarchy, rp: RoughPath,
                 for k, grad in dg.items():
                     gYp[:, b, :] += grad(*vals)[:, None] * derivs[k]
             g_cp = ControlledPath(rp, gY, gYp)
-        st = stationary_affine(nh.A[i], nh.f[i](*vals), g_cp, rp, init=init, order=i)
-        alphas[i] = st.path
-        alpha0[i] = float(st.path.Y[-1, 0])
-        tails[i] = st.tail_bound
-        vals[i - 1] = st.path.Y[:, 0]
-        derivs[i - 1] = st.path.Yp[:, 0, :]
+        f = nh.f[i](*vals)
+        y0 = -float(f[0]) / a if init == "quasistatic" else 0.0
+        cp = solve_affine(a, f, g_cp, rp, y0)
+        alphas[i] = cp
+        alpha0[i] = float(cp.Y[-1, 0])
+        tails[i] = np.exp(a * T) * max(float(np.max(np.abs(f))), 1.0)
+        vals[i - 1] = cp.Y[:, 0]
+        derivs[i - 1] = cp.Yp[:, 0, :]
     return HierarchyResult(alphas=alphas, alpha0=alpha0,
                            zero_flags=set(range(1, nh.q + 1)) - set(nh.A),
                            tail_bounds=tails)

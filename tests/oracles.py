@@ -6,6 +6,8 @@ stationary Ornstein-Uhlenbeck process, the random-fixed-point defect of a
 coefficient path, the fBm lift on a dense covariance, the D^{2 gamma}
 terms on gathered (pairs, m, d) arrays, the scalar-rate convolution loops
 and the Picard iteration on exact distances."""
+from dataclasses import dataclass
+
 import numpy as np
 
 from roughcm import (ControlledPath, Grid, RoughPath, cell_terms, coarsen,
@@ -14,7 +16,6 @@ from roughcm import (ControlledPath, Grid, RoughPath, cell_terms, coarsen,
 from roughcm.gubinelli import _nodes_first
 from roughcm.manifold import LPResult, NonContractionError, NonConvergenceError
 from roughcm.roughpath import _piecewise_linear_lift
-from roughcm.stationary import StationaryPath
 
 
 def grid_index(grid: Grid, t: float) -> int:
@@ -139,7 +140,14 @@ def block_path(sweep, state: np.ndarray, i: int) -> ControlledPath:
                           sweep.derivs(state)[i].transpose(1, 0, 2))
 
 
-def ou_stationary(rp: RoughPath) -> StationaryPath:
+@dataclass
+class OuStationary:
+    """The stationary OU path and the bound on the tail it discards."""
+    path: ControlledPath
+    tail_bound: float
+
+
+def ou_stationary(rp: RoughPath) -> OuStationary:
     """Stationary Ornstein-Uhlenbeck value z_t = int_{-T}^t e^{-(t-s)} dW_s.
 
     rp lives on [-T, 0] with T >= 5 so the discarded tail is at most e^{-5}
@@ -156,7 +164,7 @@ def ou_stationary(rp: RoughPath) -> StationaryPath:
                                      np.zeros((n + 1, d, d)), rp)
     Yp = np.tile(np.eye(d), (n + 1, 1, 1))
     scale = 1.0 + float(np.max(np.abs(rp.W)))
-    return StationaryPath(ControlledPath(rp, Y, Yp), tail_bound=np.exp(-T) * scale)
+    return OuStationary(ControlledPath(rp, Y, Yp), tail_bound=np.exp(-T) * scale)
 
 
 def stationarity_check(alpha_cp: ControlledPath, A, f: np.ndarray | None,

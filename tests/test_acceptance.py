@@ -269,6 +269,36 @@ def test_stochastic_order_law(spec_nonlinear, cs_nonlinear):
            "bounded error ratios", fails)
 
 
+def test_rough_order_law(spec_nonlinear, cs_nonlinear):
+    # the order law where rough-path theory is needed: fBm at H = 0.4, a
+    # level-0 lift on 64 cells per unit, each seed run as verify runs one;
+    # the seeds 100-103 were fixed before the test was first run
+    fails = []
+    t0 = time.time()
+    nsys = spec_nonlinear.numeric()
+    coeffs = cs_nonlinear.numeric(spec_nonlinear.params)
+    xis = list(np.geomspace(0.1, 0.0125, 5))
+    lp = LPConfig(eta=0.5 * nsys.As, window=12, cutoff_R=0.5, fp_tol=1e-10,
+                  max_iters=200)
+    slopes = []
+    for seed in range(100, 104):
+        rp = lift_fbm(seed, 0.4, Grid(-12.0, 0.0, 12 * 64), dyadic_level=0)
+        hier = solve_hierarchy(coeffs, rp, init="zero")
+        ma = ManifoldApproximation(q=6, alpha0=hier.alpha0, radius=max(xis))
+        results = lyapunov_perron_sweep(nsys, xis, rp, lp)
+        for xi, res in zip(xis, results):
+            clause(fails, res.converged, f"seed {seed} xi {xi:g}: {res.error}")
+        ok = [(xi, abs(res.hc - evaluate_phi(ma, xi)))
+              for xi, res in zip(xis, results) if res.converged]
+        if len(ok) >= 2:
+            slopes.append(order_fit(*zip(*ok)).slope)
+    med = float(np.median(slopes)) if slopes else float("nan")
+    clause(fails, med >= 6.5, f"median slope {med:.2f} < q + 0.5 = 6.5")
+    clause(fails, time.time() - t0 < 60.0, "over 60 s budget")
+    finish("rough order law, fBm H = 0.4 over 4 seeds: median slope >= 6.5 "
+           "and every xi converged", fails)
+
+
 def test_leading_order_gap_law(det_sweep):
     fails = []
     fit = order_fit(det_sweep["xis"], det_sweep["err_happ"])

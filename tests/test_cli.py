@@ -65,6 +65,30 @@ def bad_integer_spec(request, tmp_path):
     return bad
 
 
+# values that bool() and float() used to coerce: the string "false" turned
+# validation off, and a bool or a string parameter ran as a number
+BAD_TYPES = {
+    "override-string": (lambda doc: doc.update(override="false"),
+                        "override = 'false' must be a JSON bool"),
+    "param-bool": (lambda doc: (doc["Fs"].append({"i": 3, "j": 0, "c": "mu"}),
+                                doc.update(params={"mu": True})),
+                   "parameter mu = True must be a number"),
+    "param-string": (lambda doc: (doc["Fs"].append({"i": 3, "j": 0, "c": "mu"}),
+                                  doc.update(params={"mu": "0.5"})),
+                     "parameter mu = '0.5' must be a number"),
+}
+
+
+@pytest.fixture(params=list(BAD_TYPES))
+def bad_type_spec(request, tmp_path):
+    doc = json.loads(NONLINEAR.read_text())
+    change, message = BAD_TYPES[request.param]
+    change(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad, message
+
+
 @pytest.fixture(params=list(UNREAL))
 def unreal_spec(request, tmp_path):
     doc = json.loads(NONLINEAR.read_text())
@@ -168,6 +192,14 @@ class TestDerive:
         assert "must be an integer" in result.output
         assert not (tmp_path / "coefficient_system.json").exists()
 
+    def test_non_number_type_exits_2(self, runner, tmp_path, bad_type_spec):
+        bad, message = bad_type_spec
+        result = runner.invoke(main, ["derive", "--spec", str(bad),
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "coefficient_system.json").exists()
+
 
 class TestVerify:
     def run_small(self, runner, tmp_path, *extra):
@@ -185,6 +217,16 @@ class TestVerify:
         assert result.exit_code == 2, result.output
         assert "validation failure" in result.output
         assert "must be an integer" in result.output
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_non_number_type_exits_2(self, runner, tmp_path, bad_type_spec,
+                                     monkeypatch):
+        monkeypatch.setattr(cli, "lyapunov_perron_sweep", None)
+        bad, message = bad_type_spec
+        result = runner.invoke(main, ["verify", "--spec", str(bad),
+                                      "--seeds", "1", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "validation failure" in result.output and message in result.output
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_report_and_exit(self, runner, tmp_path):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import pickle
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,33 @@ class TestValidation:
         spec, ref = load_system(doc), load_system(self.base())
         assert (spec.q, spec.noise_dim, spec.Fs) == (ref.q, ref.noise_dim, ref.Fs)
         assert all(type(k) is int for key in spec.Fs.terms for k in key)
+
+    @pytest.mark.parametrize("override", ["false", "true", 0, 1, None],
+                             ids=["string-false", "string-true", "0", "1", "null"])
+    def test_override_must_be_a_bool(self, override):
+        # bool("false") is True: the string used to skip the check of a
+        # drift with a constant term
+        doc = {**self.base(), "override": override}
+        doc["Fc"] = [{"i": 0, "j": 0, "c": 1}]
+        with pytest.raises(FieldValidationError,
+                           match=f"^override = {re.escape(repr(override))} must be a JSON bool$"):
+            load_system(doc)
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, [1.0]],
+                             ids=["true", "false", "string", "null", "list"])
+    def test_parameter_must_be_a_number(self, value):
+        # float() used to run {"mu": true} as 1.0 and {"mu": "0.5"} as 0.5
+        doc = {**self.base(), "params": {"mu": value}}
+        doc["Fs"] = doc["Fs"] + [{"i": 3, "j": 0, "c": "mu"}]
+        with pytest.raises(FieldValidationError,
+                           match=f"^parameter mu = {re.escape(repr(value))} must be a number$"):
+            load_system(doc)
+
+    def test_numeric_parameters_accepted(self):
+        doc = {**self.base(), "override": False, "params": {"mu": 2, "nu": 0.5}}
+        doc["Fs"] = doc["Fs"] + [{"i": 3, "j": 0, "c": "mu*nu"}]
+        spec = load_system(doc)
+        assert spec.params == {"mu": 2.0, "nu": 0.5} and spec.override is False
 
     def test_gamma_out_of_range(self):
         doc = self.base()

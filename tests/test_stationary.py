@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import constant_path, ou_stationary, stationarity_check
-from roughcm import (Grid, NonStableOrderError, derive_system, lift_brownian,
-                     load_system, propagate_zeros, solve_hierarchy,
-                     stationary_affine)
+from roughcm import (Grid, NonStableOrderError, NumericField, NumericHierarchy,
+                     derive_system, lift_brownian, load_system,
+                     propagate_zeros, solve_hierarchy)
 from test_manifold import TWO_CHANNEL
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -45,27 +45,40 @@ class TestOuStationary:
         assert st.tail_bound < 1e-4
 
 
+def one_order(A, drift=0.0, noise=0.0, order=1):
+    """A one-channel NumericHierarchy whose only unflagged order is `order`,
+    with constant drift and diffusion forcings."""
+    const = (0,) * order
+    return NumericHierarchy(q=order, d=1, A={order: A},
+                            f={order: NumericField({const: drift})},
+                            g={order: [NumericField({const: noise})]},
+                            dg={order: [{}]})
+
+
 class TestStationaryAffine:
     def test_quasistatic_constant_forcing_is_exact(self, window):
-        f = np.full(window.n + 1, 3.0)
-        st = stationary_affine(-2.0, f, None, window, init="quasistatic")
-        assert np.max(np.abs(st.path.Y[:, 0] - 1.5)) < 1e-12
+        res = solve_hierarchy(one_order(-2.0, drift=3.0), window, init="quasistatic")
+        assert np.max(np.abs(res.alphas[1].Y[:, 0] - 1.5)) < 1e-12
+        assert res.tail_bounds[1] == np.exp(-24.0) * 3.0
 
     def test_zero_init_transient(self, window):
-        f = np.ones(window.n + 1)
-        st = stationary_affine(-1.0, f, None, window, init="zero")
+        res = solve_hierarchy(one_order(-1.0, drift=1.0), window, init="zero")
         T = 12.0
         ref = 1 - np.exp(-(window.grid.nodes + T))
-        assert np.max(np.abs(st.path.Y[:, 0] - ref)) < 1e-12
+        assert np.max(np.abs(res.alphas[1].Y[:, 0] - ref)) < 1e-12
+        assert res.tail_bounds[1] == np.exp(-T)
 
     def test_unstable_rejected(self, window):
-        with pytest.raises(NonStableOrderError):
-            stationary_affine(0.5, None, None, window)
+        # order 1 is flagged, so the error must name order 2
+        for A in (0.5, 0.0):
+            with pytest.raises(NonStableOrderError, match=f"^order 2: linear part {A} "):
+                solve_hierarchy(one_order(A, drift=1.0, order=2), window)
 
     def test_diffusion_derivative(self, window):
-        g = constant_path(window, 1.0)
-        st = stationary_affine(-1.0, None, g, window)
-        assert np.allclose(st.path.Yp[:, 0, 0], 1.0)
+        res = solve_hierarchy(one_order(-1.0, noise=1.0), window)
+        assert np.all(res.alphas[1].Yp[:, 0, 0] == 1.0)
+        # no drift forcing: the tail bound's scale is floored at 1
+        assert res.tail_bounds[1] == np.exp(-12.0)
 
 
 class TestHierarchy:
@@ -115,7 +128,7 @@ class TestHierarchy:
 
     @pytest.mark.parametrize("spec", ["chekroun_linear", "chekroun_nonlinear", "zero"])
     def test_bad_init_rejected(self, window, spec):
-        # zero.json flags every order, so no order reaches stationary_affine
+        # zero.json flags every order, so no order reaches solve_affine
         spec = load_system(EXAMPLES / f"{spec}.json")
         cs = propagate_zeros(derive_system(spec))
         with pytest.raises(ValueError, match="init must be"):
