@@ -9,6 +9,7 @@ All Hölder quantities are grid seminorms: suprema over node pairs.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -178,23 +179,14 @@ def lift_brownian(seed: int, grid: Grid, d: int = 1, gamma: float = 0.45) -> Rou
     return coarsen(fine, refinement)
 
 
-def lift_fbm(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3) -> RoughPath:
-    """Exact-covariance fractional Brownian lift.
-
-    Samples fBm at the grid refined dyadically by 2**dyadic_level via a
-    Cholesky factor of the exact covariance, then lifts the piecewise-linear
-    interpolant and coarsens via Chen.  The covariance is filled in one
-    m x m buffer, lower triangle only, in blocks of rows; the factor is the
-    only other m x m array.
-    """
-    if not (1 / 3 < hurst <= 1 / 2):
-        raise ValueError("hurst must lie in (1/3, 1/2]")
-    if not _is_integer(dyadic_level) or dyadic_level < 0:
-        raise ValueError("dyadic_level must be a non-negative integer")
-    gamma = max(hurst - 0.03 if hurst < 0.37 else hurst, 1 / 3 + 1e-6)
-    refinement = 2**dyadic_level
-    m = grid.n * refinement
-    t = (grid.nodes[-1] - grid.t0) * np.arange(1, m + 1) / m
+@functools.lru_cache(maxsize=1)
+def _fbm_factor(hurst: float, span: float, n: int, level: int) -> np.ndarray:
+    """Read-only Cholesky factor of the exact fBm covariance at the m = n 2**level
+    times span k / m, k = 1..m.  The covariance is filled in one m x m
+    buffer, lower triangle only, in blocks of rows; the factor is the only
+    other m x m array.  One slot: the factor of the last parameters only."""
+    m = n * 2**level
+    t = span * np.arange(1, m + 1) / m
     p = t ** (2 * hurst)
     cov = np.zeros((m, m))  # np.linalg.cholesky reads only the lower triangle and diagonal
     for r0 in range(0, m, 256):  # 0.5 (t^2H + s^2H - |t - s|^2H), 256 rows at a time
@@ -205,8 +197,29 @@ def lift_fbm(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3) -> Roug
         L = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise CovarianceFactorizationError(m) from exc
+    L.flags.writeable = False
+    return L
+
+
+def lift_fbm(seed: int, hurst: float, grid: Grid, dyadic_level: int = 3) -> RoughPath:
+    """Exact-covariance fractional Brownian lift.
+
+    Samples fBm at the grid refined dyadically by 2**dyadic_level via a
+    Cholesky factor of the exact covariance, then lifts the piecewise-linear
+    interpolant and coarsens via Chen.  The factor depends only on hurst,
+    the grid's length and cell count and the level, so lifts of other seeds
+    reuse it: the last factor, 8 m**2 bytes at m = grid.n 2**dyadic_level,
+    stays alive until a lift with other parameters replaces it.
+    """
+    if not (1 / 3 < hurst <= 1 / 2):
+        raise ValueError("hurst must lie in (1/3, 1/2]")
+    if not _is_integer(dyadic_level) or dyadic_level < 0:
+        raise ValueError("dyadic_level must be a non-negative integer")
+    gamma = max(hurst - 0.03 if hurst < 0.37 else hurst, 1 / 3 + 1e-6)
+    refinement = 2**dyadic_level
+    L = _fbm_factor(hurst, grid.nodes[-1] - grid.t0, grid.n, dyadic_level)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(m)
+    z = rng.standard_normal(L.shape[0])
     W = np.concatenate([[0.0], L @ z])[:, None]
     fine = _piecewise_linear_lift(W, grid, gamma)
     return coarsen(fine, refinement)

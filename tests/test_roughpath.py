@@ -10,7 +10,7 @@ from scipy.stats import kstest
 from oracles import dense_fbm_lift, grid_index, lift_smooth, restrict, shift
 from roughcm import (CovarianceFactorizationError, Grid, coarsen,
                      lift_brownian, lift_fbm, unit_block, validate)
-from roughcm.roughpath import _chen_defect
+from roughcm.roughpath import _chen_defect, _fbm_factor
 
 
 def circle_lift(n=64, refinement=16):
@@ -137,9 +137,14 @@ class TestFbm:
         (6, 0.5, Grid(-4.0, 0.0, 128), 3),
     ], ids=["m64-l0", "m64-l1", "m256", "m400", "m512", "m296", "m1024"])
     def test_matches_dense_oracle(self, seed, H, grid, level):
-        # the row-block lower-triangle covariance changes no bit of the lift
-        rp, ref = lift_fbm(seed, H, grid, level), dense_fbm_lift(seed, H, grid, level)
-        assert np.array_equal(rp.W, ref.W) and np.array_equal(rp.WW, ref.WW)
+        # neither the row-block lower-triangle covariance nor the memoised
+        # factor changes a bit of the lift
+        _fbm_factor.cache_clear()
+        cold, warm = lift_fbm(seed, H, grid, level), lift_fbm(seed, H, grid, level)
+        assert _fbm_factor.cache_info().hits == 1
+        ref = dense_fbm_lift(seed, H, grid, level)
+        for rp in (cold, warm):
+            assert np.array_equal(rp.W, ref.W) and np.array_equal(rp.WW, ref.WW)
 
     @pytest.mark.parametrize("n", [5, 300])
     def test_cholesky_reads_lower_triangle_only(self, n):
@@ -154,6 +159,7 @@ class TestFbm:
         # one m x m covariance plus its factor; the meshgrid build held 5 m x m arrays
         grid, m = Grid(-8.0, 0.0, 256), 2048
         lift_fbm(1, 0.4, grid, 3)
+        _fbm_factor.cache_clear()
         tracemalloc.start()
         try:
             lift_fbm(1, 0.4, grid, 3)
@@ -162,15 +168,58 @@ class TestFbm:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * m * m
 
+    def test_warm_lift_builds_no_covariance(self):
+        # a lift of another seed on the same (H, grid, level) reuses the factor
+        grid, m = Grid(-8.0, 0.0, 256), 2048
+        lift_fbm(1, 0.4, grid, 3)
+        tracemalloc.start()
+        try:
+            lift_fbm(2, 0.4, grid, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 8 * m * m
+
+    @pytest.mark.parametrize("H, grid, level", [
+        (0.45, Grid(0.0, 1.0, 16), 2),
+        (0.4, Grid(0.0, 1.0, 8), 2),
+        (0.4, Grid(0.0, 2.0, 16), 2),
+        (0.4, Grid(0.0, 1.0, 16), 1),
+    ], ids=["hurst", "cells", "length", "level"])
+    def test_factor_memo_has_one_slot(self, H, grid, level):
+        # other seeds and shifted windows hit; other parameters replace the slot
+        _fbm_factor.cache_clear()
+        base = Grid(0.0, 1.0, 16)
+        lift_fbm(0, 0.4, base, 2)
+        lift_fbm(1, 0.4, base, 2)
+        lift_fbm(2, 0.4, Grid(-1.0, 0.0, 16), 2)
+        assert _fbm_factor.cache_info()[:2] == (2, 1)  # (hits, misses)
+        lift_fbm(0, H, grid, level)
+        lift_fbm(0, 0.4, base, 2)
+        info = _fbm_factor.cache_info()
+        assert info[:2] == (2, 3) and info.currsize == 1
+
+    def test_factor_read_only(self):
+        L = _fbm_factor(0.4, 1.0, 16, 2)
+        assert not L.flags.writeable
+        with pytest.raises(ValueError):
+            L[0, 0] = 1.0
+
     def test_failed_factorization_named(self, monkeypatch):
+        calls = []
+
         def fail(a):
+            calls.append(a.shape)
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         monkeypatch.setattr(np.linalg, "cholesky", fail)
+        _fbm_factor.cache_clear()
         grid = Grid(0.0, 1.0, 8)
-        with pytest.raises(CovarianceFactorizationError) as info:
-            lift_fbm(0, 0.4, grid, 2)
-        assert info.value.n_nodes == grid.n * 2**2
-        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        for _ in range(2):  # a failed factorisation is not memoised
+            with pytest.raises(CovarianceFactorizationError) as info:
+                lift_fbm(0, 0.4, grid, 2)
+            assert info.value.n_nodes == grid.n * 2**2
+            assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert len(calls) == 2
 
 
 class TestBlocks:
