@@ -14,8 +14,8 @@ import sympy
 
 from . import __version__
 from .invariance import (FieldValidationError, NumericHierarchy,
-                         NumericSystem, _min_degrees, derive_system,
-                         load_system, propagate_zeros, residuals)
+                         NumericSystem, derive_system, load_system,
+                         propagate_zeros, residuals)
 from .manifold import (LPConfig, ManifoldApproximation, evaluate_phi,
                        leading_order_happ, lyapunov_perron_sweep, order_fit)
 from .roughpath import Grid, lift_brownian
@@ -45,7 +45,6 @@ def derive(spec_file, q, out_dir):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "coefficient_system.json").write_text(cs.to_json())
-    res = residuals(cs)
     flags = ", ".join(f"alpha_{i} = 0" for i in sorted(cs.zero_flags)) or "none"
     click.echo(f"expansion order q = {cs.q}, noise channels = {cs.noise_dim}")
     click.echo(f"vanishing coefficients: {flags}")
@@ -59,8 +58,8 @@ def derive(spec_file, q, out_dir):
         if noise:
             line += " + " + noise
         click.echo(line)
-    click.echo(f"M = {res['M']}; Mtilde = {res['Mtilde']}")
-    click.echo(f"residual min degree: {res['min_degree']}")
+    click.echo(f"M = {cs.M}; Mtilde = {list(cs.Mtilde)}")
+    click.echo(f"residual min degree: {residuals(cs)['min_degree']}")
     click.echo(f"wrote {out / 'coefficient_system.json'}")
 
 
@@ -183,7 +182,7 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
             for f in [nsys.Fs] + nsys.Gs if f.coeffs]
     plan = _VerifyPlan(
         nsys=nsys, coeffs=coeffs,
-        min_degree=_min_degrees(cs)["min_degree"],
+        min_degree=residuals(cs)["min_degree"],
         lead_degree=min(degs) if degs else None,
         grid=grid, lp=lp, xis=tuple(xis), solver=solver)
     workers = int(threads)

@@ -114,12 +114,16 @@ class SystemSpec:
     override: bool = False
 
     def validate(self) -> None:
+        """Check gamma and q, and unless override the fields' vanishing
+        orders at the origin: override waives only those."""
         if not 1 / 3 < self.gamma <= 1 / 2:
             raise FieldValidationError(
                 f"gamma = {self.gamma} outside (1/3, 1/2]: the level-2 rough "
                 "path setting covers exactly this regularity range")
         if self.q < 2:
             raise FieldValidationError("expansion order q must be at least 2")
+        if self.override:
+            return
         self.Fc.validate("drift", "F")
         self.Fs.validate("drift", "F")
         for ch, (gc, gs) in enumerate(zip(self.Gc, self.Gs)):
@@ -200,8 +204,7 @@ def load_system(path_or_dict) -> SystemSpec:
         raise FieldValidationError(
             f"coefficient(s) {', '.join(map(str, unreal))}: not a finite real "
             "number once the parameters are substituted")
-    if not spec.override:
-        spec.validate()
+    spec.validate()
     return spec
 
 
@@ -399,12 +402,10 @@ def propagate_zeros(cs: CoefficientSystem) -> CoefficientSystem:
 
 
 def residuals(cs: CoefficientSystem) -> dict:
-    """Residual polynomials and their minimum surviving x-degrees."""
-    return {"M": cs.M, "Mtilde": list(cs.Mtilde), **_min_degrees(cs)}
-
-
-def _min_degrees(cs: CoefficientSystem) -> dict:
-    """The lowest x-degrees of M, of each Mtilde and of all; None if zero."""
+    """The lowest surviving x-degrees of the residuals, read off their ring
+    forms: min_degree_M of M, min_degree_Mtilde one per channel of Mtilde,
+    and min_degree over all of them; None where a residual is zero.  The
+    polynomials themselves are the views cs.M and cs.Mtilde."""
     M, Mtilde = cs._polys["M"], cs._polys["Mtilde"]
     low = [min((m[0] for m in p), default=None) for p in [M, *Mtilde]]
     return {"min_degree": min((d for d in low if d is not None), default=None),

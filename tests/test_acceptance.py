@@ -19,7 +19,7 @@ from roughcm import (Grid, LPConfig, ManifoldApproximation, NumericField,
                      NumericSystem, coarsen, derive_system, evaluate_phi,
                      leading_order_happ, lift_brownian, lift_fbm, load_system,
                      lyapunov_perron_hc, lyapunov_perron_sweep, order_fit,
-                     propagate_zeros, residuals, solve_hierarchy, validate)
+                     propagate_zeros, solve_hierarchy, validate)
 from roughcm.manifold import _Sweep
 
 x = sp.Symbol("x")
@@ -133,11 +133,10 @@ def test_derive_sextic_system_final_form(cs_nonlinear):
 
 def test_quartic_residuals_exact(cs_linear):
     fails = []
-    res = residuals(cs_linear)
     clause(fails,
-           sp.expand(res["M"] - (6 * a2 * a4 * x**6 + 4 * a4**2 * x**8)) == 0,
+           sp.expand(cs_linear.M - (6 * a2 * a4 * x**6 + 4 * a4**2 * x**8)) == 0,
            "drift residual")
-    clause(fails, all(e == 0 for e in res["Mtilde"]), "noise residual")
+    clause(fails, all(e == 0 for e in cs_linear.Mtilde), "noise residual")
     finish("quartic residuals are 6*a2*a4*x^6 + 4*a4^2*x^8 and 0", fails)
 
 

@@ -111,6 +111,22 @@ def bad_symbol_spec(request, tmp_path):
     return bad
 
 
+# override waives the fields' vanishing orders, not the ranges of gamma and
+# q; the linear example sets override
+OUT_OF_RANGE = {"gamma-0.9": ({"gamma": 0.9}, "gamma = 0.9 outside (1/3, 1/2]"),
+                "q-1": ({"q": 1}, "expansion order q must be at least 2")}
+
+
+@pytest.fixture(params=list(OUT_OF_RANGE))
+def out_of_range_spec(request, tmp_path):
+    change, message = OUT_OF_RANGE[request.param]
+    doc = {**json.loads(LINEAR.read_text()), **change}
+    assert doc["override"] is True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad, message
+
+
 class TestDerive:
     def test_linear_report(self, runner, tmp_path):
         result = runner.invoke(main, ["derive", "--spec", str(LINEAR),
@@ -175,6 +191,14 @@ class TestDerive:
                                       "--out-dir", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "validation failure" in result.output
+        assert not (tmp_path / "coefficient_system.json").exists()
+
+    def test_out_of_range_override_exits_2(self, runner, tmp_path, out_of_range_spec):
+        bad, message = out_of_range_spec
+        result = runner.invoke(main, ["derive", "--spec", str(bad),
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"validation failure: {message}" in result.output
         assert not (tmp_path / "coefficient_system.json").exists()
 
     def test_unreal_coefficient_exits_2(self, runner, tmp_path, unreal_spec):
@@ -430,6 +454,15 @@ class TestVerify:
             "--grid-n", "32", "--window", "6", "--out-dir", str(tmp_path)])
         assert result.exit_code == 2, result.output
         assert "validation failure" in result.output
+        assert not (tmp_path / "verify_report.json").exists()
+
+    def test_out_of_range_override_exits_2(self, runner, tmp_path, out_of_range_spec):
+        bad, message = out_of_range_spec
+        result = runner.invoke(main, [
+            "verify", "--spec", str(bad), "--seeds", "1",
+            "--grid-n", "32", "--window", "6", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert f"validation failure: {message}" in result.output
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_unreal_coefficient_exits_2(self, runner, tmp_path, unreal_spec):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from roughcm import (FieldValidationError, NumericField, derive_system,
                      load_system, propagate_zeros, residuals)
@@ -49,8 +50,8 @@ class TestLinearExample:
 
     def test_residuals(self, cs_linear):
         res = residuals(cs_linear)
-        assert sp.expand(res["M"] - (6 * a2 * a4 * x**6 + 4 * a4**2 * x**8)) == 0
-        assert all(e == 0 for e in res["Mtilde"])
+        assert sp.expand(cs_linear.M - (6 * a2 * a4 * x**6 + 4 * a4**2 * x**8)) == 0
+        assert all(e == 0 for e in cs_linear.Mtilde)
         assert res["min_degree"] == 6
 
 
@@ -79,6 +80,7 @@ class TestNonlinearExample:
         assert res["min_degree_M"] == 7
         assert res["min_degree_Mtilde"] == [7]
         assert res["min_degree"] == 7
+        assert set(res) == {"min_degree", "min_degree_M", "min_degree_Mtilde"}
 
 
 class TestZeroSystem:
@@ -110,6 +112,18 @@ class TestValidation:
         doc["Gs"] = [[{"i": 1, "j": 0, "c": 1}]]
         doc["override"] = True
         load_system(doc)
+
+    @pytest.mark.parametrize("override", [False, True])
+    @pytest.mark.parametrize("change, match", [
+        ({"gamma": 0.9}, r"^gamma = 0\.9 outside \(1/3, 1/2\]"),
+        ({"gamma": 1 / 3}, r"^gamma = 0\.333+ outside \(1/3, 1/2\]"),
+        ({"q": 1}, r"^expansion order q must be at least 2$")],
+        ids=["gamma-0.9", "gamma-1/3", "q-1"])
+    def test_range_checked_whatever_override(self, change, match, override):
+        # override waives only the fields' vanishing orders
+        doc = {**self.base(), **change, "override": override}
+        with pytest.raises(FieldValidationError, match=match):
+            load_system(doc)
 
     @pytest.mark.parametrize("override", [False, True])
     def test_undeclared_symbol_rejected(self, override):
@@ -436,7 +450,8 @@ class TestRingDerivationOracle:
 
     def test_residuals(self, both):
         _, _, cs, oracle, _ = both
-        assert residuals(cs) == oracle_residuals(oracle)
+        assert {**residuals(cs), "M": cs.M, "Mtilde": list(cs.Mtilde)} == \
+            oracle_residuals(oracle)
 
     def test_numeric(self, both):
         # the spec's parameter values and values that are no binary fractions
@@ -500,7 +515,20 @@ class TestRingDerivationOracle:
         for name in ("expand", "Poly"):
             monkeypatch.setattr(sp, name, forbidden)
         monkeypatch.setattr(sp.Basic, "subs", forbidden)
-        residuals(propagate_zeros(derive_system(spec)))
+        cs = propagate_zeros(derive_system(spec))
+        residuals(cs), cs.M, cs.Mtilde
+
+    def test_residual_degrees_build_no_expression(self, monkeypatch):
+        # the degrees come from the ring forms: no ring element becomes a
+        # sympy expression, so the views cs.M and cs.Mtilde stay unbuilt
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a ring element became a sympy expression")
+
+        cs = propagate_zeros(derive_system(load_system(BENCH_Q8)))
+        monkeypatch.setattr(PolyElement, "as_expr", forbidden)
+        assert residuals(cs) == {"min_degree": 9, "min_degree_M": 9,
+                                 "min_degree_Mtilde": [9, 9]}
+        assert "M" not in vars(cs) and "Mtilde" not in vars(cs)
 
     def test_symbolic_system_does_not_pickle(self, cs_nonlinear):
         # its ring forms do not pickle; the numeric form does
