@@ -18,7 +18,7 @@ from .invariance import (FieldValidationError, NumericHierarchy,
                          propagate_zeros, residuals)
 from .manifold import (LPConfig, ManifoldApproximation, evaluate_phi,
                        leading_order_happ, lyapunov_perron_sweep, order_fit)
-from .roughpath import Grid, lift_brownian
+from .roughpath import Grid, RoughPath, lift_brownian
 from .stationary import solve_hierarchy
 
 EXIT_THRESHOLD = 1
@@ -64,8 +64,8 @@ def derive(spec_file, q, out_dir):
 
 
 @dataclass(frozen=True)
-class _VerifyPlan:
-    """Everything a seed's run needs, derived once per verify."""
+class OrderLawPlan:
+    """Everything one rough path's report row needs, derived once per sweep."""
     nsys: NumericSystem
     coeffs: NumericHierarchy
     min_degree: int | None
@@ -76,15 +76,57 @@ class _VerifyPlan:
     solver: str
 
 
-def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
+def order_law_plan(spec_file, *, q, grid_n, window, eta, cutoff_r, xi_min,
+                   xi_max, xi_points, solver, fp_tol) -> OrderLawPlan:
+    """`verify`'s sweep plan from its options. Warns on stderr of each xi it drops
+    above cutoff_r; bad input raises ValueError, FieldValidationError or KeyError."""
+    if xi_points < 4:
+        raise ValueError("--xi-points must be at least 4 for an order fit")
+    if not 0 < xi_min < xi_max < float("inf"):
+        raise ValueError("the sweep needs 0 < --xi-min < --xi-max < inf")
+    if xi_min > cutoff_r:
+        raise ValueError(f"--xi-min {xi_min:g} exceeds --cutoff-r "
+                         f"{cutoff_r:g}; no xi would remain")
+    xis = []
+    for xi in np.geomspace(xi_max, xi_min, xi_points):
+        if xi > cutoff_r:
+            click.echo(f"warning: dropping xi = {xi:g}, which exceeds the "
+                       f"cutoff radius {cutoff_r:g}", err=True)
+        else:
+            xis.append(xi)
+    if len(xis) < 4:
+        raise ValueError(f"only {len(xis)} xi value(s) lie within --cutoff-r "
+                         f"{cutoff_r:g}; an order fit needs at least 4")
+    spec = load_system(spec_file)
+    nsys = spec.numeric()
+    cs = propagate_zeros(derive_system(spec, q=q))
+    coeffs = cs.numeric(spec.params)
+    if eta is None:
+        eta = 0.5 * nsys.As
+    if not nsys.As < eta < 0:
+        raise ValueError(f"--eta {eta:g} must lie strictly in "
+                         f"(As, 0) = ({nsys.As:g}, 0)")
+    grid = Grid(-float(window), 0.0, window * grid_n)
+    lp = LPConfig(eta=eta, window=window, cutoff_R=cutoff_r, fp_tol=fp_tol,
+                  max_iters=200)
+    # h^app evaluates the fields on y = 0, so only monomials free of y lead
+    degs = [sum(k) for f in [nsys.Fs] + nsys.Gs for k in f.coeffs if k[1] == 0]
+    return OrderLawPlan(nsys=nsys, coeffs=coeffs,
+                        min_degree=residuals(cs)["min_degree"],
+                        lead_degree=min(degs, default=None),
+                        grid=grid, lp=lp, xis=tuple(xis), solver=solver)
+
+
+def order_law_row(plan: OrderLawPlan, rp: RoughPath) -> dict:
+    """The report row of one rough path on plan.grid: phi, h^c and h^app at
+    each xi, the failed solves and the order slope of |h^c - phi|, which is
+    nan unless 4 or more xi converged."""
     nsys, xis = plan.nsys, plan.xis
-    rp = lift_brownian(seed, plan.grid, d=nsys.d, gamma=nsys.gamma)
     hier = solve_hierarchy(plan.coeffs, rp, init="zero")
     ma = ManifoldApproximation(q=plan.coeffs.q, alpha0=hier.alpha0, radius=max(xis))
-    l = plan.lead_degree
-    happ = (leading_order_happ(nsys, l, xis, rp) if l is not None
-            else [0.0] * len(xis))
-    row = {"seed": seed, "xi_sweep": list(xis),
+    happ = ([0.0] * len(xis) if plan.lead_degree is None
+            else leading_order_happ(nsys, plan.lead_degree, xis, rp))
+    row = {"xi_sweep": list(xis),
            "phi_values": [evaluate_phi(ma, xi) for xi in xis],
            "hc_values": [], "happ_values": [float(h) for h in happ],
            "contraction_rates": [],
@@ -92,21 +134,23 @@ def _verify_seed(plan: _VerifyPlan, seed: int) -> dict:
            "residual_min_degree": plan.min_degree, "failures": []}
     for xi, r in zip(xis, lyapunov_perron_sweep(nsys, xis, rp, plan.lp,
                                                 solver=plan.solver)):
-        if r.converged:
-            row["hc_values"].append(r.hc)
-            row["contraction_rates"].append(r.rates[-1] if r.rates else 0.0)
-        else:
-            row["hc_values"].append(float("nan"))
-            row["contraction_rates"].append(float("nan"))
+        rate = (r.rates[-1] if r.rates else 0.0) if r.converged else float("nan")
+        row["hc_values"].append(r.hc if r.converged else float("nan"))
+        row["contraction_rates"].append(rate)
+        if not r.converged:
             row["failures"].append({"xi": xi, "error": str(r.error)})
     errs = np.abs(np.subtract(row["hc_values"], row["phi_values"]))
     ok = np.isfinite(errs)
     try:
-        fit = order_fit(np.asarray(xis)[ok], errs[ok])
-        row["order_slope"] = fit.slope
+        row["order_slope"] = order_fit(np.asarray(xis)[ok], errs[ok]).slope
     except ValueError:
         row["order_slope"] = float("nan")
     return row
+
+
+def _verify_seed(plan: OrderLawPlan, seed: int) -> dict:
+    rp = lift_brownian(seed, plan.grid, d=plan.nsys.d, gamma=plan.nsys.gamma)
+    return {"seed": seed, **order_law_row(plan, rp)}
 
 
 def _provenance(spec_file, q: int) -> dict:
@@ -136,8 +180,7 @@ def _provenance(spec_file, q: int) -> dict:
 @click.option("--fp-tol", type=float, default=1e-10)
 @click.option("--out-dir", type=click.Path(), default=".")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
-           xi_min, xi_max, xi_points, solver, fp_tol, out_dir, fmt):
+def verify(spec_file, seeds, out_dir, fmt, **sweep):
     """Check the order law |h^c - phi| = O(|xi|^{q+1}) over sampled paths."""
     threads = os.environ.get("RM_THREADS", "1")
     try:
@@ -146,45 +189,10 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
                              f"{threads!r}")
         if seeds < 1:
             raise ValueError("--seeds must be at least 1")
-        if xi_points < 4:
-            raise ValueError("--xi-points must be at least 4 for an order fit")
-        if not 0 < xi_min < xi_max < float("inf"):
-            raise ValueError("the sweep needs 0 < --xi-min < --xi-max < inf")
-        if xi_min > cutoff_r:
-            raise ValueError(f"--xi-min {xi_min:g} exceeds --cutoff-r "
-                             f"{cutoff_r:g}; no xi would remain")
-        xis = []
-        for xi in np.geomspace(xi_max, xi_min, xi_points):
-            if xi > cutoff_r:
-                click.echo(f"warning: dropping xi = {xi:g}, which exceeds the "
-                           f"cutoff radius {cutoff_r:g}", err=True)
-            else:
-                xis.append(xi)
-        if len(xis) < 4:
-            raise ValueError(f"only {len(xis)} xi value(s) lie within --cutoff-r "
-                             f"{cutoff_r:g}; an order fit needs at least 4")
-        spec = load_system(spec_file)
-        nsys = spec.numeric()
-        cs = propagate_zeros(derive_system(spec, q=q))
-        coeffs = cs.numeric(spec.params)
-        if eta is None:
-            eta = 0.5 * nsys.As
-        if not nsys.As < eta < 0:
-            raise ValueError(f"--eta {eta:g} must lie strictly in "
-                             f"(As, 0) = ({nsys.As:g}, 0)")
-        grid = Grid(-float(window), 0.0, window * grid_n)
-        lp = LPConfig(eta=eta, window=window, cutoff_R=cutoff_r, fp_tol=fp_tol,
-                      max_iters=200)
+        plan = order_law_plan(spec_file, **sweep)
     except (FieldValidationError, ValueError, KeyError) as exc:
         click.echo(f"validation failure: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    degs = [min(sum(k) for k in f.coeffs)
-            for f in [nsys.Fs] + nsys.Gs if f.coeffs]
-    plan = _VerifyPlan(
-        nsys=nsys, coeffs=coeffs,
-        min_degree=residuals(cs)["min_degree"],
-        lead_degree=min(degs) if degs else None,
-        grid=grid, lp=lp, xis=tuple(xis), solver=solver)
     workers = int(threads)
     if workers > 1 and seeds > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -193,14 +201,15 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
     else:
         rows = [_verify_seed(plan, s) for s in range(seeds)]
     rows.sort(key=lambda r: r["seed"])
+    q = plan.coeffs.q
 
     slopes = [r["order_slope"] for r in rows if np.isfinite(r["order_slope"])]
     # statistics, not np.median, whose first call imports numpy.ma
     median_slope = float(statistics.median(slopes)) if slopes else float("nan")
-    report = {"spec": str(spec_file), "provenance": _provenance(spec_file, cs.q),
-              "q": cs.q, "window": window, "grid_n": grid_n, "eta": eta,
-              "cutoff_r": cutoff_r, "solver": solver, "median_slope": median_slope,
-              "threshold": cs.q + 0.5, "per_seed": rows}
+    report = {"spec": str(spec_file), "provenance": _provenance(spec_file, q),
+              "q": q, "window": plan.lp.window, "grid_n": sweep["grid_n"],
+              "eta": plan.lp.eta, "cutoff_r": plan.lp.cutoff_R, "solver": plan.solver,
+              "median_slope": median_slope, "threshold": q + 0.5, "per_seed": rows}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "verify_report.json").write_text(json.dumps(report, indent=2))
@@ -222,8 +231,8 @@ def verify(spec_file, q, seeds, grid_n, window, eta, cutoff_r,
         for f in r["failures"]:
             click.echo(f"seed {r['seed']} xi {f['xi']:g}: {f['error']}", err=True)
     click.echo(f"median slope {median_slope:.3f} "
-               f"(threshold {cs.q + 0.5}, {len(rows)} seed(s))")
-    if failed or not np.isfinite(median_slope) or median_slope < cs.q + 0.5:
+               f"(threshold {q + 0.5}, {len(rows)} seed(s))")
+    if failed or not np.isfinite(median_slope) or median_slope < q + 0.5:
         sys.exit(EXIT_THRESHOLD)
 
 

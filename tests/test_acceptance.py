@@ -15,11 +15,11 @@ import sympy as sp
 from oracles import (constant_path, lift_smooth, ou_stationary,
                      reference_path, rough_integral, solve_rde,
                      stationarity_check)
-from roughcm import (Grid, LPConfig, ManifoldApproximation, NumericField,
-                     NumericSystem, coarsen, derive_system, evaluate_phi,
+from roughcm import (Grid, LPConfig, NumericSystem, coarsen, derive_system,
                      leading_order_happ, lift_brownian, lift_fbm, load_system,
-                     lyapunov_perron_hc, lyapunov_perron_sweep, order_fit,
-                     propagate_zeros, solve_hierarchy, validate)
+                     lyapunov_perron_hc, order_fit, propagate_zeros,
+                     solve_hierarchy, validate)
+from roughcm.cli import order_law_plan, order_law_row
 from roughcm.manifold import _Sweep
 
 x = sp.Symbol("x")
@@ -64,24 +64,28 @@ def cs_nonlinear(spec_nonlinear):
 
 
 @pytest.fixture(scope="module")
-def det_sweep(cs_linear):
-    """Deterministic order-law sweep on the quartic example: h^c via the
-    fixed point against the Taylor map and the leading-order closed form."""
+def sextic_plan():
+    """verify's default sweep on the sextic example, 64 cells per unit."""
+    return order_law_plan(
+        EXAMPLES / "chekroun_nonlinear.json", q=None, grid_n=64, window=12,
+        eta=None, cutoff_r=0.5, xi_min=0.0125, xi_max=0.1, xi_points=5,
+        solver="picard", fp_tol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def det_sweep():
+    """verify's Newton sweep on the quartic example, one seed, every xi solved."""
     t0 = time.time()
-    spec = load_system(EXAMPLES / "chekroun_linear.json")
-    nsys = spec.numeric()
-    rp = lift_brownian(0, Grid(-12.0, 0.0, 12 * 64), gamma=0.45)
-    hier = solve_hierarchy(cs_linear, rp, params=spec.params, init="zero")
-    ma = ManifoldApproximation(q=4, alpha0=hier.alpha0, radius=0.25)
-    lp = LPConfig(eta=-0.5, window=12, cutoff_R=1.0, fp_tol=1e-10)
-    xis = [0.2 / 2**k for k in range(5)]
-    err_phi, err_happ = [], []
-    for xi in xis:
-        res = lyapunov_perron_hc(nsys, xi, rp, lp, solver="newton")
-        err_phi.append(abs(res.hc - evaluate_phi(ma, xi)))
-        err_happ.append(abs(res.hc - leading_order_happ(nsys, 2, xi, rp)))
-    return {"xis": xis, "err_phi": err_phi, "err_happ": err_happ,
-            "nsys": nsys, "elapsed": time.time() - t0}
+    plan = order_law_plan(
+        EXAMPLES / "chekroun_linear.json", q=None, grid_n=64, window=12,
+        eta=None, cutoff_r=1.0, xi_min=0.0125, xi_max=0.2, xi_points=5,
+        solver="newton", fp_tol=1e-10)
+    row = order_law_row(plan, lift_brownian(0, plan.grid, gamma=0.45))
+    assert not row["failures"], row["failures"]
+    hc = np.asarray(row["hc_values"])
+    return {"xis": row["xi_sweep"], "err_phi": abs(hc - row["phi_values"]),
+            "err_happ": abs(hc - row["happ_values"]), "nsys": plan.nsys,
+            "elapsed": time.time() - t0}
 
 
 def test_derive_quartic_system_exact(cs_linear):
@@ -240,25 +244,18 @@ def test_deterministic_order_law(det_sweep):
     finish("deterministic |h^c - phi| order law: slope >= q + 1 = 5", fails)
 
 
-def test_stochastic_order_law(spec_nonlinear, cs_nonlinear):
+def test_stochastic_order_law(sextic_plan):
     fails = []
     t0 = time.time()
-    nsys = spec_nonlinear.numeric()
-    xis = list(np.geomspace(0.1, 0.0125, 5))
-    lp = LPConfig(eta=-0.5, window=12, cutoff_R=0.5, fp_tol=1e-10)
     slopes = []
     for seed in range(20):
-        rp = lift_brownian(seed, Grid(-12.0, 0.0, 12 * 64),
-                           gamma=spec_nonlinear.gamma)
-        hier = solve_hierarchy(cs_nonlinear, rp, init="zero")
-        ma = ManifoldApproximation(q=6, alpha0=hier.alpha0, radius=0.1)
-        results = lyapunov_perron_sweep(nsys, xis, rp, lp)
-        for res in results:
-            if res.error is not None:
-                raise res.error
-        errs = [abs(res.hc - evaluate_phi(ma, xi)) for res, xi in zip(results, xis)]
-        slopes.append(order_fit(xis, errs).slope)
-        ratios = [e / xi**7 for e, xi in zip(errs, xis)]
+        row = order_law_row(sextic_plan, lift_brownian(
+            seed, sextic_plan.grid, gamma=sextic_plan.nsys.gamma))
+        fails += [f"seed {seed} xi {f['xi']:g}: {f['error']}"
+                  for f in row["failures"]]
+        slopes.append(row["order_slope"])
+        ratios = [abs(hc - phi) / xi**7 for xi, hc, phi in
+                  zip(row["xi_sweep"], row["hc_values"], row["phi_values"])]
         clause(fails, max(ratios) / min(ratios) <= 1e2,
                f"seed {seed}: ratio spread {max(ratios) / min(ratios):.1f}")
     med = float(np.median(slopes))
@@ -268,30 +265,20 @@ def test_stochastic_order_law(spec_nonlinear, cs_nonlinear):
            "bounded error ratios", fails)
 
 
-def test_rough_order_law(spec_nonlinear, cs_nonlinear):
+def test_rough_order_law(sextic_plan):
     # the order law where rough-path theory is needed: fBm at H = 0.4, a
     # level-0 lift on 64 cells per unit, each seed run as verify runs one;
     # the seeds 100-103 were fixed before the test was first run
     fails = []
     t0 = time.time()
-    nsys = spec_nonlinear.numeric()
-    coeffs = cs_nonlinear.numeric(spec_nonlinear.params)
-    xis = list(np.geomspace(0.1, 0.0125, 5))
-    lp = LPConfig(eta=0.5 * nsys.As, window=12, cutoff_R=0.5, fp_tol=1e-10,
-                  max_iters=200)
     slopes = []
     for seed in range(100, 104):
-        rp = lift_fbm(seed, 0.4, Grid(-12.0, 0.0, 12 * 64), dyadic_level=0)
-        hier = solve_hierarchy(coeffs, rp, init="zero")
-        ma = ManifoldApproximation(q=6, alpha0=hier.alpha0, radius=max(xis))
-        results = lyapunov_perron_sweep(nsys, xis, rp, lp)
-        for xi, res in zip(xis, results):
-            clause(fails, res.converged, f"seed {seed} xi {xi:g}: {res.error}")
-        ok = [(xi, abs(res.hc - evaluate_phi(ma, xi)))
-              for xi, res in zip(xis, results) if res.converged]
-        if len(ok) >= 2:
-            slopes.append(order_fit(*zip(*ok)).slope)
-    med = float(np.median(slopes)) if slopes else float("nan")
+        row = order_law_row(sextic_plan, lift_fbm(seed, 0.4, sextic_plan.grid,
+                                                  dyadic_level=0))
+        fails += [f"seed {seed} xi {f['xi']:g}: {f['error']}"
+                  for f in row["failures"]]
+        slopes.append(row["order_slope"])
+    med = float(np.median(slopes))
     clause(fails, med >= 6.5, f"median slope {med:.2f} < q + 0.5 = 6.5")
     clause(fails, time.time() - t0 < 60.0, "over 60 s budget")
     finish("rough order law, fBm H = 0.4 over 4 seeds: median slope >= 6.5 "

@@ -226,9 +226,9 @@ class TestDerive:
 
 
 class TestVerify:
-    def run_small(self, runner, tmp_path, *extra):
+    def run_small(self, runner, tmp_path, *extra, spec=LINEAR):
         return runner.invoke(main, [
-            "verify", "--spec", str(LINEAR), "--seeds", "1",
+            "verify", "--spec", str(spec), "--seeds", "1",
             "--grid-n", "32", "--window", "6", "--xi-min", "0.0125",
             "--xi-max", "0.1", "--xi-points", "4",
             "--out-dir", str(tmp_path), *extra])
@@ -236,8 +236,7 @@ class TestVerify:
     def test_non_integer_field_exits_2(self, runner, tmp_path, bad_integer_spec,
                                        monkeypatch):
         monkeypatch.setattr(cli, "lyapunov_perron_sweep", None)
-        result = runner.invoke(main, ["verify", "--spec", str(bad_integer_spec),
-                                      "--seeds", "1", "--out-dir", str(tmp_path)])
+        result = self.run_small(runner, tmp_path, spec=bad_integer_spec)
         assert result.exit_code == 2, result.output
         assert "validation failure" in result.output
         assert "must be an integer" in result.output
@@ -247,8 +246,7 @@ class TestVerify:
                                      monkeypatch):
         monkeypatch.setattr(cli, "lyapunov_perron_sweep", None)
         bad, message = bad_type_spec
-        result = runner.invoke(main, ["verify", "--spec", str(bad),
-                                      "--seeds", "1", "--out-dir", str(tmp_path)])
+        result = self.run_small(runner, tmp_path, spec=bad)
         assert result.exit_code == 2, result.output
         assert "validation failure" in result.output and message in result.output
         assert not (tmp_path / "verify_report.json").exists()
@@ -404,6 +402,19 @@ class TestVerify:
         for a, b in zip(paths["happ"], paths["lp"]):
             assert type(a) is roughcm.RoughPath and a is b
 
+    def test_happ_reads_y_free_monomials(self, runner, tmp_path):
+        # h^app evaluates the fields on y = 0, where the noise term sigma*y
+        # vanishes: the leading degree stays the drift's 2 at sigma != 0
+        doc = json.loads(LINEAR.read_text())
+        doc["params"]["sigma"] = 0.5
+        (tmp_path / "noisy.json").write_text(json.dumps(doc))
+        happ = []
+        for spec in [LINEAR, tmp_path / "noisy.json"]:
+            self.run_small(runner, tmp_path / spec.stem, spec=spec)
+            report = tmp_path / spec.stem / "verify_report.json"
+            happ.append(json.loads(report.read_text())["per_seed"][0]["happ_values"])
+        assert happ[0] == happ[1] and 0.0 not in happ[0]
+
     def test_one_numeric_form_per_run(self, runner, tmp_path, monkeypatch):
         # the coefficient system becomes floats once, not once per seed
         real = roughcm.CoefficientSystem.numeric
@@ -441,34 +452,26 @@ class TestVerify:
         doc.update(noise_dim=0, Gc=[], Gs=[])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        result = runner.invoke(main, [
-            "verify", "--spec", str(bad), "--seeds", "1", "--grid-n", "32",
-            "--window", "6", "--out-dir", str(tmp_path)])
+        result = self.run_small(runner, tmp_path, spec=bad)
         assert result.exit_code == 2, result.output
         assert "validation failure" in result.output
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_bad_symbol_exits_2(self, runner, tmp_path, bad_symbol_spec):
-        result = runner.invoke(main, [
-            "verify", "--spec", str(bad_symbol_spec), "--seeds", "1",
-            "--grid-n", "32", "--window", "6", "--out-dir", str(tmp_path)])
+        result = self.run_small(runner, tmp_path, spec=bad_symbol_spec)
         assert result.exit_code == 2, result.output
         assert "validation failure" in result.output
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_out_of_range_override_exits_2(self, runner, tmp_path, out_of_range_spec):
         bad, message = out_of_range_spec
-        result = runner.invoke(main, [
-            "verify", "--spec", str(bad), "--seeds", "1",
-            "--grid-n", "32", "--window", "6", "--out-dir", str(tmp_path)])
+        result = self.run_small(runner, tmp_path, spec=bad)
         assert result.exit_code == 2, result.output
         assert f"validation failure: {message}" in result.output
         assert not (tmp_path / "verify_report.json").exists()
 
     def test_unreal_coefficient_exits_2(self, runner, tmp_path, unreal_spec):
-        result = runner.invoke(main, [
-            "verify", "--spec", str(unreal_spec), "--seeds", "1",
-            "--grid-n", "32", "--window", "6", "--out-dir", str(tmp_path)])
+        result = self.run_small(runner, tmp_path, spec=unreal_spec)
         assert result.exit_code == 2, result.output
         assert "not a finite real number" in result.output
         assert not (tmp_path / "verify_report.json").exists()
