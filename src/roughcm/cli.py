@@ -106,9 +106,10 @@ def order_law_plan(spec_file, *, q, grid_n, window, eta, cutoff_r, xi_min,
     if not nsys.As < eta < 0:
         raise ValueError(f"--eta {eta:g} must lie strictly in "
                          f"(As, 0) = ({nsys.As:g}, 0)")
+    if window < 2:
+        raise ValueError(f"--window {window} must span at least 2 unit blocks")
     grid = Grid(-float(window), 0.0, window * grid_n)
-    lp = LPConfig(eta=eta, window=window, cutoff_R=cutoff_r, fp_tol=fp_tol,
-                  max_iters=200)
+    lp = LPConfig(eta=eta, cutoff_R=cutoff_r, fp_tol=fp_tol, max_iters=200)
     # h^app evaluates the fields on y = 0, so only monomials free of y lead
     degs = [sum(k) for f in [nsys.Fs] + nsys.Gs for k in f.coeffs if k[1] == 0]
     return OrderLawPlan(nsys=nsys, coeffs=coeffs,
@@ -118,9 +119,9 @@ def order_law_plan(spec_file, *, q, grid_n, window, eta, cutoff_r, xi_min,
 
 
 def order_law_row(plan: OrderLawPlan, rp: RoughPath) -> dict:
-    """The report row of one rough path on plan.grid: phi, h^c and h^app at
-    each xi, the failed solves and the order slope of |h^c - phi|, which is
-    nan unless 4 or more xi converged."""
+    """The report row of any rough path on a window [-N, 0] of N >= 2 unit
+    blocks: phi, h^c and h^app at each xi, the failed solves and the order
+    slope of |h^c - phi|, which is nan unless 4 or more xi converged."""
     nsys, xis = plan.nsys, plan.xis
     hier = solve_hierarchy(plan.coeffs, rp, init="zero")
     ma = ManifoldApproximation(q=plan.coeffs.q, alpha0=hier.alpha0, radius=max(xis))
@@ -207,7 +208,7 @@ def verify(spec_file, seeds, out_dir, fmt, **sweep):
     # statistics, not np.median, whose first call imports numpy.ma
     median_slope = float(statistics.median(slopes)) if slopes else float("nan")
     report = {"spec": str(spec_file), "provenance": _provenance(spec_file, q),
-              "q": q, "window": plan.lp.window, "grid_n": sweep["grid_n"],
+              "q": q, "window": sweep["window"], "grid_n": sweep["grid_n"],
               "eta": plan.lp.eta, "cutoff_r": plan.lp.cutoff_R, "solver": plan.solver,
               "median_slope": median_slope, "threshold": q + 0.5, "per_seed": rows}
     out = Path(out_dir)

@@ -65,12 +65,26 @@ class PolyField:
     @classmethod
     def from_entries(cls, entries: list[dict], name: str) -> "PolyField":
         """The field of the term list `name` of a spec."""
+        if not isinstance(entries, list):
+            raise FieldValidationError(f"{name} = {entries!r} must be a list of terms")
         terms: dict[tuple[int, int], sp.Expr] = {}
         for e in entries:
-            key = tuple(_spec_int(e[k], f"{name} term {e}: exponent {k}", 0)
+            if not isinstance(e, dict):
+                raise FieldValidationError(
+                    f"{name} term {e!r} must be an object with keys i, j and c")
+            where = f"{name} term {e}: "
+            key = tuple(_spec_int(_key(e, k, where), f"{where}exponent {k}", 0)
                         for k in "ij")
-            terms[key] = terms.get(key, sp.Integer(0)) + _parse_coeff(e["c"])
+            c = _parse_coeff(_key(e, "c", where), f"{where}coefficient c")
+            terms[key] = terms.get(key, sp.Integer(0)) + c
         return cls(terms)
+
+
+def _key(doc: dict, key: str, where: str = ""):
+    """doc[key], or a FieldValidationError naming the missing field."""
+    if key not in doc:
+        raise FieldValidationError(f"{where}missing field {key}")
+    return doc[key]
 
 
 def _spec_int(value, name: str, minimum: int | None = None) -> int:
@@ -84,7 +98,15 @@ def _spec_int(value, name: str, minimum: int | None = None) -> int:
     return int(value)
 
 
-def _parse_coeff(c) -> sp.Expr:
+def _spec_real(value, name: str) -> float:
+    """A number field of a spec: an int or a float, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise FieldValidationError(f"{name} = {value!r} must be a number")
+    return float(value)
+
+
+def _parse_coeff(c, name: str) -> sp.Expr:
+    """A coefficient: a number, or a string that sympy reads as an expression."""
     if isinstance(c, str):
         try:
             expr = sp.sympify(c, rational=True)
@@ -93,6 +115,9 @@ def _parse_coeff(c) -> sp.Expr:
         if not isinstance(expr, sp.Expr):
             raise FieldValidationError(f"coefficient {c!r} is no expression")
         return expr
+    if isinstance(c, bool) or not (isinstance(c, numbers.Real) and math.isfinite(c)):
+        raise FieldValidationError(f"{name} = {c!r} must be a finite number or "
+                                   "an expression string")
     if isinstance(c, float) and not c.is_integer():
         return sp.Rational(c).limit_denominator(10**12)
     return sp.Integer(int(c)) if isinstance(c, (int, float)) else sp.sympify(c)
@@ -131,7 +156,11 @@ class SystemSpec:
             gs.validate("diffusion", "G")
 
     def numeric(self) -> "NumericSystem":
+        """The fields at the parameter values; a ValueError names the
+        parameters of the coefficients without a value."""
         sym_subs = {sp.Symbol(k): v for k, v in self.params.items()}
+        _check_values(set().union(*(c.free_symbols for c in _coefficients(self))),
+                      sym_subs)
 
         def num(expr):
             return float(sp.N(sp.sympify(expr).subs(sym_subs)))
@@ -149,18 +178,24 @@ class SystemSpec:
 
 
 def load_system(path_or_dict) -> SystemSpec:
-    """Load a system description from a JSON file or an equivalent dict."""
-    if isinstance(path_or_dict, dict):
-        doc = path_or_dict
-    else:
+    """Load a system description from a JSON file or an equivalent dict; a
+    FieldValidationError names a field that is missing or malformed."""
+    doc = path_or_dict
+    if not isinstance(doc, dict):
         with open(path_or_dict) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise FieldValidationError(f"the spec must be a JSON object, got a "
+                                       f"JSON {type(doc).__name__}")
     d = _spec_int(doc.get("noise_dim", 1), "noise_dim")
     if d < 1:
         raise FieldValidationError(f"noise_dim = {d}: give at least one noise channel")
     gc_entries = doc.get("Gc", [[] for _ in range(d)])
     gs_entries = doc.get("Gs", [[] for _ in range(d)])
     for name, entries in (("Gc", gc_entries), ("Gs", gs_entries)):
+        if not isinstance(entries, list):
+            raise FieldValidationError(f"{name} = {entries!r} must be a list of "
+                                       "term lists, one per noise channel")
         if len(entries) != d:
             raise FieldValidationError(
                 f"{name} has {len(entries)} channel(s) but noise_dim = {d}: "
@@ -168,20 +203,20 @@ def load_system(path_or_dict) -> SystemSpec:
     override, params = doc.get("override", False), doc.get("params", {})
     if not isinstance(override, bool):
         raise FieldValidationError(f"override = {override!r} must be a JSON bool")
-    for k, v in params.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise FieldValidationError(f"parameter {k} = {v!r} must be a number")
+    if not isinstance(params, dict):
+        raise FieldValidationError(f"params = {params!r} must be a JSON object")
+    params = {k: _spec_real(v, f"parameter {k}") for k, v in params.items()}
     spec = SystemSpec(
-        gamma=float(doc["gamma"]),
-        q=_spec_int(doc["q"], "q"),
+        gamma=_spec_real(_key(doc, "gamma"), "gamma"),
+        q=_spec_int(_key(doc, "q"), "q"),
         noise_dim=d,
-        Ac=_parse_coeff(doc["Ac"]),
-        As=_parse_coeff(doc["As"]),
+        Ac=_parse_coeff(_key(doc, "Ac"), "Ac"),
+        As=_parse_coeff(_key(doc, "As"), "As"),
         Fc=PolyField.from_entries(doc.get("Fc", []), "Fc"),
         Fs=PolyField.from_entries(doc.get("Fs", []), "Fs"),
         Gc=[PolyField.from_entries(ch, f"Gc[{k}]") for k, ch in enumerate(gc_entries)],
         Gs=[PolyField.from_entries(ch, f"Gs[{k}]") for k, ch in enumerate(gs_entries)],
-        params={k: float(v) for k, v in params.items()},
+        params=params,
         override=override,
     )
     clashes = [k for k in spec.params if k == "x" or re.fullmatch(r"alpha\d+", k)
@@ -274,10 +309,7 @@ class CoefficientSystem:
         used = set().union(*(linear[i].free_symbols for i in orders),
                            *(_parameters(p, self.q) for i in orders
                              for p in (f[i], *g[i])))
-        missing = sorted(map(str, used - set(values)))
-        if missing:
-            raise ValueError(f"no value for parameter(s) {', '.join(missing)}: pass "
-                             "every parameter of the spec in params")
+        _check_values(used, values)
         A = {i: float(sp.N(linear[i].subs(values))) for i in orders}
         fs = {i: _numeric_field(f[i], self.q, values) for i in orders}
         gs = {i: [_numeric_field(p, self.q, values) for p in g[i]] for i in orders}
@@ -291,6 +323,14 @@ class CoefficientSystem:
         return json.dumps({"q": self.q, "noise_dim": self.noise_dim, "Ac": str(self.Ac),
                            "As": str(self.As), **views,
                            "zero_flags": sorted(self.zero_flags)}, indent=2)
+
+
+def _check_values(used: set[sp.Symbol], values: dict) -> None:
+    """A ValueError naming the parameters in `used` that `values` lacks."""
+    missing = sorted(map(str, used - set(values)))
+    if missing:
+        raise ValueError(f"no value for parameter(s) {', '.join(missing)}: pass "
+                         "every parameter of the spec in params")
 
 
 def _each(tree, fn=lambda p: p.as_expr()):

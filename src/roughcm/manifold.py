@@ -101,22 +101,20 @@ def leading_order_happ(sys: NumericSystem, l: int, xi,
 
 
 class _Blocks:
-    """The unit blocks [b, b+1], b = -N..-1, of a rough path on [-N, 0]
-    with d channels, each on the unit `grid` of [0, 1]: W (re-based to
-    vanish at the block's first node), WW, the nodes' window `times` and
-    their indices `idx` in the path are stacked along a leading block axis.
-    N defaults to the length of the path's window."""
+    """The unit blocks [b, b+1], b = -N..-1, of a rough path on a window
+    [-N, 0] with d channels, each on the unit `grid` of [0, 1]: W (re-based
+    to vanish at the block's first node), WW, the nodes' window `times` and
+    their indices `idx` in the path are stacked along a leading block axis."""
 
-    def __init__(self, rp: RoughPath, d: int, N: int | None = None):
-        N = N or round(-rp.grid.t0)
-        if rp.grid.t0 != -float(N) or rp.grid.t1 != 0.0:
-            raise ValueError("rough path must cover [-N, 0] with whole unit blocks")
+    def __init__(self, rp: RoughPath, d: int):
+        if rp.grid.t1 != 0.0:
+            raise ValueError(f"the window of {rp.grid} must end at time 0")
         self.grid, self.idx, self.W, self.WW = _unit_split(rp)
         if rp.d != d:
             raise ValueError(f"the rough path has {rp.d} channel(s) but the system "
                              f"has {d} noise channel(s)")
         self.d, self.gamma = rp.d, rp.gamma
-        self.times = np.arange(-N, 0)[:, None] + self.grid.nodes
+        self.times = np.arange(-len(self.idx), 0)[:, None] + self.grid.nodes
 
     def convolve(self, A, f: np.ndarray, gY: np.ndarray, gYp: np.ndarray) -> np.ndarray:
         """Drift f and diffusion (gY, gYp) convolved over every block, with
@@ -133,18 +131,13 @@ class _Blocks:
 @dataclass
 class LPConfig:
     eta: float
-    window: int = 12
     cutoff_R: float = 0.5
     max_iters: int = 200
     fp_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("window", "max_iters"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got "
-                                 f"{getattr(self, name)!r}")
-        if self.window < 2:
-            raise ValueError("window must span at least 2 unit blocks")
+        if not _is_integer(self.max_iters):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not self.cutoff_R > 0:
             raise ValueError("cutoff radius must be positive")
         if not (math.isfinite(self.fp_tol) and self.fp_tol > 0):
@@ -190,8 +183,11 @@ class _Sweep:
         self.sys = sys
         self.xi = np.asarray(xis, dtype=float)
         self.lp = lp
-        self.N = lp.window
-        self.blocks = _Blocks(rp, sys.d, self.N)
+        self.blocks = _Blocks(rp, sys.d)
+        self.N = len(self.blocks.idx)
+        if self.N < 2:
+            raise ValueError(f"the window of {rp.grid} must span at least 2 "
+                             "unit blocks")
         self.nu = self.blocks.grid.n
         self.d = self.blocks.d
         self.width = 2 * (self.nu + 1) * (1 + self.d)    # of one block's row
@@ -372,12 +368,12 @@ def lyapunov_perron_sweep(sys: NumericSystem, xis, rp: RoughPath, lp: LPConfig,
     """Fixed points of the window-truncated graph-transform iteration, one
     LPResult per boundary value in xis, all on the rough path rp.
 
-    The window [-N, 0] is split into unit blocks; each sweep recomputes the
+    The window [-N, 0] of rp, which must end at 0 and span N >= 2 whole
+    unit blocks, is split into those blocks; each sweep recomputes the
     sequence of controlled paths from the center boundary value xi and the
     cut-off fields, block convolutions reusing the same discretization as
     the stationary-coefficient solver.  The stable component at time 0 of
-    the converged sequence is the reference manifold value h^c(xi, W).  rp
-    is a rough path on [-N, 0].
+    the converged sequence is the reference manifold value h^c(xi, W).
 
     solver="picard" iterates the map for every xi at once, each sweep
     serving the xi still running.  A xi stops on its own: converged, or

@@ -321,7 +321,7 @@ def test_truncation_remainder_bound(spec_nonlinear):
         Gc=[g.leading(l) for g in nsys.Gc],
         Gs=[g.leading(l) for g in nsys.Gs])
     rp = lift_brownian(9, Grid(-2.0, 0.0, 2 * 32), gamma=nsys.gamma)
-    lp = LPConfig(eta=-0.5, window=2, cutoff_R=0.5)
+    lp = LPConfig(eta=-0.5, cutoff_R=0.5)
     sw_full = _Sweep(nsys, [0.0], rp, lp)
     sw_lead = _Sweep(lead, [0.0], rp, lp)
     zero = sw_full.zero_state()
@@ -351,7 +351,7 @@ def test_truncation_remainder_bound(spec_nonlinear):
 
 def test_contraction_diagnostics(spec_nonlinear):
     fails = []
-    lp = LPConfig(eta=-0.5, window=12, cutoff_R=0.5, fp_tol=1e-8)
+    lp = LPConfig(eta=-0.5, cutoff_R=0.5, fp_tol=1e-8)
     quartic = load_system(EXAMPLES / "chekroun_linear.json")
     for name, spec in [("quartic", quartic),
                        ("sextic", spec_nonlinear)]:

@@ -127,6 +127,23 @@ def out_of_range_spec(request, tmp_path):
     return bad, message
 
 
+@pytest.mark.parametrize("command", ["derive", "verify"])
+@pytest.mark.parametrize("change", [
+    lambda doc: [doc],
+    lambda doc: {**doc, "Fs": doc["Fs"] + [{"i": 3, "j": 0, "c": None}]}],
+    ids=["json-list", "c-null"])
+def test_malformed_spec_exits_2(runner, tmp_path, command, change):
+    # both used to end in a traceback and exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(change(json.loads(NONLINEAR.read_text()))))
+    result = runner.invoke(main, [command, "--spec", str(bad),
+                                  "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "validation failure" in result.output
+    assert "Traceback" not in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+
 class TestDerive:
     def test_linear_report(self, runner, tmp_path):
         result = runner.invoke(main, ["derive", "--spec", str(LINEAR),
@@ -414,6 +431,16 @@ class TestVerify:
             report = tmp_path / spec.stem / "verify_report.json"
             happ.append(json.loads(report.read_text())["per_seed"][0]["happ_values"])
         assert happ[0] == happ[1] and 0.0 not in happ[0]
+
+    def test_row_reads_window_from_path(self):
+        # the LP reads N from the path, so the plan for window 12 gives a
+        # path over [-8, 0] the row of the plan for window 8
+        sweep = dict(q=None, grid_n=32, eta=None, cutoff_r=0.5, xi_min=0.0125,
+                     xi_max=0.1, xi_points=4, solver="picard", fp_tol=1e-10)
+        plans = [cli.order_law_plan(LINEAR, window=w, **sweep) for w in (12, 8)]
+        rp = roughcm.lift_brownian(0, plans[1].grid, gamma=plans[1].nsys.gamma)
+        rows = [cli.order_law_row(plan, rp) for plan in plans]
+        assert rows[0] == rows[1] and not rows[0]["failures"]
 
     def test_one_numeric_form_per_run(self, runner, tmp_path, monkeypatch):
         # the coefficient system becomes floats once, not once per seed

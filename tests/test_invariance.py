@@ -91,6 +91,13 @@ class TestZeroSystem:
         assert sp.expand(cs.M) == 0
 
 
+def _fs_term(doc, drop=None, **change):
+    """doc with the term x^3 of coefficient 1 added to Fs, changed by
+    `change` and without the key `drop`."""
+    term = {k: v for k, v in {"i": 3, "j": 0, "c": 1, **change}.items() if k != drop}
+    return {**doc, "Fs": doc["Fs"] + [term]}
+
+
 class TestValidation:
     def base(self):
         return json.loads((EXAMPLES / "chekroun_nonlinear.json").read_text())
@@ -220,6 +227,39 @@ class TestValidation:
         spec = load_system(doc)
         assert spec.params == {"mu": 2.0, "nu": 0.5} and spec.override is False
 
+    @pytest.mark.parametrize("change, match", [
+        (lambda doc: [doc], r"^the spec must be a JSON object, got a JSON list$"),
+        (lambda doc: {**doc, "params": []}, r"^params = \[\] must be a JSON object$"),
+        (lambda doc: {**doc, "Fs": 5}, r"^Fs = 5 must be a list of terms$"),
+        (lambda doc: {**doc, "Fs": [5]},
+         r"^Fs term 5 must be an object with keys i, j and c$"),
+        (lambda doc: {**doc, "Gs": [5]}, r"^Gs\[0\] = 5 must be a list of terms$"),
+        (lambda doc: {**doc, "Gs": 5}, r"^Gs = 5 must be a list of term lists"),
+        (lambda doc: _fs_term(doc, c=None), r"^Fs term .*: coefficient c = None must be"),
+        (lambda doc: _fs_term(doc, c=[1]), r"^Fs term .*: coefficient c = \[1\] must be"),
+        (lambda doc: _fs_term(doc, c=True), r"^Fs term .*: coefficient c = True must be"),
+        (lambda doc: _fs_term(doc, c=float("nan")),
+         r"^Fs term .*: coefficient c = nan must be a finite number"),
+        (lambda doc: {**doc, "As": None}, r"^As = None must be"),
+        (lambda doc: {**doc, "Ac": True}, r"^Ac = True must be"),
+        (lambda doc: {**doc, "gamma": None}, r"^gamma = None must be a number$"),
+        (lambda doc: {**doc, "gamma": "0.45"}, r"^gamma = '0\.45' must be a number$"),
+        *[(lambda doc, k=k: {f: v for f, v in doc.items() if f != k},
+           f"^missing field {k}$") for k in ("gamma", "q", "Ac", "As")],
+        *[(lambda doc, k=k: _fs_term(doc, drop=k),
+           r"^Fs term \{.*\}: missing field " + k + "$") for k in "ijc"]],
+        ids=["json-list", "params-list", "Fs-number", "Fs-term-number",
+             "Gs-channel-number", "Gs-number", "c-null", "c-list", "c-bool",
+             "c-nan", "As-null", "Ac-bool", "gamma-null", "gamma-string",
+             "no-gamma", "no-q", "no-Ac", "no-As", "no-i", "no-j", "no-c"])
+    def test_malformed_field_named(self, tmp_path, change, match):
+        # each of these used to end in a TypeError, AttributeError or bare
+        # KeyError, or was read as a number: true as 1, "0.45" as 0.45
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(change(self.base())))
+        with pytest.raises(FieldValidationError, match=match):
+            load_system(spec)
+
     def test_gamma_out_of_range(self):
         doc = self.base()
         doc["gamma"] = 0.25
@@ -250,6 +290,15 @@ class TestDerivation:
             cs_linear.numeric({"lam": 0.0})
         nh = cs_linear.numeric({"lam": 0.0, "kappa": -1.0, "sigma": 0.5, "mu": 2.0})
         assert (nh.q, nh.d, sorted(nh.A)) == (4, 1, [2, 4])
+
+    def test_spec_numeric_names_missing_parameters(self, cs_linear):
+        # with the text of CoefficientSystem.numeric, not a sympy TypeError
+        spec = load_system(EXAMPLES / "chekroun_linear.json")
+        with pytest.raises(ValueError, match=r"parameter\(s\) kappa, sigma:") as got:
+            dataclasses.replace(spec, params={"lam": 0.0}).numeric()
+        with pytest.raises(ValueError) as want:
+            cs_linear.numeric({"lam": 0.0})
+        assert str(got.value) == str(want.value)
 
     def test_to_json_fields(self, cs_nonlinear):
         doc = json.loads(cs_nonlinear.to_json())

@@ -99,32 +99,32 @@ class TestLeadingOrderHapp:
 
 class TestLyapunovPerron:
     def test_zero_boundary_value(self, window, sys_linear):
-        lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-10)
+        lp = LPConfig(eta=-0.5, fp_tol=1e-10)
         res = lyapunov_perron_hc(sys_linear, 0.0, window, lp)
         assert res.hc == 0.0 and res.iterations == 1
 
     def test_deterministic_series_oracle(self, window, sys_linear):
         xi = 0.05
-        lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-12)
+        lp = LPConfig(eta=-0.5, fp_tol=1e-12)
         res = lyapunov_perron_hc(sys_linear, xi, window, lp)
         assert res.converged
         # alpha_2 = -1, alpha_4 = -2 for this system
         assert abs(res.hc - (-xi**2 - 2 * xi**4)) < 20 * xi**6
 
     def test_center_component_is_boundary_value(self, window, sys_linear):
-        lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-12)
+        lp = LPConfig(eta=-0.5, fp_tol=1e-12)
         res = lyapunov_perron_hc(sys_linear, 0.03, window, lp)
         x, y = _Sweep(sys_linear, [0.03], window, lp).values(res.state)[-1]
         assert x[-1] == pytest.approx(0.03, abs=1e-14)
         assert y[-1] == res.hc
 
     def test_fixed_point_consistency(self, window, sys_linear):
-        lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-10)
+        lp = LPConfig(eta=-0.5, fp_tol=1e-10)
         res = lyapunov_perron_hc(sys_linear, 0.04, window, lp)
         assert res.distances[-1] < lp.fp_tol
 
     def test_newton_matches_picard(self, window, sys_linear):
-        lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-11)
+        lp = LPConfig(eta=-0.5, fp_tol=1e-11)
         a = lyapunov_perron_hc(sys_linear, 0.05, window, lp)
         b = lyapunov_perron_hc(sys_linear, 0.05, window, lp, solver="newton")
         assert abs(a.hc - b.hc) < 1e-9
@@ -132,20 +132,20 @@ class TestLyapunovPerron:
     def test_non_contraction_aborts(self, window, sys_linear):
         # large boundary value with a wide cutoff: the backward center orbit
         # grows over the window and the plain iteration expands
-        lp = LPConfig(eta=-0.5, window=12, cutoff_R=2.0, fp_tol=1e-12)
+        lp = LPConfig(eta=-0.5, cutoff_R=2.0, fp_tol=1e-12)
         with pytest.raises(NonContractionError, match="shrink"):
             lyapunov_perron_hc(sys_linear, 0.2, window, lp)
 
     def test_newton_non_convergence_named(self, sys_linear):
         rp = lift_brownian(0, Grid(-4.0, 0.0, 4 * 16), gamma=0.45)
-        lp = LPConfig(eta=-0.5, window=4, max_iters=1)
+        lp = LPConfig(eta=-0.5, max_iters=1)
         with pytest.raises(NewtonConvergenceError, match="did not converge"):
             lyapunov_perron_hc(sys_linear, 0.05, rp, lp, solver="newton")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_xi_rejected(self, window, sys_nonlinear, bad):
-        lp = LPConfig(eta=-0.5, window=12)
+        lp = LPConfig(eta=-0.5)
         with pytest.raises(ValueError, match="cutoff radius"):
             lyapunov_perron_hc(sys_nonlinear, bad, window, lp)
         with pytest.raises(ValueError, match="cutoff radius"):
@@ -159,7 +159,7 @@ class TestLyapunovPerron:
                             "quartic": EXAMPLES / "chekroun_linear.json",
                             "two-channel": TWO_CHANNEL}[spec]).numeric()
         rp = lift_brownian(0, Grid(-4.0, 0.0, 4 * 16), d=path_d)
-        lp = LPConfig(eta=-0.5, window=4)
+        lp = LPConfig(eta=-0.5)
         match = f"has {path_d} channel.*has {nsys.d} noise channel"
         with pytest.raises(ValueError, match=match):
             lyapunov_perron_sweep(nsys, [0.05, 0.01], rp, lp)
@@ -169,16 +169,33 @@ class TestLyapunovPerron:
             leading_order_happ(nsys, 2, [0.05, 0.01], rp)
 
     def test_window_checked(self, sys_linear):
-        # a path over 4 unit blocks does not serve a window of 6
-        rp = lift_brownian(0, Grid(-4.0, 0.0, 4 * 16))
-        with pytest.raises(ValueError, match="whole unit blocks"):
-            lyapunov_perron_sweep(sys_linear, [0.05], rp,
-                                  LPConfig(eta=-0.5, window=6))
+        # the LP reads its window [-N, 0] off the path, which must split
+        # into whole unit blocks
+        for grid in (Grid(-4.5, 0.0, 4 * 16), Grid(-4.0, 0.0, 4 * 16 + 1)):
+            with pytest.raises(ValueError, match="whole unit blocks"):
+                lyapunov_perron_sweep(sys_linear, [0.05], lift_brownian(0, grid),
+                                      LPConfig(eta=-0.5))
+
+    @pytest.mark.parametrize("grid, match", [
+        (Grid(-5.0, -1.0, 4 * 16), r"Grid\(-5\.0, -1\.0, 64\) must end at time 0"),
+        (Grid(-1.0, 0.0, 16), r"Grid\(-1\.0, 0\.0, 16\) must span at least 2 unit blocks")],
+        ids=["ends-before-0", "one-block"])
+    @pytest.mark.parametrize("solver", ["picard", "newton"])
+    def test_path_window_named(self, sys_linear, grid, match, solver):
+        with pytest.raises(ValueError, match=match):
+            lyapunov_perron_sweep(sys_linear, [0.05], lift_brownian(0, grid),
+                                  LPConfig(eta=-0.5), solver=solver)
+
+    def test_window_read_from_path(self, sys_linear):
+        # a default LPConfig serves a path over 8 unit blocks as well as 12
+        rp = lift_brownian(0, Grid(-8.0, 0.0, 8 * 32))
+        res, = lyapunov_perron_sweep(sys_linear, [0.05], rp, LPConfig(eta=-0.5))
+        assert res.converged and res.state.shape[0] == 8
 
     def test_eta_range_enforced(self, window, sys_linear):
         with pytest.raises(ValueError):
             lyapunov_perron_hc(sys_linear, 0.01, window,
-                               LPConfig(eta=-2.0, window=12))
+                               LPConfig(eta=-2.0))
 
     def test_stochastic_self_consistency(self, sys_nonlinear):
         # |h^c - phi| / xi^{q+1} stays bounded across a dyadic sweep
@@ -187,7 +204,7 @@ class TestLyapunovPerron:
             load_system(EXAMPLES / "chekroun_nonlinear.json")))
         hier = solve_hierarchy(cs, rp, init="zero")
         ma = ManifoldApproximation(q=6, alpha0=hier.alpha0, radius=0.2)
-        lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-10)
+        lp = LPConfig(eta=-0.5, fp_tol=1e-10)
         ratios = []
         for xi in (0.1, 0.05, 0.025):
             res = lyapunov_perron_hc(sys_nonlinear, xi, rp, lp)
@@ -199,18 +216,16 @@ class TestLPConfig:
     @pytest.mark.parametrize("bad", [
         {"cutoff_R": 0.0}, {"cutoff_R": -0.5}, {"fp_tol": 0.0},
         {"fp_tol": -1e-8}, {"fp_tol": float("inf")}, {"fp_tol": float("nan")},
-        {"max_iters": 0}, {"window": 1}, {"cutoff_R": float("nan")},
-        {"max_iters": 2.5}, {"max_iters": True}, {"max_iters": 200.0},
-        {"window": 4.0}, {"window": True}, {"window": "12"}],
+        {"max_iters": 0}, {"cutoff_R": float("nan")},
+        {"max_iters": 2.5}, {"max_iters": True}, {"max_iters": 200.0}],
         ids=["R-0", "R-negative", "tol-0", "tol-negative", "tol-inf",
-             "tol-nan", "iters-0", "window-1", "R-nan", "iters-fraction",
-             "iters-bool", "iters-float", "window-float", "window-bool",
-             "window-str"])
+             "tol-nan", "iters-0", "R-nan", "iters-fraction",
+             "iters-bool", "iters-float"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             LPConfig(eta=-0.5, **bad)
 
-    @pytest.mark.parametrize("field", ["window", "max_iters"])
+    @pytest.mark.parametrize("field", ["max_iters"])
     def test_integer_fields_named(self, field):
         with pytest.raises(ValueError, match=field):
             LPConfig(eta=-0.5, **{field: 2.5})
@@ -258,7 +273,7 @@ class TestNormBounds:
     def sweep(self, request, sys_nonlinear):
         rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=request.param, gamma=0.45)
         return _Sweep(_on_channels(sys_nonlinear, request.param), [0.05], rp,
-                      LPConfig(eta=-0.5, window=4))
+                      LPConfig(eta=-0.5))
 
     def test_bound_dominates_exact_norm(self, sweep):
         for name, state in _random_states(sweep, np.random.default_rng(11)):
@@ -292,7 +307,7 @@ class TestNormBounds:
     def test_cutoff_factor_is_exact(self, sys_nonlinear):
         # scale each state so that the block bounds straddle R/2
         rp = lift_brownian(4, Grid(-4.0, 0.0, 4 * 32), gamma=0.45)
-        sw = _Sweep(sys_nonlinear, [0.05], rp, LPConfig(eta=-0.5, window=4))
+        sw = _Sweep(sys_nonlinear, [0.05], rp, LPConfig(eta=-0.5))
         R = sw.lp.cutoff_R
         rng = np.random.default_rng(13)
         for name, state in _random_states(sw, rng)[1:]:
@@ -308,7 +323,7 @@ class TestNormBounds:
         # block 0's lower bound reaches R, block 1's bounds straddle the ramp
         # and blocks 2, 3 sit below R/2: only block 1 needs its exact norm
         rp = lift_brownian(4, Grid(-4.0, 0.0, 4 * 32), gamma=0.45)
-        sw = _Sweep(sys_nonlinear, [0.05], rp, LPConfig(eta=-0.5, window=4))
+        sw = _Sweep(sys_nonlinear, [0.05], rp, LPConfig(eta=-0.5))
         R = sw.lp.cutoff_R
         for name, state in _random_states(sw, np.random.default_rng(17))[1:]:
             L, U = (b[0] for b in sw.norm_bounds(state))
@@ -354,7 +369,7 @@ class TestNormBounds:
         # their block bounds straddle R/2
         rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=d, gamma=0.45)
         sw = _Sweep(_on_channels(sys_nonlinear, d), [0.05, 0.02, 0.01], rp,
-                    LPConfig(eta=-0.5, window=4))
+                    LPConfig(eta=-0.5))
         R, N, rng = sw.lp.cutoff_R, sw.N, np.random.default_rng(16)
         pool = [s[0] for _, s in _random_states(sw, rng)[1:]]
         ramped = 0
@@ -393,7 +408,7 @@ class TestNormBounds:
             return new, breach
 
         monkeypatch.setattr(_Sweep, "apply", planted)
-        lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-12)
+        lp = LPConfig(eta=-0.5, fp_tol=1e-12)
         res, = lyapunov_perron_sweep(sys_linear, [0.05], window, lp)
         assert not res.converged and isinstance(res.error, NonConvergenceError)
         assert res.iterations == 3 and not np.isfinite(res.distances[-1])
@@ -408,7 +423,7 @@ class TestNormBounds:
         # the count does not grow with the iterations
         spec = load_system(EXAMPLES / f"{name}.json")
         rp = lift_brownian(1, Grid(-12.0, 0.0, 12 * 64), gamma=spec.gamma)
-        lp = LPConfig(eta=-0.5, window=12, cutoff_R=0.5, fp_tol=1e-8)
+        lp = LPConfig(eta=-0.5, cutoff_R=0.5, fp_tol=1e-8)
         calls = []    # one entry per block passed to the stacked exact norm
 
         def counted(Y, Yp, dW, pairs):
@@ -418,7 +433,7 @@ class TestNormBounds:
         monkeypatch.setattr(roughcm.manifold, "d2g_terms", counted)
         res = lyapunov_perron_hc(spec.numeric(), 0.05, rp, lp)
         assert res.converged and calls
-        assert len(calls) <= 2 * lp.window
+        assert len(calls) <= 2 * 12
 
 
 def _apply_by_block(sw, rp, state):
@@ -507,7 +522,7 @@ class TestCertifiedStopping:
         nsys = load_system(spec).numeric()
         rp = lift_brownian(seed, Grid(-float(window), 0.0, window * nu), d=nsys.d,
                            gamma=nsys.gamma)
-        lp = LPConfig(eta=0.5 * nsys.As, window=window, cutoff_R=R, fp_tol=1e-10,
+        lp = LPConfig(eta=0.5 * nsys.As, cutoff_R=R, fp_tol=1e-10,
                       max_iters=max_iters)
         if nan_at:
             real = _Sweep.apply
@@ -575,7 +590,7 @@ class TestStackedBlocks:
         # a window [0, N]
         rp = lift_brownian(5, Grid(-float(N), 0.0, N * nu), d=d)
         ref = [restrict(shift(rp, float(b)), 0.0, 1.0) for b in range(-N, 0)]
-        bl = _Blocks(rp, d, N)
+        bl = _Blocks(rp, d)
         late = shift(rp, -float(N))
         for got in [bl] + [unit_block(rp, b) for b in range(-N, 0)] + [
                 unit_block(late, b) for b in range(N)]:
@@ -590,7 +605,7 @@ class TestStackedBlocks:
     def test_sweep_matches_block_loop(self, case):
         nsys, d = case
         rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=d, gamma=0.45)
-        sw = _Sweep(nsys, [0.05], rp, LPConfig(eta=-0.5, window=4))
+        sw = _Sweep(nsys, [0.05], rp, LPConfig(eta=-0.5))
         R = sw.lp.cutoff_R
         rng = np.random.default_rng(15)
         for name, state in _random_states(sw, rng):
@@ -621,7 +636,7 @@ class TestStackedBlocks:
         # of each per sweep, and a pass per component 2
         spec = load_system(EXAMPLES / "chekroun_nonlinear.json")
         rp = lift_brownian(1, Grid(-12.0, 0.0, 12 * 64), gamma=spec.gamma)
-        lp = LPConfig(eta=-0.5, window=12, cutoff_R=0.5, fp_tol=1e-8)
+        lp = LPConfig(eta=-0.5, cutoff_R=0.5, fp_tol=1e-8)
         calls = {"drift": 0, "diffusion": 0}
 
         def counted(kind, fn):
@@ -644,7 +659,7 @@ class TestStackedBlocks:
         # rather than once per sweep
         spec = load_system(EXAMPLES / "chekroun_nonlinear.json")
         rp = lift_brownian(1, Grid(-6.0, 0.0, 6 * 32), gamma=spec.gamma)
-        lp = LPConfig(eta=-0.5, window=6, cutoff_R=0.5, fp_tol=1e-8)
+        lp = LPConfig(eta=-0.5, cutoff_R=0.5, fp_tol=1e-8)
         calls = []
         partial = NumericField.partial
         monkeypatch.setattr(NumericField, "partial",
@@ -671,7 +686,7 @@ class TestBatchedSweep:
     def test_matches_solo_solves(self, spec, xis, max_iters):
         nsys = load_system(spec).numeric()
         rp = lift_brownian(2, Grid(-6.0, 0.0, 6 * 32), d=nsys.d, gamma=nsys.gamma)
-        lp = LPConfig(eta=0.5 * nsys.As, window=6, cutoff_R=2.0, fp_tol=1e-10,
+        lp = LPConfig(eta=0.5 * nsys.As, cutoff_R=2.0, fp_tol=1e-10,
                       max_iters=max_iters)
         seen = set()
         for xi, res in zip(xis, lyapunov_perron_sweep(nsys, xis, rp, lp)):
@@ -699,7 +714,7 @@ class TestBatchedSweep:
             assert "cutoff" in seen
 
     def test_newton_matches_solo_solves(self, sys_linear, window):
-        lp = LPConfig(eta=-0.5, window=12, fp_tol=1e-10)
+        lp = LPConfig(eta=-0.5, fp_tol=1e-10)
         xis = (0.05, 0.0125)
         for xi, res in zip(xis, lyapunov_perron_sweep(sys_linear, xis, window, lp,
                                                       solver="newton")):
@@ -734,7 +749,7 @@ class TestOutcome:
     def test_unconverged_xi_named(self, sys_nonlinear, monkeypatch, case, xi,
                                   solver, error, match):
         rp = lift_brownian(2, Grid(-6.0, 0.0, 6 * 32), gamma=sys_nonlinear.gamma)
-        lp = LPConfig(eta=-0.5, window=6, cutoff_R=2.0, fp_tol=1e-10,
+        lp = LPConfig(eta=-0.5, cutoff_R=2.0, fp_tol=1e-10,
                       max_iters=1 if case == "newton-krylov" else 12)
         if case == "nan":
             real = _Sweep.apply
