@@ -13,9 +13,8 @@ import numpy as np
 import sympy
 
 from . import __version__
-from .invariance import (FieldValidationError, NumericHierarchy,
-                         NumericSystem, derive_system, load_system,
-                         propagate_zeros, residuals)
+from .invariance import (NumericHierarchy, NumericSystem, derive_system,
+                         load_system, propagate_zeros, residuals)
 from .manifold import (LPConfig, ManifoldApproximation, evaluate_phi,
                        leading_order_happ, lyapunov_perron_sweep, order_fit)
 from .roughpath import Grid, RoughPath, lift_brownian
@@ -39,7 +38,7 @@ def derive(spec_file, q, out_dir):
     try:
         spec = load_system(spec_file)
         cs = propagate_zeros(derive_system(spec, q=q))
-    except (FieldValidationError, ValueError, KeyError) as exc:
+    except ValueError as exc:    # FieldValidationError among them
         click.echo(f"validation failure: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     out = Path(out_dir)
@@ -69,17 +68,16 @@ class OrderLawPlan:
     nsys: NumericSystem
     coeffs: NumericHierarchy
     min_degree: int | None
-    lead_degree: int | None
     grid: Grid
     lp: LPConfig
     xis: tuple[float, ...]
     solver: str
 
 
-def order_law_plan(spec_file, *, q, grid_n, window, eta, cutoff_r, xi_min,
-                   xi_max, xi_points, solver, fp_tol) -> OrderLawPlan:
+def order_law_plan(spec_file, *, q, grid_n, window, cutoff_r, xi_min, xi_max,
+                   xi_points, solver, fp_tol) -> OrderLawPlan:
     """`verify`'s sweep plan from its options. Warns on stderr of each xi it drops
-    above cutoff_r; bad input raises ValueError, FieldValidationError or KeyError."""
+    above cutoff_r; bad input raises a ValueError, such as a FieldValidationError."""
     if xi_points < 4:
         raise ValueError("--xi-points must be at least 4 for an order fit")
     if not 0 < xi_min < xi_max < float("inf"):
@@ -101,20 +99,12 @@ def order_law_plan(spec_file, *, q, grid_n, window, eta, cutoff_r, xi_min,
     nsys = spec.numeric()
     cs = propagate_zeros(derive_system(spec, q=q))
     coeffs = cs.numeric(spec.params)
-    if eta is None:
-        eta = 0.5 * nsys.As
-    if not nsys.As < eta < 0:
-        raise ValueError(f"--eta {eta:g} must lie strictly in "
-                         f"(As, 0) = ({nsys.As:g}, 0)")
     if window < 2:
         raise ValueError(f"--window {window} must span at least 2 unit blocks")
     grid = Grid(-float(window), 0.0, window * grid_n)
-    lp = LPConfig(eta=eta, cutoff_R=cutoff_r, fp_tol=fp_tol, max_iters=200)
-    # h^app evaluates the fields on y = 0, so only monomials free of y lead
-    degs = [sum(k) for f in [nsys.Fs] + nsys.Gs for k in f.coeffs if k[1] == 0]
+    lp = LPConfig(cutoff_R=cutoff_r, fp_tol=fp_tol, max_iters=200)
     return OrderLawPlan(nsys=nsys, coeffs=coeffs,
                         min_degree=residuals(cs)["min_degree"],
-                        lead_degree=min(degs, default=None),
                         grid=grid, lp=lp, xis=tuple(xis), solver=solver)
 
 
@@ -125,8 +115,7 @@ def order_law_row(plan: OrderLawPlan, rp: RoughPath) -> dict:
     nsys, xis = plan.nsys, plan.xis
     hier = solve_hierarchy(plan.coeffs, rp, init="zero")
     ma = ManifoldApproximation(q=plan.coeffs.q, alpha0=hier.alpha0, radius=max(xis))
-    happ = ([0.0] * len(xis) if plan.lead_degree is None
-            else leading_order_happ(nsys, plan.lead_degree, xis, rp))
+    happ = leading_order_happ(nsys, xis, rp)
     row = {"xi_sweep": list(xis),
            "phi_values": [evaluate_phi(ma, xi) for xi in xis],
            "hc_values": [], "happ_values": [float(h) for h in happ],
@@ -171,8 +160,6 @@ def _provenance(spec_file, q: int) -> dict:
 @click.option("--seeds", type=int, default=1, help="Number of sampled paths.")
 @click.option("--grid-n", type=int, default=128, help="Grid cells per unit time.")
 @click.option("--window", type=int, default=12)
-@click.option("--eta", type=float, default=None,
-              help="Weight exponent; default is half the stable rate.")
 @click.option("--cutoff-r", type=float, default=0.5)
 @click.option("--xi-min", type=float, default=0.0125)
 @click.option("--xi-max", type=float, default=0.1)
@@ -191,7 +178,7 @@ def verify(spec_file, seeds, out_dir, fmt, **sweep):
         if seeds < 1:
             raise ValueError("--seeds must be at least 1")
         plan = order_law_plan(spec_file, **sweep)
-    except (FieldValidationError, ValueError, KeyError) as exc:
+    except ValueError as exc:    # FieldValidationError among them
         click.echo(f"validation failure: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
     workers = int(threads)
@@ -209,7 +196,7 @@ def verify(spec_file, seeds, out_dir, fmt, **sweep):
     median_slope = float(statistics.median(slopes)) if slopes else float("nan")
     report = {"spec": str(spec_file), "provenance": _provenance(spec_file, q),
               "q": q, "window": sweep["window"], "grid_n": sweep["grid_n"],
-              "eta": plan.lp.eta, "cutoff_r": plan.lp.cutoff_R, "solver": plan.solver,
+              "cutoff_r": plan.lp.cutoff_R, "solver": plan.solver,
               "median_slope": median_slope, "threshold": q + 0.5, "per_seed": rows}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -105,15 +105,24 @@ def _spec_real(value, name: str) -> float:
     return float(value)
 
 
+def _sympify(text: str, name: str, **kwargs):
+    """sympy's reading of the string field `name`, which must parse."""
+    try:
+        return sp.sympify(text, **kwargs)
+    except sp.SympifyError:
+        raise FieldValidationError(f"{name} = {text!r} does not parse as an "
+                                   "expression") from None
+
+
 def _parse_coeff(c, name: str) -> sp.Expr:
     """A coefficient: a number, or a string that sympy reads as an expression."""
     if isinstance(c, str):
         try:
-            expr = sp.sympify(c, rational=True)
+            expr = _sympify(c, name, rational=True)
         except TypeError:    # arithmetic on a function name, such as 2*beta
             expr = None
         if not isinstance(expr, sp.Expr):
-            raise FieldValidationError(f"coefficient {c!r} is no expression")
+            raise FieldValidationError(f"{name} = {c!r} is no expression")
         return expr
     if isinstance(c, bool) or not (isinstance(c, numbers.Real) and math.isfinite(c)):
         raise FieldValidationError(f"{name} = {c!r} must be a finite number or "
@@ -220,7 +229,7 @@ def load_system(path_or_dict) -> SystemSpec:
         override=override,
     )
     clashes = [k for k in spec.params if k == "x" or re.fullmatch(r"alpha\d+", k)
-               or sp.sympify(k) != sp.Symbol(k)]
+               or _sympify(k, "parameter name") != sp.Symbol(k)]
     if clashes:
         raise FieldValidationError(
             f"parameter(s) {', '.join(clashes)}: the names x and alpha<k> are "

@@ -78,25 +78,30 @@ def smoothstep(u: float) -> float:
     return 1.0 - 3.0 * v**2 + 2.0 * v**3
 
 
-def leading_order_happ(sys: NumericSystem, l: int, xi,
-                       rp: RoughPath) -> float | np.ndarray:
+def leading_order_happ(sys: NumericSystem, xi, rp: RoughPath) -> float | np.ndarray:
     """First-sweep stable value driven by the linearized center flow.
 
     Sums, over unit blocks of the window [-N, 0], the stable-semigroup
     convolution of the degree-l parts of the fields evaluated along
-    t -> e^{Ac t} xi, each block weighted by the decay to time 0.  xi is a
-    number or an array, and the result has its shape; rp is a rough path on
-    [-N, 0].
+    t -> e^{Ac t} xi, each block weighted by the decay to time 0; l is the
+    least degree of a y-free monomial of Fs or Gs, and with none h^app is 0.
+    xi is a number or an array, and the result has its shape; rp is a
+    rough path on [-N, 0].
     """
     if sys.As >= 0:
         raise ValueError(f"stable block {sys.As} is not exponentially stable")
     bl = _Blocks(rp, sys.d)
-    Fl, Gl = sys.Fs.leading(l), [g.leading(l) for g in sys.Gs]
-    x = np.exp(sys.Ac * bl.times) * np.asarray(xi, dtype=float)[..., None, None]
-    gY = np.stack([g(x, 0.0) for g in Gl], axis=-1)
-    part = bl.convolve(sys.As, Fl(x, 0.0), gY, np.zeros(gY.shape + (bl.d,)))[..., -1]
-    # cumsum adds the blocks' shares one after another, from the earliest
-    out = np.cumsum(np.exp(sys.As * (-1 - bl.times[:, 0])) * part, axis=-1)[..., -1]
+    # h^app evaluates the fields on y = 0, so only monomials free of y lead
+    degs = [sum(k) for f in [sys.Fs] + sys.Gs for k in f.coeffs if k[1] == 0]
+    out = np.zeros(np.shape(xi))
+    if degs:
+        l = min(degs)
+        Fl, Gl = sys.Fs.leading(l), [g.leading(l) for g in sys.Gs]
+        x = np.exp(sys.Ac * bl.times) * np.asarray(xi, dtype=float)[..., None, None]
+        gY = np.stack([g(x, 0.0) for g in Gl], axis=-1)
+        part = bl.convolve(sys.As, Fl(x, 0.0), gY, np.zeros(gY.shape + (bl.d,)))[..., -1]
+        # cumsum adds the blocks' shares one after another, from the earliest
+        out = np.cumsum(np.exp(sys.As * (-1 - bl.times[:, 0])) * part, axis=-1)[..., -1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -130,7 +135,6 @@ class _Blocks:
 
 @dataclass
 class LPConfig:
-    eta: float
     cutoff_R: float = 0.5
     max_iters: int = 200
     fp_tol: float = 1e-8
@@ -191,7 +195,7 @@ class _Sweep:
         self.nu = self.blocks.grid.n
         self.d = self.blocks.d
         self.width = 2 * (self.nu + 1) * (1 + self.d)    # of one block's row
-        self.weights = np.exp(-lp.eta * (self.blocks.times[:, 0] + 1))
+        self.weights = np.exp(-0.5 * sys.As * (self.blocks.times[:, 0] + 1))
         # gaps of k = 1..nu cells, with the same time spans as norm_d2g's pairs
         self.gaps = np.arange(1, self.nu + 1)
         dt = self.gaps * self.blocks.grid.h
@@ -374,6 +378,8 @@ def lyapunov_perron_sweep(sys: NumericSystem, xis, rp: RoughPath, lp: LPConfig,
     cut-off fields, block convolutions reusing the same discretization as
     the stationary-coefficient solver.  The stable component at time 0 of
     the converged sequence is the reference manifold value h^c(xi, W).
+    The sequence distance weights block [b, b+1] by e^{-eta (b+1)} with
+    eta = As/2, in the spectral gap (As, 0); eta sets only where a solve stops.
 
     solver="picard" iterates the map for every xi at once, each sweep
     serving the xi still running.  A xi stops on its own: converged, or
@@ -386,11 +392,8 @@ def lyapunov_perron_sweep(sys: NumericSystem, xis, rp: RoughPath, lp: LPConfig,
     records a failed solve, or a solution whose distance is not below
     2 fp_tol, as a NewtonConvergenceError.
     """
-    beta = -sys.As
-    if beta <= 0:
+    if sys.As >= 0:
         raise ValueError(f"stable block {sys.As} is not exponentially stable")
-    if not -beta < lp.eta < 0:
-        raise ValueError(f"eta must lie strictly in ({-beta}, 0)")
     if not all(math.isfinite(xi) and abs(xi) <= lp.cutoff_R for xi in xis):
         raise ValueError("xi outside the cutoff radius")
     sweep = _Sweep(sys, xis, rp, lp)

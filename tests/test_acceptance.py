@@ -68,7 +68,7 @@ def sextic_plan():
     """verify's default sweep on the sextic example, 64 cells per unit."""
     return order_law_plan(
         EXAMPLES / "chekroun_nonlinear.json", q=None, grid_n=64, window=12,
-        eta=None, cutoff_r=0.5, xi_min=0.0125, xi_max=0.1, xi_points=5,
+        cutoff_r=0.5, xi_min=0.0125, xi_max=0.1, xi_points=5,
         solver="picard", fp_tol=1e-10)
 
 
@@ -78,7 +78,7 @@ def det_sweep():
     t0 = time.time()
     plan = order_law_plan(
         EXAMPLES / "chekroun_linear.json", q=None, grid_n=64, window=12,
-        eta=None, cutoff_r=1.0, xi_min=0.0125, xi_max=0.2, xi_points=5,
+        cutoff_r=1.0, xi_min=0.0125, xi_max=0.2, xi_points=5,
         solver="newton", fp_tol=1e-10)
     row = order_law_row(plan, lift_brownian(0, plan.grid, gamma=0.45))
     assert not row["failures"], row["failures"]
@@ -291,7 +291,7 @@ def test_leading_order_gap_law(det_sweep):
     clause(fails, fit.slope >= 2.0, f"slope {fit.slope:.2f} < 2")
     rp16 = lift_brownian(0, Grid(-16.0, 0.0, 16 * 32), gamma=0.45)
     xi = 0.1
-    happ = leading_order_happ(det_sweep["nsys"], 2, xi, rp16)
+    happ = leading_order_happ(det_sweep["nsys"], xi, rp16)
     clause(fails, abs(happ + xi**2) <= 1e-6,
            f"closed form off by {abs(happ + xi**2):.2e}")
     clause(fails, det_sweep["elapsed"] < 120.0, "over 2 min budget")
@@ -321,7 +321,7 @@ def test_truncation_remainder_bound(spec_nonlinear):
         Gc=[g.leading(l) for g in nsys.Gc],
         Gs=[g.leading(l) for g in nsys.Gs])
     rp = lift_brownian(9, Grid(-2.0, 0.0, 2 * 32), gamma=nsys.gamma)
-    lp = LPConfig(eta=-0.5, cutoff_R=0.5)
+    lp = LPConfig(cutoff_R=0.5)
     sw_full = _Sweep(nsys, [0.0], rp, lp)
     sw_lead = _Sweep(lead, [0.0], rp, lp)
     zero = sw_full.zero_state()
@@ -351,7 +351,7 @@ def test_truncation_remainder_bound(spec_nonlinear):
 
 def test_contraction_diagnostics(spec_nonlinear):
     fails = []
-    lp = LPConfig(eta=-0.5, cutoff_R=0.5, fp_tol=1e-8)
+    lp = LPConfig(cutoff_R=0.5, fp_tol=1e-8)
     quartic = load_system(EXAMPLES / "chekroun_linear.json")
     for name, spec in [("quartic", quartic),
                        ("sextic", spec_nonlinear)]:

@@ -24,6 +24,12 @@ def runner():
     return CliRunner()
 
 
+def _spec_file(tmp_path, doc) -> Path:
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
 # a coefficient symbol that params does not declare, and parameters named
 # like the variable x, a coefficient atom or a sympy constant
 BAD_SYMBOLS = {
@@ -60,9 +66,7 @@ BAD_INTEGERS = {
 def bad_integer_spec(request, tmp_path):
     doc = json.loads(NONLINEAR.read_text())
     BAD_INTEGERS[request.param](doc)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    return bad
+    return _spec_file(tmp_path, doc)
 
 
 # values that bool() and float() used to coerce: the string "false" turned
@@ -84,18 +88,14 @@ def bad_type_spec(request, tmp_path):
     doc = json.loads(NONLINEAR.read_text())
     change, message = BAD_TYPES[request.param]
     change(doc)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    return bad, message
+    return _spec_file(tmp_path, doc), message
 
 
 @pytest.fixture(params=list(UNREAL))
 def unreal_spec(request, tmp_path):
     doc = json.loads(NONLINEAR.read_text())
     UNREAL[request.param](doc)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    return bad
+    return _spec_file(tmp_path, doc)
 
 
 @pytest.fixture(params=[(case, override) for case in BAD_SYMBOLS
@@ -106,9 +106,7 @@ def bad_symbol_spec(request, tmp_path):
     doc = json.loads(NONLINEAR.read_text())
     BAD_SYMBOLS[case](doc)
     doc["override"] = override
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    return bad
+    return _spec_file(tmp_path, doc)
 
 
 # override waives the fields' vanishing orders, not the ranges of gamma and
@@ -122,29 +120,107 @@ def out_of_range_spec(request, tmp_path):
     change, message = OUT_OF_RANGE[request.param]
     doc = {**json.loads(LINEAR.read_text()), **change}
     assert doc["override"] is True
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    return bad, message
+    return _spec_file(tmp_path, doc), message
+
+
+def _fs_term(c):
+    return lambda doc: {**doc, "Fs": doc["Fs"] + [{"i": 3, "j": 0, "c": c}]}
 
 
 @pytest.mark.parametrize("command", ["derive", "verify"])
-@pytest.mark.parametrize("change", [
-    lambda doc: [doc],
-    lambda doc: {**doc, "Fs": doc["Fs"] + [{"i": 3, "j": 0, "c": None}]}],
-    ids=["json-list", "c-null"])
-def test_malformed_spec_exits_2(runner, tmp_path, command, change):
-    # both used to end in a traceback and exit 1
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(change(json.loads(NONLINEAR.read_text()))))
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: [doc], "the spec must be a JSON object"),
+    (_fs_term(None), "coefficient c = None"),
+    (lambda doc: {**doc, "As": "kappa["}, "As = 'kappa['"),
+    (_fs_term("lambda"), "coefficient c = 'lambda'"),
+    (_fs_term("a=1"), "coefficient c = 'a=1'"),
+    (lambda doc: {**doc, "params": {"1x": 1.0}}, "parameter name = '1x'"),
+    (lambda doc: {**doc, "params": {"": 1.0}}, "parameter name = ''")],
+    ids=["json-list", "c-null", "As-unparsable", "c-keyword", "c-assignment",
+         "param-1x", "param-empty"])
+def test_malformed_spec_exits_2(runner, tmp_path, command, change, message):
+    # the first two used to end in a traceback and exit 1; a string sympy
+    # cannot parse ended in sympy's two-line message, naming no field
+    bad = _spec_file(tmp_path, change(json.loads(NONLINEAR.read_text())))
     result = runner.invoke(main, [command, "--spec", str(bad),
                                   "--out-dir", str(tmp_path)])
     assert result.exit_code == 2, result.output
-    assert "validation failure" in result.output
-    assert "Traceback" not in result.output
+    assert "validation failure: " in result.output and message in result.output
+    assert "Traceback" not in result.output and "Sympify" not in result.output
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
-class TestDerive:
+@pytest.mark.parametrize("command, step", [("derive", "derive_system"),
+                                           ("verify", "order_law_plan")])
+def test_key_error_is_no_validation_failure(runner, tmp_path, monkeypatch,
+                                            command, step):
+    # a bad spec raises a ValueError; a KeyError is a bug, and escapes
+    def broken(*args, **kwargs):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, step, broken)
+    result = runner.invoke(main, [command, "--spec", str(LINEAR),
+                                  "--out-dir", str(tmp_path)])
+    assert result.exit_code == 1 and isinstance(result.exception, KeyError)
+    assert "validation failure" not in result.output
+
+
+class BadSpecs:
+    """Bad specs, each checked in the command of the test class that
+    inherits them: exit 2, the failure named, and no output written."""
+
+    def exits_2(self, runner, tmp_path, monkeypatch, bad, message="validation failure"):
+        # a spec that got past validation would fail on the LP solve
+        monkeypatch.setattr(cli, "lyapunov_perron_sweep", None)
+        result = self.run_on(runner, tmp_path, bad)
+        assert result.exit_code == 2, result.output
+        assert "validation failure" in result.output and message in result.output
+        assert [p.name for p in tmp_path.iterdir()] == [bad.name]
+
+    def test_invalid_spec_exits_2(self, runner, tmp_path, monkeypatch):
+        # a constant term in Fc, and gamma below 1/3
+        for change in ({"Fc": [{"i": 0, "j": 0, "c": 1.0}]}, {"gamma": 0.2}):
+            doc = {**json.loads(NONLINEAR.read_text()), **change}
+            self.exits_2(runner, tmp_path, monkeypatch, _spec_file(tmp_path, doc))
+
+    def test_channel_count_mismatch_exits_2(self, runner, tmp_path, monkeypatch):
+        doc = {**json.loads(NONLINEAR.read_text()), "noise_dim": 2, "override": True}
+        self.exits_2(runner, tmp_path, monkeypatch, _spec_file(tmp_path, doc),
+                     "noise_dim")
+
+    def test_no_noise_channel_exits_2(self, runner, tmp_path, monkeypatch):
+        doc = {**json.loads(LINEAR.read_text()), "noise_dim": 0, "Gc": [], "Gs": []}
+        self.exits_2(runner, tmp_path, monkeypatch, _spec_file(tmp_path, doc),
+                     "noise_dim")
+
+    def test_bad_symbol_exits_2(self, runner, tmp_path, monkeypatch, bad_symbol_spec):
+        self.exits_2(runner, tmp_path, monkeypatch, bad_symbol_spec)
+
+    def test_out_of_range_override_exits_2(self, runner, tmp_path, monkeypatch,
+                                           out_of_range_spec):
+        bad, message = out_of_range_spec
+        self.exits_2(runner, tmp_path, monkeypatch, bad,
+                     f"validation failure: {message}")
+
+    def test_unreal_coefficient_exits_2(self, runner, tmp_path, monkeypatch,
+                                        unreal_spec):
+        self.exits_2(runner, tmp_path, monkeypatch, unreal_spec,
+                     "not a finite real number")
+
+    def test_non_integer_field_exits_2(self, runner, tmp_path, monkeypatch,
+                                       bad_integer_spec):
+        self.exits_2(runner, tmp_path, monkeypatch, bad_integer_spec,
+                     "must be an integer")
+
+    def test_non_number_type_exits_2(self, runner, tmp_path, monkeypatch, bad_type_spec):
+        self.exits_2(runner, tmp_path, monkeypatch, *bad_type_spec)
+
+
+class TestDerive(BadSpecs):
+    def run_on(self, runner, tmp_path, spec):
+        return runner.invoke(main, ["derive", "--spec", str(spec),
+                                    "--out-dir", str(tmp_path)])
+
     def test_linear_report(self, runner, tmp_path):
         result = runner.invoke(main, ["derive", "--spec", str(LINEAR),
                                       "--out-dir", str(tmp_path)])
@@ -171,78 +247,8 @@ class TestDerive:
         assert result.exit_code == 0
         assert "expansion order q = 4" in result.output
 
-    def test_invalid_spec_exits_2(self, runner, tmp_path):
-        doc = json.loads(NONLINEAR.read_text())
-        doc["Fc"] = [{"i": 0, "j": 0, "c": 1.0}]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["derive", "--spec", str(bad)])
-        assert result.exit_code == 2
-        assert "validation failure" in result.output
 
-    def test_channel_count_mismatch_exits_2(self, runner, tmp_path):
-        doc = json.loads(NONLINEAR.read_text())
-        doc["noise_dim"] = 2
-        doc["override"] = True
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["derive", "--spec", str(bad),
-                                      "--out-dir", str(tmp_path)])
-        assert result.exit_code == 2
-        assert "noise_dim" in result.output
-
-    def test_no_noise_channel_exits_2(self, runner, tmp_path):
-        doc = json.loads(LINEAR.read_text())
-        doc.update(noise_dim=0, Gc=[], Gs=[])
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["derive", "--spec", str(bad),
-                                      "--out-dir", str(tmp_path)])
-        assert result.exit_code == 2
-        assert "validation failure" in result.output
-        assert "noise_dim" in result.output
-        assert not (tmp_path / "coefficient_system.json").exists()
-
-    def test_bad_symbol_exits_2(self, runner, tmp_path, bad_symbol_spec):
-        result = runner.invoke(main, ["derive", "--spec", str(bad_symbol_spec),
-                                      "--out-dir", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert "validation failure" in result.output
-        assert not (tmp_path / "coefficient_system.json").exists()
-
-    def test_out_of_range_override_exits_2(self, runner, tmp_path, out_of_range_spec):
-        bad, message = out_of_range_spec
-        result = runner.invoke(main, ["derive", "--spec", str(bad),
-                                      "--out-dir", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert f"validation failure: {message}" in result.output
-        assert not (tmp_path / "coefficient_system.json").exists()
-
-    def test_unreal_coefficient_exits_2(self, runner, tmp_path, unreal_spec):
-        result = runner.invoke(main, ["derive", "--spec", str(unreal_spec),
-                                      "--out-dir", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert "not a finite real number" in result.output
-        assert not (tmp_path / "coefficient_system.json").exists()
-
-
-    def test_non_integer_field_exits_2(self, runner, tmp_path, bad_integer_spec):
-        result = runner.invoke(main, ["derive", "--spec", str(bad_integer_spec),
-                                      "--out-dir", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert "must be an integer" in result.output
-        assert not (tmp_path / "coefficient_system.json").exists()
-
-    def test_non_number_type_exits_2(self, runner, tmp_path, bad_type_spec):
-        bad, message = bad_type_spec
-        result = runner.invoke(main, ["derive", "--spec", str(bad),
-                                      "--out-dir", str(tmp_path)])
-        assert result.exit_code == 2, result.output
-        assert message in result.output
-        assert not (tmp_path / "coefficient_system.json").exists()
-
-
-class TestVerify:
+class TestVerify(BadSpecs):
     def run_small(self, runner, tmp_path, *extra, spec=LINEAR):
         return runner.invoke(main, [
             "verify", "--spec", str(spec), "--seeds", "1",
@@ -250,23 +256,8 @@ class TestVerify:
             "--xi-max", "0.1", "--xi-points", "4",
             "--out-dir", str(tmp_path), *extra])
 
-    def test_non_integer_field_exits_2(self, runner, tmp_path, bad_integer_spec,
-                                       monkeypatch):
-        monkeypatch.setattr(cli, "lyapunov_perron_sweep", None)
-        result = self.run_small(runner, tmp_path, spec=bad_integer_spec)
-        assert result.exit_code == 2, result.output
-        assert "validation failure" in result.output
-        assert "must be an integer" in result.output
-        assert not (tmp_path / "verify_report.json").exists()
-
-    def test_non_number_type_exits_2(self, runner, tmp_path, bad_type_spec,
-                                     monkeypatch):
-        monkeypatch.setattr(cli, "lyapunov_perron_sweep", None)
-        bad, message = bad_type_spec
-        result = self.run_small(runner, tmp_path, spec=bad)
-        assert result.exit_code == 2, result.output
-        assert "validation failure" in result.output and message in result.output
-        assert not (tmp_path / "verify_report.json").exists()
+    def run_on(self, runner, tmp_path, spec):
+        return self.run_small(runner, tmp_path, spec=spec)
 
     def test_report_and_exit(self, runner, tmp_path):
         result = self.run_small(runner, tmp_path)
@@ -351,13 +342,11 @@ class TestVerify:
         ["--xi-points", "3"], ["--xi-points", "0"], ["--xi-min", "0"],
         ["--xi-min", "-0.01"], ["--xi-min", "0.1"], ["--xi-min", "0.2"],
         ["--cutoff-r", "0.01"], ["--window", "1"], ["--grid-n", "0"],
-        ["--eta", "0.5"], ["--eta", "-1.0"], ["--eta", "-2.0"],
         ["--seeds", "0"], ["--fp-tol", "0"], ["--fp-tol", "-1"],
         ["--cutoff-r", "0"], ["--xi-max", "inf"]],
         ids=["points-3", "points-0", "min-0", "min-negative", "min-eq-max",
              "min-above-max", "min-above-cutoff", "window-1", "grid-n-0",
-             "eta-positive", "eta-at-As", "eta-below-As", "seeds-0",
-             "fp-tol-0", "fp-tol-negative", "cutoff-r-0", "xi-max-inf"])
+             "seeds-0", "fp-tol-0", "fp-tol-negative", "cutoff-r-0", "xi-max-inf"])
     def test_invalid_sweep_exits_2(self, runner, tmp_path, extra):
         result = self.run_small(runner, tmp_path, *extra)
         assert result.exit_code == 2, result.output
@@ -408,8 +397,8 @@ class TestVerify:
         # itself, which they split into unit blocks on their own
         paths = {"happ": [], "lp": []}
         happ, sweep = cli.leading_order_happ, cli.lyapunov_perron_sweep
-        monkeypatch.setattr(cli, "leading_order_happ", lambda nsys, l, xis, rp: (
-            paths["happ"].append(rp) or happ(nsys, l, xis, rp)))
+        monkeypatch.setattr(cli, "leading_order_happ", lambda nsys, xis, rp: (
+            paths["happ"].append(rp) or happ(nsys, xis, rp)))
         monkeypatch.setattr(cli, "lyapunov_perron_sweep", lambda nsys, xis, rp, lp, solver: (
             paths["lp"].append(rp) or sweep(nsys, xis, rp, lp, solver=solver)))
         result = self.run_small(runner, tmp_path, "--seeds", "2",
@@ -435,7 +424,7 @@ class TestVerify:
     def test_row_reads_window_from_path(self):
         # the LP reads N from the path, so the plan for window 12 gives a
         # path over [-8, 0] the row of the plan for window 8
-        sweep = dict(q=None, grid_n=32, eta=None, cutoff_r=0.5, xi_min=0.0125,
+        sweep = dict(q=None, grid_n=32, cutoff_r=0.5, xi_min=0.0125,
                      xi_max=0.1, xi_points=4, solver="picard", fp_tol=1e-10)
         plans = [cli.order_law_plan(LINEAR, window=w, **sweep) for w in (12, 8)]
         rp = roughcm.lift_brownian(0, plans[1].grid, gamma=plans[1].nsys.gamma)
@@ -465,43 +454,6 @@ class TestVerify:
         cs = roughcm.propagate_zeros(roughcm.derive_system(spec))
         rp = roughcm.lift_brownian(0, roughcm.Grid(-2.0, 0.0, 2 * 16))
         roughcm.solve_hierarchy(cs, rp, params=spec.params)
-
-    def test_invalid_spec_exits_2(self, runner, tmp_path):
-        doc = json.loads(NONLINEAR.read_text())
-        doc["gamma"] = 0.2
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["verify", "--spec", str(bad)])
-        assert result.exit_code == 2
-
-    def test_no_noise_channel_exits_2(self, runner, tmp_path):
-        doc = json.loads(LINEAR.read_text())
-        doc.update(noise_dim=0, Gc=[], Gs=[])
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        result = self.run_small(runner, tmp_path, spec=bad)
-        assert result.exit_code == 2, result.output
-        assert "validation failure" in result.output
-        assert not (tmp_path / "verify_report.json").exists()
-
-    def test_bad_symbol_exits_2(self, runner, tmp_path, bad_symbol_spec):
-        result = self.run_small(runner, tmp_path, spec=bad_symbol_spec)
-        assert result.exit_code == 2, result.output
-        assert "validation failure" in result.output
-        assert not (tmp_path / "verify_report.json").exists()
-
-    def test_out_of_range_override_exits_2(self, runner, tmp_path, out_of_range_spec):
-        bad, message = out_of_range_spec
-        result = self.run_small(runner, tmp_path, spec=bad)
-        assert result.exit_code == 2, result.output
-        assert f"validation failure: {message}" in result.output
-        assert not (tmp_path / "verify_report.json").exists()
-
-    def test_unreal_coefficient_exits_2(self, runner, tmp_path, unreal_spec):
-        result = self.run_small(runner, tmp_path, spec=unreal_spec)
-        assert result.exit_code == 2, result.output
-        assert "not a finite real number" in result.output
-        assert not (tmp_path / "verify_report.json").exists()
 
     def test_provenance(self, runner, tmp_path):
         self.run_small(runner, tmp_path, "--q", "3")

@@ -247,14 +247,24 @@ class TestValidation:
         *[(lambda doc, k=k: {f: v for f, v in doc.items() if f != k},
            f"^missing field {k}$") for k in ("gamma", "q", "Ac", "As")],
         *[(lambda doc, k=k: _fs_term(doc, drop=k),
-           r"^Fs term \{.*\}: missing field " + k + "$") for k in "ijc"]],
+           r"^Fs term \{.*\}: missing field " + k + "$") for k in "ijc"],
+        (lambda doc: {**doc, "As": "kappa["},
+         r"^As = 'kappa\[' does not parse as an expression$"),
+        *[(lambda doc, c=c: _fs_term(doc, c=c),
+           f"^Fs term .*: coefficient c = '{c}' does not parse as an expression$")
+          for c in ("lambda", "a=1")],
+        *[(lambda doc, k=k: {**doc, "params": {k: 1.0}},
+           f"^parameter name = '{k}' does not parse as an expression$")
+          for k in ("1x", "")]],
         ids=["json-list", "params-list", "Fs-number", "Fs-term-number",
              "Gs-channel-number", "Gs-number", "c-null", "c-list", "c-bool",
              "c-nan", "As-null", "Ac-bool", "gamma-null", "gamma-string",
-             "no-gamma", "no-q", "no-Ac", "no-As", "no-i", "no-j", "no-c"])
+             "no-gamma", "no-q", "no-Ac", "no-As", "no-i", "no-j", "no-c",
+             "As-unparsable", "c-keyword", "c-assignment", "param-1x", "param-empty"])
     def test_malformed_field_named(self, tmp_path, change, match):
         # each of these used to end in a TypeError, AttributeError or bare
-        # KeyError, or was read as a number: true as 1, "0.45" as 0.45
+        # KeyError, or was read as a number: true as 1, "0.45" as 0.45; a
+        # string sympy cannot parse ended in sympy's message, naming no field
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(change(self.base())))
         with pytest.raises(FieldValidationError, match=match):

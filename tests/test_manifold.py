@@ -87,44 +87,46 @@ class TestCutoff:
 class TestLeadingOrderHapp:
     def test_zero_fields(self, window):
         sys = load_system(EXAMPLES / "zero.json").numeric()
-        assert leading_order_happ(sys, 2, 0.1, window) == 0.0
+        assert leading_order_happ(sys, 0.1, window) == 0.0
+        zeros = leading_order_happ(sys, np.array([0.1, 0.05]), window)
+        assert zeros.tolist() == [0.0, 0.0]
 
     def test_closed_form(self, window, sys_linear):
         # Ac = 0 freezes the center orbit, so the sum telescopes to
         # -xi^2 (1 - e^{-N})
         xi = 0.1
-        val = leading_order_happ(sys_linear, 2, xi, window)
+        val = leading_order_happ(sys_linear, xi, window)
         assert val == pytest.approx(-xi**2 * (1 - np.exp(-12.0)), abs=1e-12)
 
 
 class TestLyapunovPerron:
     def test_zero_boundary_value(self, window, sys_linear):
-        lp = LPConfig(eta=-0.5, fp_tol=1e-10)
+        lp = LPConfig(fp_tol=1e-10)
         res = lyapunov_perron_hc(sys_linear, 0.0, window, lp)
         assert res.hc == 0.0 and res.iterations == 1
 
     def test_deterministic_series_oracle(self, window, sys_linear):
         xi = 0.05
-        lp = LPConfig(eta=-0.5, fp_tol=1e-12)
+        lp = LPConfig(fp_tol=1e-12)
         res = lyapunov_perron_hc(sys_linear, xi, window, lp)
         assert res.converged
         # alpha_2 = -1, alpha_4 = -2 for this system
         assert abs(res.hc - (-xi**2 - 2 * xi**4)) < 20 * xi**6
 
     def test_center_component_is_boundary_value(self, window, sys_linear):
-        lp = LPConfig(eta=-0.5, fp_tol=1e-12)
+        lp = LPConfig(fp_tol=1e-12)
         res = lyapunov_perron_hc(sys_linear, 0.03, window, lp)
         x, y = _Sweep(sys_linear, [0.03], window, lp).values(res.state)[-1]
         assert x[-1] == pytest.approx(0.03, abs=1e-14)
         assert y[-1] == res.hc
 
     def test_fixed_point_consistency(self, window, sys_linear):
-        lp = LPConfig(eta=-0.5, fp_tol=1e-10)
+        lp = LPConfig(fp_tol=1e-10)
         res = lyapunov_perron_hc(sys_linear, 0.04, window, lp)
         assert res.distances[-1] < lp.fp_tol
 
     def test_newton_matches_picard(self, window, sys_linear):
-        lp = LPConfig(eta=-0.5, fp_tol=1e-11)
+        lp = LPConfig(fp_tol=1e-11)
         a = lyapunov_perron_hc(sys_linear, 0.05, window, lp)
         b = lyapunov_perron_hc(sys_linear, 0.05, window, lp, solver="newton")
         assert abs(a.hc - b.hc) < 1e-9
@@ -132,20 +134,20 @@ class TestLyapunovPerron:
     def test_non_contraction_aborts(self, window, sys_linear):
         # large boundary value with a wide cutoff: the backward center orbit
         # grows over the window and the plain iteration expands
-        lp = LPConfig(eta=-0.5, cutoff_R=2.0, fp_tol=1e-12)
+        lp = LPConfig(cutoff_R=2.0, fp_tol=1e-12)
         with pytest.raises(NonContractionError, match="shrink"):
             lyapunov_perron_hc(sys_linear, 0.2, window, lp)
 
     def test_newton_non_convergence_named(self, sys_linear):
         rp = lift_brownian(0, Grid(-4.0, 0.0, 4 * 16), gamma=0.45)
-        lp = LPConfig(eta=-0.5, max_iters=1)
+        lp = LPConfig(max_iters=1)
         with pytest.raises(NewtonConvergenceError, match="did not converge"):
             lyapunov_perron_hc(sys_linear, 0.05, rp, lp, solver="newton")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_xi_rejected(self, window, sys_nonlinear, bad):
-        lp = LPConfig(eta=-0.5)
+        lp = LPConfig()
         with pytest.raises(ValueError, match="cutoff radius"):
             lyapunov_perron_hc(sys_nonlinear, bad, window, lp)
         with pytest.raises(ValueError, match="cutoff radius"):
@@ -159,14 +161,14 @@ class TestLyapunovPerron:
                             "quartic": EXAMPLES / "chekroun_linear.json",
                             "two-channel": TWO_CHANNEL}[spec]).numeric()
         rp = lift_brownian(0, Grid(-4.0, 0.0, 4 * 16), d=path_d)
-        lp = LPConfig(eta=-0.5)
+        lp = LPConfig()
         match = f"has {path_d} channel.*has {nsys.d} noise channel"
         with pytest.raises(ValueError, match=match):
             lyapunov_perron_sweep(nsys, [0.05, 0.01], rp, lp)
         with pytest.raises(ValueError, match=match):
             lyapunov_perron_hc(nsys, 0.05, rp, lp, solver="newton")
         with pytest.raises(ValueError, match=match):
-            leading_order_happ(nsys, 2, [0.05, 0.01], rp)
+            leading_order_happ(nsys, [0.05, 0.01], rp)
 
     def test_window_checked(self, sys_linear):
         # the LP reads its window [-N, 0] off the path, which must split
@@ -174,7 +176,7 @@ class TestLyapunovPerron:
         for grid in (Grid(-4.5, 0.0, 4 * 16), Grid(-4.0, 0.0, 4 * 16 + 1)):
             with pytest.raises(ValueError, match="whole unit blocks"):
                 lyapunov_perron_sweep(sys_linear, [0.05], lift_brownian(0, grid),
-                                      LPConfig(eta=-0.5))
+                                      LPConfig())
 
     @pytest.mark.parametrize("grid, match", [
         (Grid(-5.0, -1.0, 4 * 16), r"Grid\(-5\.0, -1\.0, 64\) must end at time 0"),
@@ -184,18 +186,13 @@ class TestLyapunovPerron:
     def test_path_window_named(self, sys_linear, grid, match, solver):
         with pytest.raises(ValueError, match=match):
             lyapunov_perron_sweep(sys_linear, [0.05], lift_brownian(0, grid),
-                                  LPConfig(eta=-0.5), solver=solver)
+                                  LPConfig(), solver=solver)
 
     def test_window_read_from_path(self, sys_linear):
         # a default LPConfig serves a path over 8 unit blocks as well as 12
         rp = lift_brownian(0, Grid(-8.0, 0.0, 8 * 32))
-        res, = lyapunov_perron_sweep(sys_linear, [0.05], rp, LPConfig(eta=-0.5))
+        res, = lyapunov_perron_sweep(sys_linear, [0.05], rp, LPConfig())
         assert res.converged and res.state.shape[0] == 8
-
-    def test_eta_range_enforced(self, window, sys_linear):
-        with pytest.raises(ValueError):
-            lyapunov_perron_hc(sys_linear, 0.01, window,
-                               LPConfig(eta=-2.0))
 
     def test_stochastic_self_consistency(self, sys_nonlinear):
         # |h^c - phi| / xi^{q+1} stays bounded across a dyadic sweep
@@ -204,7 +201,7 @@ class TestLyapunovPerron:
             load_system(EXAMPLES / "chekroun_nonlinear.json")))
         hier = solve_hierarchy(cs, rp, init="zero")
         ma = ManifoldApproximation(q=6, alpha0=hier.alpha0, radius=0.2)
-        lp = LPConfig(eta=-0.5, fp_tol=1e-10)
+        lp = LPConfig(fp_tol=1e-10)
         ratios = []
         for xi in (0.1, 0.05, 0.025):
             res = lyapunov_perron_hc(sys_nonlinear, xi, rp, lp)
@@ -223,13 +220,13 @@ class TestLPConfig:
              "iters-bool", "iters-float"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
-            LPConfig(eta=-0.5, **bad)
+            LPConfig(**bad)
 
     @pytest.mark.parametrize("field", ["max_iters"])
     def test_integer_fields_named(self, field):
         with pytest.raises(ValueError, match=field):
-            LPConfig(eta=-0.5, **{field: 2.5})
-        assert getattr(LPConfig(eta=-0.5, **{field: np.int64(12)}), field) == 12
+            LPConfig(**{field: 2.5})
+        assert getattr(LPConfig(**{field: np.int64(12)}), field) == 12
 
 
 def _fill_block(kind, V, D, tau, scale, rng):
@@ -273,7 +270,7 @@ class TestNormBounds:
     def sweep(self, request, sys_nonlinear):
         rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=request.param, gamma=0.45)
         return _Sweep(_on_channels(sys_nonlinear, request.param), [0.05], rp,
-                      LPConfig(eta=-0.5))
+                      LPConfig())
 
     def test_bound_dominates_exact_norm(self, sweep):
         for name, state in _random_states(sweep, np.random.default_rng(11)):
@@ -297,17 +294,20 @@ class TestNormBounds:
     def test_pruned_distance_is_exact_max(self, sweep):
         rng = np.random.default_rng(12)
         states = _random_states(sweep, rng)
-        eta, N = sweep.lp.eta, sweep.N
+        N = sweep.N
+        # block [b, b+1] weighs e^{-eta (b+1)}, eta = As/2
+        assert sweep.weights.tolist() == [np.exp(-0.5 * sweep.sys.As * (i - N + 1))
+                                          for i in range(N)]
         for (name, a), (_, b) in itertools.combinations(states, 2):
             diff = a - b
-            full = max(np.exp(-eta * (i - N + 1)) *
+            full = max(sweep.weights[i] *
                        norm_d2g(block_path(sweep, diff[0], i)).total for i in range(N))
             assert sweep.distance(a, b)[0] == full, name
 
     def test_cutoff_factor_is_exact(self, sys_nonlinear):
         # scale each state so that the block bounds straddle R/2
         rp = lift_brownian(4, Grid(-4.0, 0.0, 4 * 32), gamma=0.45)
-        sw = _Sweep(sys_nonlinear, [0.05], rp, LPConfig(eta=-0.5))
+        sw = _Sweep(sys_nonlinear, [0.05], rp, LPConfig())
         R = sw.lp.cutoff_R
         rng = np.random.default_rng(13)
         for name, state in _random_states(sw, rng)[1:]:
@@ -323,7 +323,7 @@ class TestNormBounds:
         # block 0's lower bound reaches R, block 1's bounds straddle the ramp
         # and blocks 2, 3 sit below R/2: only block 1 needs its exact norm
         rp = lift_brownian(4, Grid(-4.0, 0.0, 4 * 32), gamma=0.45)
-        sw = _Sweep(sys_nonlinear, [0.05], rp, LPConfig(eta=-0.5))
+        sw = _Sweep(sys_nonlinear, [0.05], rp, LPConfig())
         R = sw.lp.cutoff_R
         for name, state in _random_states(sw, np.random.default_rng(17))[1:]:
             L, U = (b[0] for b in sw.norm_bounds(state))
@@ -369,7 +369,7 @@ class TestNormBounds:
         # their block bounds straddle R/2
         rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=d, gamma=0.45)
         sw = _Sweep(_on_channels(sys_nonlinear, d), [0.05, 0.02, 0.01], rp,
-                    LPConfig(eta=-0.5))
+                    LPConfig())
         R, N, rng = sw.lp.cutoff_R, sw.N, np.random.default_rng(16)
         pool = [s[0] for _, s in _random_states(sw, rng)[1:]]
         ramped = 0
@@ -408,7 +408,7 @@ class TestNormBounds:
             return new, breach
 
         monkeypatch.setattr(_Sweep, "apply", planted)
-        lp = LPConfig(eta=-0.5, fp_tol=1e-12)
+        lp = LPConfig(fp_tol=1e-12)
         res, = lyapunov_perron_sweep(sys_linear, [0.05], window, lp)
         assert not res.converged and isinstance(res.error, NonConvergenceError)
         assert res.iterations == 3 and not np.isfinite(res.distances[-1])
@@ -423,7 +423,7 @@ class TestNormBounds:
         # the count does not grow with the iterations
         spec = load_system(EXAMPLES / f"{name}.json")
         rp = lift_brownian(1, Grid(-12.0, 0.0, 12 * 64), gamma=spec.gamma)
-        lp = LPConfig(eta=-0.5, cutoff_R=0.5, fp_tol=1e-8)
+        lp = LPConfig(cutoff_R=0.5, fp_tol=1e-8)
         calls = []    # one entry per block passed to the stacked exact norm
 
         def counted(Y, Yp, dW, pairs):
@@ -522,7 +522,7 @@ class TestCertifiedStopping:
         nsys = load_system(spec).numeric()
         rp = lift_brownian(seed, Grid(-float(window), 0.0, window * nu), d=nsys.d,
                            gamma=nsys.gamma)
-        lp = LPConfig(eta=0.5 * nsys.As, cutoff_R=R, fp_tol=1e-10,
+        lp = LPConfig(cutoff_R=R, fp_tol=1e-10,
                       max_iters=max_iters)
         if nan_at:
             real = _Sweep.apply
@@ -565,11 +565,17 @@ class TestStackedBlocks:
 
     @pytest.fixture(scope="class", params=[
         ("sextic", 1), ("noiseless", 1), ("sigma-y", 1), ("sextic", 2),
-        ("two-channel", 2)], ids=lambda p: f"{p[0]}-d{p[1]}")
+        ("two-channel", 2), ("two-channel-no-Fs", 2)], ids=lambda p: f"{p[0]}-d{p[1]}")
     def case(self, request):
+        """(system, channels, h^app's leading degree)"""
         name, d = request.param
+        lead = 2    # Fs's x^2 leads, but in the case without Fs
         if name == "two-channel":
             nsys = load_system(TWO_CHANNEL).numeric()
+        elif name == "two-channel-no-Fs":
+            # Gs[1]'s x^3/2 is now the y-free monomial of least degree, so
+            # h^app is a diffusion convolution alone
+            nsys, lead = load_system({**TWO_CHANNEL, "Fs": []}).numeric(), 3
         elif name == "sigma-y":
             # Gs = 0.5 y vanishes on blocks where y does, though its
             # y-derivative does not
@@ -579,7 +585,7 @@ class TestStackedBlocks:
         else:
             file = "chekroun_nonlinear" if name == "sextic" else "chekroun_linear"
             nsys = load_system(EXAMPLES / f"{file}.json").numeric()
-        return _on_channels(nsys, d), d
+        return _on_channels(nsys, d), d, lead
 
     @pytest.mark.parametrize("nu", [32, 64, 128])
     @pytest.mark.parametrize("N", [2, 4, 6, 12])
@@ -603,9 +609,9 @@ class TestStackedBlocks:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_sweep_matches_block_loop(self, case):
-        nsys, d = case
+        nsys, d, _ = case
         rp = lift_brownian(3, Grid(-4.0, 0.0, 4 * 32), d=d, gamma=0.45)
-        sw = _Sweep(nsys, [0.05], rp, LPConfig(eta=-0.5))
+        sw = _Sweep(nsys, [0.05], rp, LPConfig())
         R = sw.lp.cutoff_R
         rng = np.random.default_rng(15)
         for name, state in _random_states(sw, rng):
@@ -624,19 +630,19 @@ class TestStackedBlocks:
                 assert breach[0] == ref_breach, name
 
     def test_happ_matches_block_loop(self, case):
-        nsys, d = case
+        nsys, d, lead = case
         rp = lift_brownian(4, Grid(-12.0, 0.0, 12 * 32), d=d, gamma=0.45)
         # a slow stable rate keeps the blocks' shares comparable in size
-        for As, l, xi in itertools.product((nsys.As, -0.1), (2, 3), (0.1, 0.05, 0.0125)):
+        for As, xi in itertools.product((nsys.As, -0.1), (0.1, 0.05, 0.0125)):
             s = dataclasses.replace(nsys, As=As)
-            assert leading_order_happ(s, l, xi, rp) == _happ_by_block(s, l, xi, rp)
+            assert leading_order_happ(s, xi, rp) == _happ_by_block(s, lead, xi, rp)
 
     def test_one_convolution_pass_per_sweep(self, monkeypatch):
         # both components in one pass: a loop over blocks would make 2N = 24
         # of each per sweep, and a pass per component 2
         spec = load_system(EXAMPLES / "chekroun_nonlinear.json")
         rp = lift_brownian(1, Grid(-12.0, 0.0, 12 * 64), gamma=spec.gamma)
-        lp = LPConfig(eta=-0.5, cutoff_R=0.5, fp_tol=1e-8)
+        lp = LPConfig(cutoff_R=0.5, fp_tol=1e-8)
         calls = {"drift": 0, "diffusion": 0}
 
         def counted(kind, fn):
@@ -659,7 +665,7 @@ class TestStackedBlocks:
         # rather than once per sweep
         spec = load_system(EXAMPLES / "chekroun_nonlinear.json")
         rp = lift_brownian(1, Grid(-6.0, 0.0, 6 * 32), gamma=spec.gamma)
-        lp = LPConfig(eta=-0.5, cutoff_R=0.5, fp_tol=1e-8)
+        lp = LPConfig(cutoff_R=0.5, fp_tol=1e-8)
         calls = []
         partial = NumericField.partial
         monkeypatch.setattr(NumericField, "partial",
@@ -686,7 +692,7 @@ class TestBatchedSweep:
     def test_matches_solo_solves(self, spec, xis, max_iters):
         nsys = load_system(spec).numeric()
         rp = lift_brownian(2, Grid(-6.0, 0.0, 6 * 32), d=nsys.d, gamma=nsys.gamma)
-        lp = LPConfig(eta=0.5 * nsys.As, cutoff_R=2.0, fp_tol=1e-10,
+        lp = LPConfig(cutoff_R=2.0, fp_tol=1e-10,
                       max_iters=max_iters)
         seen = set()
         for xi, res in zip(xis, lyapunov_perron_sweep(nsys, xis, rp, lp)):
@@ -714,7 +720,7 @@ class TestBatchedSweep:
             assert "cutoff" in seen
 
     def test_newton_matches_solo_solves(self, sys_linear, window):
-        lp = LPConfig(eta=-0.5, fp_tol=1e-10)
+        lp = LPConfig(fp_tol=1e-10)
         xis = (0.05, 0.0125)
         for xi, res in zip(xis, lyapunov_perron_sweep(sys_linear, xis, window, lp,
                                                       solver="newton")):
@@ -725,8 +731,8 @@ class TestBatchedSweep:
     def test_happ_over_xi_matches_scalar(self, sys_nonlinear):
         rp = lift_brownian(4, Grid(-6.0, 0.0, 6 * 32), gamma=0.45)
         xis = np.array([0.1, 0.05, 0.0125, 0.0])
-        batch = leading_order_happ(sys_nonlinear, 2, xis, rp)
-        assert batch.tolist() == [leading_order_happ(sys_nonlinear, 2, xi, rp)
+        batch = leading_order_happ(sys_nonlinear, xis, rp)
+        assert batch.tolist() == [leading_order_happ(sys_nonlinear, xi, rp)
                                   for xi in xis]
 
 
@@ -749,7 +755,7 @@ class TestOutcome:
     def test_unconverged_xi_named(self, sys_nonlinear, monkeypatch, case, xi,
                                   solver, error, match):
         rp = lift_brownian(2, Grid(-6.0, 0.0, 6 * 32), gamma=sys_nonlinear.gamma)
-        lp = LPConfig(eta=-0.5, cutoff_R=2.0, fp_tol=1e-10,
+        lp = LPConfig(cutoff_R=2.0, fp_tol=1e-10,
                       max_iters=1 if case == "newton-krylov" else 12)
         if case == "nan":
             real = _Sweep.apply
