@@ -31,13 +31,12 @@ def main():
 
 @main.command()
 @click.option("--spec", "spec_file", required=True, type=click.Path(exists=True))
-@click.option("--q", type=int, default=None, help="Override the expansion order.")
 @click.option("--out-dir", type=click.Path(), default=".")
-def derive(spec_file, q, out_dir):
+def derive(spec_file, out_dir):
     """Derive the coefficient RDE system for a system description."""
     try:
         spec = load_system(spec_file)
-        cs = propagate_zeros(derive_system(spec, q=q))
+        cs = propagate_zeros(derive_system(spec))
     except ValueError as exc:    # FieldValidationError among them
         click.echo(f"validation failure: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
@@ -74,7 +73,7 @@ class OrderLawPlan:
     solver: str
 
 
-def order_law_plan(spec_file, *, q, grid_n, window, cutoff_r, xi_min, xi_max,
+def order_law_plan(spec_file, *, grid_n, window, cutoff_r, xi_min, xi_max,
                    xi_points, solver, fp_tol) -> OrderLawPlan:
     """`verify`'s sweep plan from its options. Warns on stderr of each xi it drops
     above cutoff_r; bad input raises a ValueError, such as a FieldValidationError."""
@@ -97,12 +96,18 @@ def order_law_plan(spec_file, *, q, grid_n, window, cutoff_r, xi_min, xi_max,
                          f"{cutoff_r:g}; an order fit needs at least 4")
     spec = load_system(spec_file)
     nsys = spec.numeric()
-    cs = propagate_zeros(derive_system(spec, q=q))
+    cs = propagate_zeros(derive_system(spec))
     coeffs = cs.numeric(spec.params)
+    # a term of order 1's forcing free of the alphas drives alpha_1 off 0
+    free = (0,) * coeffs.q
+    if 1 in coeffs.A and any(p.coeffs.get(free) for p in (coeffs.f[1], *coeffs.g[1])):
+        raise ValueError("order 1 has a non-zero forcing at the spec's parameters, so "
+                         "alpha_1 does not vanish: the manifold is not tangent to the "
+                         "center space")
     if window < 2:
         raise ValueError(f"--window {window} must span at least 2 unit blocks")
     grid = Grid(-float(window), 0.0, window * grid_n)
-    lp = LPConfig(cutoff_R=cutoff_r, fp_tol=fp_tol, max_iters=200)
+    lp = LPConfig(cutoff_R=cutoff_r, fp_tol=fp_tol)
     return OrderLawPlan(nsys=nsys, coeffs=coeffs,
                         min_degree=residuals(cs)["min_degree"],
                         grid=grid, lp=lp, xis=tuple(xis), solver=solver)
@@ -119,7 +124,7 @@ def order_law_row(plan: OrderLawPlan, rp: RoughPath) -> dict:
     row = {"xi_sweep": list(xis),
            "phi_values": [evaluate_phi(ma, xi) for xi in xis],
            "hc_values": [], "happ_values": [float(h) for h in happ],
-           "contraction_rates": [],
+           "contraction_rates": [], "norm_breach": [],
            "tail_bounds": {str(k): v for k, v in hier.tail_bounds.items()},
            "residual_min_degree": plan.min_degree, "failures": []}
     for xi, r in zip(xis, lyapunov_perron_sweep(nsys, xis, rp, plan.lp,
@@ -127,6 +132,7 @@ def order_law_row(plan: OrderLawPlan, rp: RoughPath) -> dict:
         rate = (r.rates[-1] if r.rates else 0.0) if r.converged else float("nan")
         row["hc_values"].append(r.hc if r.converged else float("nan"))
         row["contraction_rates"].append(rate)
+        row["norm_breach"].append(r.norm_breach)
         if not r.converged:
             row["failures"].append({"xi": xi, "error": str(r.error)})
     errs = np.abs(np.subtract(row["hc_values"], row["phi_values"]))
@@ -143,29 +149,28 @@ def _verify_seed(plan: OrderLawPlan, seed: int) -> dict:
     return {"seed": seed, **order_law_row(plan, rp)}
 
 
-def _provenance(spec_file, q: int) -> dict:
+def _provenance(spec_file) -> dict:
     """What a report depends on besides its arguments: the spec file's
-    bytes, the expansion order and the versions of the numerical code."""
+    bytes and the versions of the numerical code."""
     import hashlib
 
     import scipy    # only for its version: no solver of a Picard run needs it
     return {"spec_sha256": hashlib.sha256(Path(spec_file).read_bytes()).hexdigest(),
-            "q": q, "roughcm": __version__, "numpy": np.__version__,
+            "roughcm": __version__, "numpy": np.__version__,
             "scipy": scipy.__version__, "sympy": sympy.__version__}
 
 
 @main.command()
 @click.option("--spec", "spec_file", required=True, type=click.Path(exists=True))
-@click.option("--q", type=int, default=None)
 @click.option("--seeds", type=int, default=1, help="Number of sampled paths.")
 @click.option("--grid-n", type=int, default=128, help="Grid cells per unit time.")
 @click.option("--window", type=int, default=12)
-@click.option("--cutoff-r", type=float, default=0.5)
+@click.option("--cutoff-r", type=float, default=LPConfig.cutoff_R)
 @click.option("--xi-min", type=float, default=0.0125)
 @click.option("--xi-max", type=float, default=0.1)
 @click.option("--xi-points", type=int, default=5)
 @click.option("--solver", type=click.Choice(["picard", "newton"]), default="picard")
-@click.option("--fp-tol", type=float, default=1e-10)
+@click.option("--fp-tol", type=float, default=LPConfig.fp_tol)
 @click.option("--out-dir", type=click.Path(), default=".")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 def verify(spec_file, seeds, out_dir, fmt, **sweep):
@@ -194,10 +199,11 @@ def verify(spec_file, seeds, out_dir, fmt, **sweep):
     slopes = [r["order_slope"] for r in rows if np.isfinite(r["order_slope"])]
     # statistics, not np.median, whose first call imports numpy.ma
     median_slope = float(statistics.median(slopes)) if slopes else float("nan")
-    report = {"spec": str(spec_file), "provenance": _provenance(spec_file, q),
+    report = {"spec": str(spec_file), "provenance": _provenance(spec_file),
               "q": q, "window": sweep["window"], "grid_n": sweep["grid_n"],
-              "cutoff_r": plan.lp.cutoff_R, "solver": plan.solver,
-              "median_slope": median_slope, "threshold": q + 0.5, "per_seed": rows}
+              "cutoff_r": plan.lp.cutoff_R, "fp_tol": plan.lp.fp_tol,
+              "solver": plan.solver, "median_slope": median_slope,
+              "threshold": q + 0.5, "per_seed": rows}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "verify_report.json").write_text(json.dumps(report, indent=2))
@@ -218,6 +224,11 @@ def verify(spec_file, seeds, out_dir, fmt, **sweep):
     for r in rows:
         for f in r["failures"]:
             click.echo(f"seed {r['seed']} xi {f['xi']:g}: {f['error']}", err=True)
+        for xi, breach in zip(r["xi_sweep"], r["norm_breach"]):
+            if breach:
+                click.echo(f"warning: seed {r['seed']} xi {xi:g} met the cutoff ramp "
+                           "(a block norm above R/2); its h^c is the cut-off "
+                           "system's", err=True)
     click.echo(f"median slope {median_slope:.3f} "
                f"(threshold {q + 0.5}, {len(rows)} seed(s))")
     if failed or not np.isfinite(median_slope) or median_slope < q + 0.5:

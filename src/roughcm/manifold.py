@@ -18,12 +18,14 @@ import numpy as np
 from .controlled import D2GNorm, d2g_terms
 from .gubinelli import convolve_diffusion, convolve_drift
 from .invariance import NumericSystem
-from .roughpath import RoughPath, _is_integer, _pair_table, _unit_split
+from .roughpath import RoughPath, _pair_table, _unit_split
 
 __all__ = ["ManifoldApproximation", "LPConfig", "LPResult", "NonConvergenceError",
            "NonContractionError", "NewtonConvergenceError", "evaluate_phi",
            "leading_order_happ", "lyapunov_perron_hc", "lyapunov_perron_sweep",
            "smoothstep", "order_fit", "OrderFit"]
+
+MAX_ITERS = 200    # the LP's limit: Picard sweeps, or Newton-Krylov steps
 
 
 class NonConvergenceError(RuntimeError):
@@ -53,8 +55,8 @@ class ManifoldApproximation:
 
     def __post_init__(self):
         if self.alpha0.get(1, 0.0) != 0.0:
-            raise ValueError("the graph is tangent to the center space: "
-                             "alpha_1 must vanish")
+            raise ValueError(f"alpha_1 = {self.alpha0[1]!r} is not 0: the Taylor "
+                             "map needs a graph tangent to the center space")
 
     def __call__(self, xi: float) -> float:
         return evaluate_phi(self, xi)
@@ -135,19 +137,15 @@ class _Blocks:
 
 @dataclass
 class LPConfig:
+    """The LP's cutoff radius R and stopping tolerance, `verify`'s by default."""
     cutoff_R: float = 0.5
-    max_iters: int = 200
-    fp_tol: float = 1e-8
+    fp_tol: float = 1e-10
 
     def __post_init__(self):
-        if not _is_integer(self.max_iters):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not self.cutoff_R > 0:
             raise ValueError("cutoff radius must be positive")
         if not (math.isfinite(self.fp_tol) and self.fp_tol > 0):
             raise ValueError("fixed-point tolerance must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -416,7 +414,7 @@ def _picard(sweep: _Sweep) -> list[LPResult]:
     decision is that of the exact distances, and each xi's last two
     distances and last rate are exact; the others are upper bounds.
     """
-    lp, tol = sweep.lp, sweep.lp.fp_tol
+    tol = sweep.lp.fp_tol
     state = sweep.zero_state()
     results = [LPResult(state=st) for st in state]
     # per xi, its steps n, n-1 and n-2 in slots n % 3: the state difference
@@ -428,7 +426,7 @@ def _picard(sweep: _Sweep) -> list[LPResult]:
     lower = [[0.0] * len(state) for _ in range(3)]
     exact = [[None] * len(state) for _ in range(3)]
     running = np.arange(len(results))
-    for it in range(1, lp.max_iters + 1):
+    for it in range(1, MAX_ITERS + 1):
         if not len(running):
             break
         now, prev, prev2 = it % 3, (it - 1) % 3, (it - 2) % 3
@@ -456,7 +454,7 @@ def _picard(sweep: _Sweep) -> list[LPResult]:
             # rate; of the two steps before a non-finite one for its last rate
             if math.isnan(up):
                 todo += [(prev, k)] * (it > 1) + [(prev2, k)] * (it > 2)
-            elif it == lp.max_iters or low < tol or (it > 1 and rate is None):
+            elif it == MAX_ITERS or low < tol or (it > 1 and rate is None):
                 todo += [(now, k)] + [(prev, k)] * (it > 1)
         todo = [(s, k) for s, k in todo if exact[s][k] is None]
         if todo:
@@ -492,7 +490,7 @@ def _picard(sweep: _Sweep) -> list[LPResult]:
     for res in (results[k] for k in running):
         res.error = NonConvergenceError(
             f"not converged: fixed-point distance {res.distances[-1]:.3g} after "
-            f"{res.iterations} iteration(s) (max_iters = {lp.max_iters})")
+            f"{res.iterations} iteration(s), the iteration limit")
     for res in results:
         res.hc = float(sweep.values(res.state)[-1, 1, -1])
     return results
@@ -514,13 +512,13 @@ def _newton(sweep: _Sweep, k: int) -> LPResult:
     u0 = sweep.flow_state(k).ravel()
     try:
         u = newton_krylov(residual, u0, method="lgmres", f_tol=f_tol,
-                          maxiter=lp.max_iters)
+                          maxiter=MAX_ITERS)
     except NoConvergence as exc:
         error = NewtonConvergenceError(
-            f"Newton-Krylov solve did not converge in {lp.max_iters} "
-            "iterations; raise max_iters or shrink |xi|")
+            f"Newton-Krylov solve did not converge in {MAX_ITERS} "
+            "iterations; shrink |xi|")
         error.__cause__ = exc
-        return LPResult(iterations=lp.max_iters, error=error)
+        return LPResult(iterations=MAX_ITERS, error=error)
     state = u.reshape(1, N, -1)
     new_state, breach = sweep.apply(state, [k])
     dist = sweep.distance(new_state, state)[0]

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from roughcm import (ControlledPath, Grid, RoughPath, cell_terms, coarsen,
-                     convolve_diffusion, norm_d2g, semigroup_step, smoothstep,
-                     solve_affine)
+                     convolve_diffusion, manifold, norm_d2g, semigroup_step,
+                     smoothstep, solve_affine)
 from roughcm.gubinelli import _nodes_first
 from roughcm.manifold import LPResult, NonContractionError, NonConvergenceError
 from roughcm.roughpath import _piecewise_linear_lift
@@ -246,11 +246,10 @@ def exact_picard(sweep) -> list:
     """The Picard iteration of `lyapunov_perron_sweep` on an LP sweep, with
     the exact distance of every step: each step's tests are decided on it,
     and every distance and rate recorded is exact."""
-    lp = sweep.lp
     state = sweep.zero_state()
     results = [LPResult(state=st) for st in state]
     running = np.arange(len(results))
-    for it in range(1, lp.max_iters + 1):
+    for it in range(1, manifold.MAX_ITERS + 1):
         if not len(running):
             break
         new, breach = sweep.apply(state[running], running)
@@ -272,13 +271,13 @@ def exact_picard(sweep) -> list:
                 if len(res.rates) >= 5 and all(r >= 1.0 for r in res.rates[-5:]):
                     res.error = NonContractionError(it, res.rates[-1])
                     continue
-            if d >= lp.fp_tol:
+            if d >= sweep.lp.fp_tol:
                 still.append(k)
         running = np.array(still, dtype=int)
     for res in (results[k] for k in running):
         res.error = NonConvergenceError(
             f"not converged: fixed-point distance {res.distances[-1]:.3g} after "
-            f"{res.iterations} iteration(s) (max_iters = {lp.max_iters})")
+            f"{res.iterations} iteration(s), the iteration limit")
     for res in results:
         res.hc = float(sweep.values(res.state)[-1, 1, -1])
     return results

@@ -67,7 +67,7 @@ def cs_nonlinear(spec_nonlinear):
 def sextic_plan():
     """verify's default sweep on the sextic example, 64 cells per unit."""
     return order_law_plan(
-        EXAMPLES / "chekroun_nonlinear.json", q=None, grid_n=64, window=12,
+        EXAMPLES / "chekroun_nonlinear.json", grid_n=64, window=12,
         cutoff_r=0.5, xi_min=0.0125, xi_max=0.1, xi_points=5,
         solver="picard", fp_tol=1e-10)
 
@@ -77,7 +77,7 @@ def det_sweep():
     """verify's Newton sweep on the quartic example, one seed, every xi solved."""
     t0 = time.time()
     plan = order_law_plan(
-        EXAMPLES / "chekroun_linear.json", q=None, grid_n=64, window=12,
+        EXAMPLES / "chekroun_linear.json", grid_n=64, window=12,
         cutoff_r=1.0, xi_min=0.0125, xi_max=0.2, xi_points=5,
         solver="newton", fp_tol=1e-10)
     row = order_law_row(plan, lift_brownian(0, plan.grid, gamma=0.45))
@@ -253,6 +253,8 @@ def test_stochastic_order_law(sextic_plan):
             seed, sextic_plan.grid, gamma=sextic_plan.nsys.gamma))
         fails += [f"seed {seed} xi {f['xi']:g}: {f['error']}"
                   for f in row["failures"]]
+        clause(fails, not any(row["norm_breach"]),
+               f"seed {seed}: a xi met the cutoff ramp")
         slopes.append(row["order_slope"])
         ratios = [abs(hc - phi) / xi**7 for xi, hc, phi in
                   zip(row["xi_sweep"], row["hc_values"], row["phi_values"])]

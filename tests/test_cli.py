@@ -11,7 +11,7 @@ from click.testing import CliRunner
 from sympy.polys.rings import PolyElement
 
 import roughcm
-from roughcm import cli
+from roughcm import LPConfig, cli
 from roughcm.cli import main
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -150,6 +150,16 @@ def test_malformed_spec_exits_2(runner, tmp_path, command, change, message):
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
+@pytest.mark.parametrize("command", ["derive", "verify"])
+def test_q_is_the_specs(runner, tmp_path, command):
+    # the expansion order has one source, the spec's q
+    result = runner.invoke(main, [command, "--spec", str(LINEAR), "--q", "3",
+                                  "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--q" in result.output
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command, step", [("derive", "derive_system"),
                                            ("verify", "order_law_plan")])
 def test_key_error_is_no_validation_failure(runner, tmp_path, monkeypatch,
@@ -241,12 +251,6 @@ class TestDerive(BadSpecs):
         doc = json.loads((tmp_path / "coefficient_system.json").read_text())
         assert doc["g"]["6"] == ["alpha2**3"]
 
-    def test_q_override(self, runner, tmp_path):
-        result = runner.invoke(main, ["derive", "--spec", str(NONLINEAR),
-                                      "--q", "4", "--out-dir", str(tmp_path)])
-        assert result.exit_code == 0
-        assert "expansion order q = 4" in result.output
-
 
 class TestVerify(BadSpecs):
     def run_small(self, runner, tmp_path, *extra, spec=LINEAR):
@@ -264,6 +268,10 @@ class TestVerify(BadSpecs):
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["q"] == 4 and report["threshold"] == 4.5
+        # verify's LP is LPConfig(), and the report states both its settings
+        lp = LPConfig()
+        assert (report["cutoff_r"], report["fp_tol"]) == (lp.cutoff_R, lp.fp_tol)
+        assert (lp.cutoff_R, lp.fp_tol) == (0.5, 1e-10)
         assert len(report["per_seed"]) == 1
         assert report["median_slope"] >= 4.5
         row = report["per_seed"][0]
@@ -356,15 +364,14 @@ class TestVerify(BadSpecs):
     def test_unconverged_xi_reported(self, runner, tmp_path, monkeypatch):
         # in this sweep the largest xi needs 15 Picard sweeps and the next 11,
         # so a cap of 12 starves only the largest in the batched solve
-        real = cli.LPConfig
-        monkeypatch.setattr(cli, "LPConfig",
-                            lambda **kw: real(**{**kw, "max_iters": 12}))
+        monkeypatch.setattr(roughcm.manifold, "MAX_ITERS", 12)
         result = self.run_small(runner, tmp_path, "--xi-points", "5")
         assert result.exit_code == 1, result.output
         row = json.loads((tmp_path / "verify_report.json").read_text()
                          )["per_seed"][0]
         assert [f["xi"] for f in row["failures"]] == [0.1]
-        assert "max_iters" in row["failures"][0]["error"]
+        assert row["failures"][0]["error"].endswith(
+            "after 12 iteration(s), the iteration limit")
         assert math.isnan(row["hc_values"][0])
         assert all(math.isfinite(h) for h in row["hc_values"][1:])
         assert math.isfinite(row["order_slope"])
@@ -387,7 +394,7 @@ class TestVerify(BadSpecs):
         assert [f["xi"] for f in row["failures"]] == [0.1]
         error = row["failures"][0]["error"]
         assert "nan is not finite at iteration 1" in error
-        assert "max_iters" not in error
+        assert "iteration limit" not in error
         assert math.isnan(row["hc_values"][0])
         assert all(math.isfinite(h) for h in row["hc_values"][1:])
 
@@ -424,7 +431,7 @@ class TestVerify(BadSpecs):
     def test_row_reads_window_from_path(self):
         # the LP reads N from the path, so the plan for window 12 gives a
         # path over [-8, 0] the row of the plan for window 8
-        sweep = dict(q=None, grid_n=32, cutoff_r=0.5, xi_min=0.0125,
+        sweep = dict(grid_n=32, cutoff_r=0.5, xi_min=0.0125,
                      xi_max=0.1, xi_points=4, solver="picard", fp_tol=1e-10)
         plans = [cli.order_law_plan(LINEAR, window=w, **sweep) for w in (12, 8)]
         rp = roughcm.lift_brownian(0, plans[1].grid, gamma=plans[1].nsys.gamma)
@@ -456,9 +463,43 @@ class TestVerify(BadSpecs):
         roughcm.solve_hierarchy(cs, rp, params=spec.params)
 
     def test_provenance(self, runner, tmp_path):
-        self.run_small(runner, tmp_path, "--q", "3")
+        # the spec's sha256 pins q, which the report states once, at the top
+        self.run_small(runner, tmp_path)
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert report["provenance"] == {
             "spec_sha256": hashlib.sha256(LINEAR.read_bytes()).hexdigest(),
-            "q": 3, "roughcm": roughcm.__version__, "numpy": numpy.__version__,
+            "roughcm": roughcm.__version__, "numpy": numpy.__version__,
             "scipy": scipy.__version__, "sympy": sympy.__version__}
+        assert report["q"] == 4
+
+    def test_non_tangent_system_exits_2(self, runner, tmp_path, monkeypatch):
+        # Gs = 0.5 x forces order 1: derive runs it, but phi has no alpha_1
+        # term, so verify stops before any solve
+        doc = {**json.loads(LINEAR.read_text()), "Gs": [[{"i": 1, "j": 0, "c": 0.5}]]}
+        bad = _spec_file(tmp_path, doc)
+        self.exits_2(runner, tmp_path, monkeypatch, bad, "alpha_1 does not vanish")
+        result = runner.invoke(main, ["derive", "--spec", str(bad),
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+
+    def test_tangent_at_the_params_runs(self, runner, tmp_path):
+        # Gs = sigma x at sigma = 0: order 1 is not flagged, but its forcing
+        # vanishes at the spec's parameters, so alpha_1 stays 0
+        doc = {**json.loads(LINEAR.read_text()),
+               "Gs": [[{"i": 1, "j": 0, "c": "sigma"}]]}
+        result = self.run_on(runner, tmp_path, _spec_file(tmp_path, doc))
+        assert result.exit_code == 0, result.output
+
+    def test_cutoff_ramp_flagged(self, runner, tmp_path):
+        # on the sextic, xi = 0.4 lifts a block norm above R/2 = 0.25 and
+        # meets the ramp; it is flagged and warned of, and still fitted
+        result = runner.invoke(main, [
+            "verify", "--spec", str(NONLINEAR), "--seeds", "1", "--grid-n", "64",
+            "--xi-max", "0.4", "--xi-points", "6", "--out-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        row = json.loads((tmp_path / "verify_report.json").read_text())["per_seed"][0]
+        assert row["norm_breach"] == [True] + [False] * 5
+        assert result.output.count("met the cutoff ramp") == 1
+        assert "warning: seed 0 xi 0.4 met the cutoff ramp" in result.output
+        errs = numpy.abs(numpy.subtract(row["hc_values"], row["phi_values"]))
+        assert row["order_slope"] == roughcm.order_fit(row["xi_sweep"], errs).slope
