@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import statistics
 import sys
@@ -98,6 +99,15 @@ def order_law_plan(spec_file, *, grid_n, window, cutoff_r, xi_min, xi_max,
     nsys = spec.numeric()
     cs = propagate_zeros(derive_system(spec))
     coeffs = cs.numeric(spec.params)
+    # the stationary coefficients need the gap As < 0 and, per order, A < 0
+    if nsys.As >= 0:
+        raise ValueError(f"the stable block As = {nsys.As:g} is not exponentially "
+                         "stable: the order law needs As < 0")
+    for i, a in coeffs.A.items():
+        if a >= 0:
+            raise ValueError(f"order {i} has the linear part A = As - {i} Ac = {a:g}, "
+                             f"not < 0: alpha_{i} has no stationary solution (a "
+                             "resonance of the block spectra)")
     # a term of order 1's forcing free of the alphas drives alpha_1 off 0
     free = (0,) * coeffs.q
     if 1 in coeffs.A and any(p.coeffs.get(free) for p in (coeffs.f[1], *coeffs.g[1])):
@@ -115,8 +125,10 @@ def order_law_plan(spec_file, *, grid_n, window, cutoff_r, xi_min, xi_max,
 
 def order_law_row(plan: OrderLawPlan, rp: RoughPath) -> dict:
     """The report row of any rough path on a window [-N, 0] of N >= 2 unit
-    blocks: phi, h^c and h^app at each xi, the failed solves and the order
-    slope of |h^c - phi|, which is nan unless 4 or more xi converged."""
+    blocks: phi, h^c and h^app at each xi, each solve's iterations, the
+    failed solves and the order slope of |h^c - phi|.  The slope is nan
+    unless 4 or more xi converged with a positive error, and +inf where
+    every order is flagged and 4 or more converged errors are exactly 0."""
     nsys, xis = plan.nsys, plan.xis
     hier = solve_hierarchy(plan.coeffs, rp, init="zero")
     ma = ManifoldApproximation(q=plan.coeffs.q, alpha0=hier.alpha0, radius=max(xis))
@@ -124,19 +136,24 @@ def order_law_row(plan: OrderLawPlan, rp: RoughPath) -> dict:
     row = {"xi_sweep": list(xis),
            "phi_values": [evaluate_phi(ma, xi) for xi in xis],
            "hc_values": [], "happ_values": [float(h) for h in happ],
-           "contraction_rates": [], "norm_breach": [],
+           "iterations": [], "contraction_rates": [], "norm_breach": [],
            "tail_bounds": {str(k): v for k, v in hier.tail_bounds.items()},
            "residual_min_degree": plan.min_degree, "failures": []}
     for xi, r in zip(xis, lyapunov_perron_sweep(nsys, xis, rp, plan.lp,
                                                 solver=plan.solver)):
-        rate = (r.rates[-1] if r.rates else 0.0) if r.converged else float("nan")
         row["hc_values"].append(r.hc if r.converged else float("nan"))
-        row["contraction_rates"].append(rate)
+        row["iterations"].append(r.iterations)
+        # a Newton solve measures no contraction rate
+        row["contraction_rates"].append(r.rates[-1] if r.converged and r.rates
+                                        else float("nan"))
         row["norm_breach"].append(r.norm_breach)
         if not r.converged:
             row["failures"].append({"xi": xi, "error": str(r.error)})
     errs = np.abs(np.subtract(row["hc_values"], row["phi_values"]))
     ok = np.isfinite(errs)
+    if not plan.coeffs.A and np.count_nonzero(ok) >= 4 and not np.any(errs[ok]):
+        row["order_slope"] = float("inf")    # phi = 0 = h^c: the law holds exactly
+        return row
     try:
         row["order_slope"] = order_fit(np.asarray(xis)[ok], errs[ok]).slope
     except ValueError:
@@ -196,7 +213,7 @@ def verify(spec_file, seeds, out_dir, fmt, **sweep):
     rows.sort(key=lambda r: r["seed"])
     q = plan.coeffs.q
 
-    slopes = [r["order_slope"] for r in rows if np.isfinite(r["order_slope"])]
+    slopes = [r["order_slope"] for r in rows if not math.isnan(r["order_slope"])]
     # statistics, not np.median, whose first call imports numpy.ma
     median_slope = float(statistics.median(slopes)) if slopes else float("nan")
     report = {"spec": str(spec_file), "provenance": _provenance(spec_file),
@@ -229,9 +246,15 @@ def verify(spec_file, seeds, out_dir, fmt, **sweep):
                 click.echo(f"warning: seed {r['seed']} xi {xi:g} met the cutoff ramp "
                            "(a block norm above R/2); its h^c is the cut-off "
                            "system's", err=True)
+        if math.isnan(r["order_slope"]):
+            zeros = sum(h == p for h, p in zip(r["hc_values"], r["phi_values"]))
+            click.echo(f"warning: seed {r['seed']} has no order slope: "
+                       f"{len(r['failures'])} of {len(r['xi_sweep'])} xi failed and "
+                       f"{zeros} error(s) |h^c - phi| were 0, so fewer than 4 "
+                       "positive errors remain to fit", err=True)
     click.echo(f"median slope {median_slope:.3f} "
                f"(threshold {q + 0.5}, {len(rows)} seed(s))")
-    if failed or not np.isfinite(median_slope) or median_slope < q + 0.5:
+    if failed or math.isnan(median_slope) or median_slope < q + 0.5:
         sys.exit(EXIT_THRESHOLD)
 
 

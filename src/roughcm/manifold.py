@@ -160,7 +160,7 @@ class LPResult:
     """
     hc: float = math.nan
     state: np.ndarray | None = None    # the xi's (N, .) state; None if Newton failed
-    iterations: int = 0
+    iterations: int = 0                # Picard sweeps or Newton-Krylov steps
     distances: list[float] = field(default_factory=list)
     rates: list[float] = field(default_factory=list)
     norm_breach: bool = False
@@ -510,9 +510,10 @@ def _newton(sweep: _Sweep, k: int) -> LPResult:
     # fine-scale Hölder factor, so solve a bit below the requested tol
     f_tol = max(lp.fp_tol / (sweep.nu ** (2 * sweep.blocks.gamma)), 1e-14)
     u0 = sweep.flow_state(k).ravel()
+    steps = []
     try:
         u = newton_krylov(residual, u0, method="lgmres", f_tol=f_tol,
-                          maxiter=MAX_ITERS)
+                          maxiter=MAX_ITERS, callback=lambda x, f: steps.append(1))
     except NoConvergence as exc:
         error = NewtonConvergenceError(
             f"Newton-Krylov solve did not converge in {MAX_ITERS} "
@@ -526,7 +527,7 @@ def _newton(sweep: _Sweep, k: int) -> LPResult:
         f"Newton-Krylov solution has fixed-point distance {dist:.3g}, not below "
         f"2 fp_tol = {2 * lp.fp_tol:.3g}")
     return LPResult(hc=float(sweep.values(new_state)[0, -1, 1, -1]),
-                    state=new_state[0], iterations=1, distances=[dist],
+                    state=new_state[0], iterations=len(steps), distances=[dist],
                     norm_breach=bool(breach[0]), error=error)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy
@@ -10,6 +11,7 @@ import sympy
 from click.testing import CliRunner
 from sympy.polys.rings import PolyElement
 
+from bad_specs import CASES
 import roughcm
 from roughcm import LPConfig, cli
 from roughcm.cli import main
@@ -24,130 +26,45 @@ def runner():
     return CliRunner()
 
 
-def _spec_file(tmp_path, doc) -> Path:
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    return bad
+def exits_2(runner, tmp_path, monkeypatch, row, command):
+    """`roughcm command` on a row of tests/bad_specs.py: exit 2 with the
+    row's message, no traceback, and no output written."""
+    # a spec that got past validation would fail on the LP solve
+    monkeypatch.setattr(cli, "lyapunov_perron_sweep", None)
+    spec = row.write(tmp_path)
+    for threads in ("1", "2") if row.layer == "plan" else ("1",):
+        monkeypatch.setenv("RM_THREADS", threads)
+        result = runner.invoke(main, [command, "--spec", str(spec),
+                                      "--out-dir", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output and "Sympify" not in result.output
+        _, found, message = result.output.partition("validation failure: ")
+        assert found and re.search(row.pattern, message), result.output
+        assert [p.name for p in tmp_path.iterdir()] == [spec.name]
+    if row.layer == "plan":    # derive runs the system
+        result = runner.invoke(main, ["derive", "--spec", str(spec),
+                                      "--out-dir", str(tmp_path / "derive")])
+        assert result.exit_code == 0, result.output
 
 
-# a coefficient symbol that params does not declare, and parameters named
-# like the variable x, a coefficient atom or a sympy constant
-BAD_SYMBOLS = {
-    "undeclared-mu": lambda doc: doc["Fs"].append({"i": 2, "j": 0, "c": "-mu"}),
-    "x-in-coefficient": lambda doc: doc["Fs"].append({"i": 2, "j": 0, "c": "x"}),
-    "param-x": lambda doc: doc.update(params={"x": 1.0}),
-    "param-alpha2": lambda doc: doc.update(params={"alpha2": 0.5}),
-    # sympy reads E as Euler's number, so the declared value would be lost
-    "param-E": lambda doc: (doc["Fs"].append({"i": 2, "j": 0, "c": "E"}),
-                            doc.update(params={"E": 1.0})),
-}
+def held_by(rows: dict):
+    """A test, in the command of its class, of the rows of one kind under
+    stable test ids: a map from each test id to its row's id."""
+    @pytest.mark.parametrize("row", [CASES[r] for r in rows.values()], ids=list(rows))
+    def test(self, runner, tmp_path, monkeypatch, row):
+        exits_2(runner, tmp_path, monkeypatch, row, self.command)
+    test.rows = set(rows.values())
+    return test
 
 
-# coefficients that are not real: sympy's imaginary unit, and a square root
-# of a parameter that is negative
-UNREAL = {
-    "I": lambda doc: doc["Fs"].append({"i": 3, "j": 0, "c": "I"}),
-    "sqrt-negative-param": lambda doc: (
-        doc["Fs"].append({"i": 3, "j": 0, "c": "sqrt(mu)"}),
-        doc.update(params={"mu": -1.0})),
-}
-
-
-# integer fields that int() used to truncate or that ended in a KeyError
-BAD_INTEGERS = {
-    "fractional-exponent": lambda doc: doc["Fs"].append({"i": 2.5, "j": 0, "c": 1}),
-    "negative-exponent": lambda doc: doc["Fs"].append({"i": -1, "j": 0, "c": 1}),
-    "fractional-q": lambda doc: doc.update(q=6.7),
-    "fractional-noise-dim": lambda doc: doc.update(noise_dim=1.9),
-}
-
-
-@pytest.fixture(params=list(BAD_INTEGERS))
-def bad_integer_spec(request, tmp_path):
-    doc = json.loads(NONLINEAR.read_text())
-    BAD_INTEGERS[request.param](doc)
-    return _spec_file(tmp_path, doc)
-
-
-# values that bool() and float() used to coerce: the string "false" turned
-# validation off, and a bool or a string parameter ran as a number
-BAD_TYPES = {
-    "override-string": (lambda doc: doc.update(override="false"),
-                        "override = 'false' must be a JSON bool"),
-    "param-bool": (lambda doc: (doc["Fs"].append({"i": 3, "j": 0, "c": "mu"}),
-                                doc.update(params={"mu": True})),
-                   "parameter mu = True must be a number"),
-    "param-string": (lambda doc: (doc["Fs"].append({"i": 3, "j": 0, "c": "mu"}),
-                                  doc.update(params={"mu": "0.5"})),
-                     "parameter mu = '0.5' must be a number"),
-}
-
-
-@pytest.fixture(params=list(BAD_TYPES))
-def bad_type_spec(request, tmp_path):
-    doc = json.loads(NONLINEAR.read_text())
-    change, message = BAD_TYPES[request.param]
-    change(doc)
-    return _spec_file(tmp_path, doc), message
-
-
-@pytest.fixture(params=list(UNREAL))
-def unreal_spec(request, tmp_path):
-    doc = json.loads(NONLINEAR.read_text())
-    UNREAL[request.param](doc)
-    return _spec_file(tmp_path, doc)
-
-
-@pytest.fixture(params=[(case, override) for case in BAD_SYMBOLS
-                        for override in (False, True)],
-                ids=lambda p: f"{p[0]}{'-override' if p[1] else ''}")
-def bad_symbol_spec(request, tmp_path):
-    case, override = request.param
-    doc = json.loads(NONLINEAR.read_text())
-    BAD_SYMBOLS[case](doc)
-    doc["override"] = override
-    return _spec_file(tmp_path, doc)
-
-
-# override waives the fields' vanishing orders, not the ranges of gamma and
-# q; the linear example sets override
-OUT_OF_RANGE = {"gamma-0.9": ({"gamma": 0.9}, "gamma = 0.9 outside (1/3, 1/2]"),
-                "q-1": ({"q": 1}, "expansion order q must be at least 2")}
-
-
-@pytest.fixture(params=list(OUT_OF_RANGE))
-def out_of_range_spec(request, tmp_path):
-    change, message = OUT_OF_RANGE[request.param]
-    doc = {**json.loads(LINEAR.read_text()), **change}
-    assert doc["override"] is True
-    return _spec_file(tmp_path, doc), message
-
-
-def _fs_term(c):
-    return lambda doc: {**doc, "Fs": doc["Fs"] + [{"i": 3, "j": 0, "c": c}]}
+MALFORMED = ["json-list", "c-null", "As-unparsable", "c-keyword", "c-assignment",
+             "param-1x", "param-empty"]
 
 
 @pytest.mark.parametrize("command", ["derive", "verify"])
-@pytest.mark.parametrize("change, message", [
-    (lambda doc: [doc], "the spec must be a JSON object"),
-    (_fs_term(None), "coefficient c = None"),
-    (lambda doc: {**doc, "As": "kappa["}, "As = 'kappa['"),
-    (_fs_term("lambda"), "coefficient c = 'lambda'"),
-    (_fs_term("a=1"), "coefficient c = 'a=1'"),
-    (lambda doc: {**doc, "params": {"1x": 1.0}}, "parameter name = '1x'"),
-    (lambda doc: {**doc, "params": {"": 1.0}}, "parameter name = ''")],
-    ids=["json-list", "c-null", "As-unparsable", "c-keyword", "c-assignment",
-         "param-1x", "param-empty"])
-def test_malformed_spec_exits_2(runner, tmp_path, command, change, message):
-    # the first two used to end in a traceback and exit 1; a string sympy
-    # cannot parse ended in sympy's two-line message, naming no field
-    bad = _spec_file(tmp_path, change(json.loads(NONLINEAR.read_text())))
-    result = runner.invoke(main, [command, "--spec", str(bad),
-                                  "--out-dir", str(tmp_path)])
-    assert result.exit_code == 2, result.output
-    assert "validation failure: " in result.output and message in result.output
-    assert "Traceback" not in result.output and "Sympify" not in result.output
-    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+@pytest.mark.parametrize("row", [CASES[r] for r in MALFORMED], ids=MALFORMED)
+def test_malformed_spec_exits_2(runner, tmp_path, monkeypatch, command, row):
+    exits_2(runner, tmp_path, monkeypatch, row, command)
 
 
 @pytest.mark.parametrize("command", ["derive", "verify"])
@@ -176,60 +93,35 @@ def test_key_error_is_no_validation_failure(runner, tmp_path, monkeypatch,
 
 
 class BadSpecs:
-    """Bad specs, each checked in the command of the test class that
-    inherits them: exit 2, the failure named, and no output written."""
-
-    def exits_2(self, runner, tmp_path, monkeypatch, bad, message="validation failure"):
-        # a spec that got past validation would fail on the LP solve
-        monkeypatch.setattr(cli, "lyapunov_perron_sweep", None)
-        result = self.run_on(runner, tmp_path, bad)
-        assert result.exit_code == 2, result.output
-        assert "validation failure" in result.output and message in result.output
-        assert [p.name for p in tmp_path.iterdir()] == [bad.name]
+    """Rows of tests/bad_specs.py in the command of the inheriting class."""
 
     def test_invalid_spec_exits_2(self, runner, tmp_path, monkeypatch):
-        # a constant term in Fc, and gamma below 1/3
-        for change in ({"Fc": [{"i": 0, "j": 0, "c": 1.0}]}, {"gamma": 0.2}):
-            doc = {**json.loads(NONLINEAR.read_text()), **change}
-            self.exits_2(runner, tmp_path, monkeypatch, _spec_file(tmp_path, doc))
+        for r in ("Fc-constant-float", "gamma-0.2"):
+            exits_2(runner, tmp_path / r, monkeypatch, CASES[r], self.command)
 
     def test_channel_count_mismatch_exits_2(self, runner, tmp_path, monkeypatch):
-        doc = {**json.loads(NONLINEAR.read_text()), "noise_dim": 2, "override": True}
-        self.exits_2(runner, tmp_path, monkeypatch, _spec_file(tmp_path, doc),
-                     "noise_dim")
+        exits_2(runner, tmp_path, monkeypatch, CASES["noise-dim-2"], self.command)
 
     def test_no_noise_channel_exits_2(self, runner, tmp_path, monkeypatch):
-        doc = {**json.loads(LINEAR.read_text()), "noise_dim": 0, "Gc": [], "Gs": []}
-        self.exits_2(runner, tmp_path, monkeypatch, _spec_file(tmp_path, doc),
-                     "noise_dim")
+        exits_2(runner, tmp_path, monkeypatch, CASES["noise-dim-0"], self.command)
 
-    def test_bad_symbol_exits_2(self, runner, tmp_path, monkeypatch, bad_symbol_spec):
-        self.exits_2(runner, tmp_path, monkeypatch, bad_symbol_spec)
-
-    def test_out_of_range_override_exits_2(self, runner, tmp_path, monkeypatch,
-                                           out_of_range_spec):
-        bad, message = out_of_range_spec
-        self.exits_2(runner, tmp_path, monkeypatch, bad,
-                     f"validation failure: {message}")
-
-    def test_unreal_coefficient_exits_2(self, runner, tmp_path, monkeypatch,
-                                        unreal_spec):
-        self.exits_2(runner, tmp_path, monkeypatch, unreal_spec,
-                     "not a finite real number")
-
-    def test_non_integer_field_exits_2(self, runner, tmp_path, monkeypatch,
-                                       bad_integer_spec):
-        self.exits_2(runner, tmp_path, monkeypatch, bad_integer_spec,
-                     "must be an integer")
-
-    def test_non_number_type_exits_2(self, runner, tmp_path, monkeypatch, bad_type_spec):
-        self.exits_2(runner, tmp_path, monkeypatch, *bad_type_spec)
+    test_bad_symbol_exits_2 = held_by({
+        f"{name}{suffix}": row + suffix for name, row in (
+            ("undeclared-mu", "undeclared-mu"), ("x-in-coefficient", "x-in-coefficient"),
+            ("param-x", "param-x"), ("param-alpha2", "param-alpha2"),
+            ("param-E", "E-in-coefficient")) for suffix in ("", "-override")})
+    test_out_of_range_override_exits_2 = held_by(
+        {"gamma-0.9": "linear-gamma-0.9", "q-1": "linear-q-1"})
+    test_unreal_coefficient_exits_2 = held_by(
+        {"I": "c-I", "sqrt-negative-param": "sqrt-negative-param"})
+    test_non_integer_field_exits_2 = held_by({r: r for r in (
+        "fractional-exponent", "negative-exponent", "fractional-q", "fractional-noise-dim")})
+    test_non_number_type_exits_2 = held_by(
+        {r: r for r in ("override-string", "param-bool", "param-string")})
 
 
 class TestDerive(BadSpecs):
-    def run_on(self, runner, tmp_path, spec):
-        return runner.invoke(main, ["derive", "--spec", str(spec),
-                                    "--out-dir", str(tmp_path)])
+    command = "derive"
 
     def test_linear_report(self, runner, tmp_path):
         result = runner.invoke(main, ["derive", "--spec", str(LINEAR),
@@ -253,15 +145,14 @@ class TestDerive(BadSpecs):
 
 
 class TestVerify(BadSpecs):
+    command = "verify"
+
     def run_small(self, runner, tmp_path, *extra, spec=LINEAR):
         return runner.invoke(main, [
             "verify", "--spec", str(spec), "--seeds", "1",
             "--grid-n", "32", "--window", "6", "--xi-min", "0.0125",
             "--xi-max", "0.1", "--xi-points", "4",
             "--out-dir", str(tmp_path), *extra])
-
-    def run_on(self, runner, tmp_path, spec):
-        return self.run_small(runner, tmp_path, spec=spec)
 
     def test_report_and_exit(self, runner, tmp_path):
         result = self.run_small(runner, tmp_path)
@@ -277,6 +168,37 @@ class TestVerify(BadSpecs):
         row = report["per_seed"][0]
         assert len(row["xi_sweep"]) == 4
         assert not row["failures"]
+        # a Picard solve reports its sweeps and its last contraction rate
+        assert all(type(n) is int and n > 1 for n in row["iterations"])
+        assert len(row["iterations"]) == 4
+        assert all(0 < r < 1 for r in row["contraction_rates"])
+
+    def test_newton_rows(self, runner, tmp_path):
+        # a Newton-Krylov solve reports its steps, and measures no rate
+        result = self.run_small(runner, tmp_path, "--solver", "newton")
+        assert result.exit_code == 0, result.output
+        row = json.loads((tmp_path / "verify_report.json").read_text())["per_seed"][0]
+        assert all(type(n) is int and 1 <= n < 200 for n in row["iterations"])
+        assert all(math.isnan(r) for r in row["contraction_rates"])
+        assert len(row["iterations"]) == len(row["contraction_rates"]) == 4
+
+    def test_vanishing_error_slope_is_inf(self, runner, tmp_path):
+        # every order of the zero system is flagged: phi = 0 and every h^c is
+        # 0.0, so the law holds exactly
+        result = self.run_small(runner, tmp_path, spec=EXAMPLES / "zero.json")
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        assert report["median_slope"] == report["per_seed"][0]["order_slope"] == math.inf
+        assert set(report["per_seed"][0]["hc_values"]) == {0.0}
+        assert "warning" not in result.output
+
+    def test_nan_slope_warned(self, runner, tmp_path):
+        # at xi near 1e-200 every error underflows to 0: no slope, said why
+        result = self.run_small(runner, tmp_path, "--xi-max", "1e-200",
+                                "--xi-min", "1e-201", spec=NONLINEAR)
+        assert result.exit_code == 1, result.output
+        assert ("warning: seed 0 has no order slope: 0 of 4 xi failed and 4 error(s) "
+                "|h^c - phi| were 0") in result.output
 
     def test_csv_output(self, runner, tmp_path):
         result = self.run_small(runner, tmp_path, "--format", "csv")
@@ -473,21 +395,15 @@ class TestVerify(BadSpecs):
         assert report["q"] == 4
 
     def test_non_tangent_system_exits_2(self, runner, tmp_path, monkeypatch):
-        # Gs = 0.5 x forces order 1: derive runs it, but phi has no alpha_1
-        # term, so verify stops before any solve
-        doc = {**json.loads(LINEAR.read_text()), "Gs": [[{"i": 1, "j": 0, "c": 0.5}]]}
-        bad = _spec_file(tmp_path, doc)
-        self.exits_2(runner, tmp_path, monkeypatch, bad, "alpha_1 does not vanish")
-        result = runner.invoke(main, ["derive", "--spec", str(bad),
-                                      "--out-dir", str(tmp_path)])
-        assert result.exit_code == 0, result.output
+        exits_2(runner, tmp_path, monkeypatch, CASES["tangent-Gs"], "verify")
 
     def test_tangent_at_the_params_runs(self, runner, tmp_path):
         # Gs = sigma x at sigma = 0: order 1 is not flagged, but its forcing
         # vanishes at the spec's parameters, so alpha_1 stays 0
         doc = {**json.loads(LINEAR.read_text()),
                "Gs": [[{"i": 1, "j": 0, "c": "sigma"}]]}
-        result = self.run_on(runner, tmp_path, _spec_file(tmp_path, doc))
+        (tmp_path / "tangent.json").write_text(json.dumps(doc))
+        result = self.run_small(runner, tmp_path, spec=tmp_path / "tangent.json")
         assert result.exit_code == 0, result.output
 
     def test_cutoff_ramp_flagged(self, runner, tmp_path):
@@ -503,3 +419,15 @@ class TestVerify(BadSpecs):
         assert "warning: seed 0 xi 0.4 met the cutoff ramp" in result.output
         errs = numpy.abs(numpy.subtract(row["hc_values"], row["phi_values"]))
         assert row["order_slope"] == roughcm.order_fit(row["xi_sweep"], errs).slope
+
+
+HELD = {"Fc-constant-float", "gamma-0.2", "noise-dim-2", "noise-dim-0", "tangent-Gs",
+        *MALFORMED, *(r for t in vars(BadSpecs).values() for r in getattr(t, "rows", ()))}
+
+
+@pytest.mark.parametrize("row, command", [
+    pytest.param(r, command, id=f"{r.id}-{command}")
+    for r in CASES.values() if r.id not in HELD for command in r.commands])
+def test_rejected_spec_exits_2(runner, tmp_path, monkeypatch, row, command):
+    # every row that no test of its kind above checks
+    exits_2(runner, tmp_path, monkeypatch, row, command)

@@ -3,15 +3,16 @@ import dataclasses
 import json
 import pickle
 import random
-import re
 from pathlib import Path
 
 import pytest
 import sympy as sp
 from sympy.polys.rings import PolyElement
 
+from bad_specs import CASES
 from roughcm import (FieldValidationError, NumericField, derive_system,
                      load_system, propagate_zeros, residuals)
+from roughcm.cli import order_law_plan
 
 x = sp.Symbol("x")
 a2, a4, a5, a6 = [sp.Symbol(f"alpha{i}") for i in (2, 4, 5, 6)]
@@ -91,28 +92,47 @@ class TestZeroSystem:
         assert sp.expand(cs.M) == 0
 
 
-def _fs_term(doc, drop=None, **change):
-    """doc with the term x^3 of coefficient 1 added to Fs, changed by
-    `change` and without the key `drop`."""
-    term = {k: v for k, v in {"i": 3, "j": 0, "c": 1, **change}.items() if k != drop}
-    return {**doc, "Fs": doc["Fs"] + [term]}
+PLAN = dict(grid_n=16, window=4, cutoff_r=0.5, xi_min=0.0125, xi_max=0.1,
+            xi_points=4, solver="picard", fp_tol=1e-10)
+
+
+def rejected(tmp_path, row):
+    """The layer of a row of tests/bad_specs.py rejects it with its message."""
+    spec = row.write(tmp_path)
+    if row.layer == "plan":
+        with pytest.raises(ValueError, match=row.pattern):
+            order_law_plan(spec, **PLAN)
+    else:
+        with pytest.raises(FieldValidationError, match=row.pattern):
+            load_system(spec)
+
+
+def held_by(rows: dict):
+    """A test of the rows of one kind, under stable test ids: a map from
+    each test id to its row's id."""
+    @pytest.mark.parametrize("row", [CASES[r] for r in rows.values()], ids=list(rows))
+    def test(self, tmp_path, row):
+        rejected(tmp_path, row)
+    test.rows = set(rows.values())
+    return test
+
+
+def each_override(*rows):
+    return {f"{r}-{on}": r + "-override" * on for r in rows for on in (False, True)}
 
 
 class TestValidation:
     def base(self):
         return json.loads((EXAMPLES / "chekroun_nonlinear.json").read_text())
 
-    def test_drift_constant_term_rejected(self):
-        doc = self.base()
-        doc["Fc"] = [{"i": 0, "j": 0, "c": 1}]
-        with pytest.raises(FieldValidationError, match="origin"):
-            load_system(doc)
+    def test_drift_constant_term_rejected(self, tmp_path):
+        rejected(tmp_path, CASES["Fc-constant"])
 
-    def test_linear_diffusion_rejected(self):
-        doc = self.base()
-        doc["Gs"] = [[{"i": 1, "j": 0, "c": 1}]]
-        with pytest.raises(FieldValidationError):
-            load_system(doc)
+    def test_linear_diffusion_rejected(self, tmp_path):
+        rejected(tmp_path, CASES["Gs-linear"])
+
+    def test_gamma_out_of_range(self, tmp_path):
+        rejected(tmp_path, CASES["gamma-0.25"])
 
     def test_override_skips_validation(self):
         doc = self.base()
@@ -121,76 +141,16 @@ class TestValidation:
         load_system(doc)
 
     @pytest.mark.parametrize("override", [False, True])
-    @pytest.mark.parametrize("change, match", [
-        ({"gamma": 0.9}, r"^gamma = 0\.9 outside \(1/3, 1/2\]"),
-        ({"gamma": 1 / 3}, r"^gamma = 0\.333+ outside \(1/3, 1/2\]"),
-        ({"q": 1}, r"^expansion order q must be at least 2$")],
-        ids=["gamma-0.9", "gamma-1/3", "q-1"])
-    def test_range_checked_whatever_override(self, change, match, override):
-        # override waives only the fields' vanishing orders
-        doc = {**self.base(), **change, "override": override}
-        with pytest.raises(FieldValidationError, match=match):
-            load_system(doc)
-
-    @pytest.mark.parametrize("override", [False, True])
-    def test_undeclared_symbol_rejected(self, override):
-        doc = {**self.base(), "override": override}
-        doc["Fs"] = doc["Fs"] + [{"i": 2, "j": 0, "c": "-mu"}]
-        with pytest.raises(FieldValidationError, match="undeclared symbol"):
-            load_system(doc)
-        load_system({**doc, "params": {"mu": 0.5}})
-
-    @pytest.mark.parametrize("name", ["x", "alpha2", "E", "I", "beta"])
-    def test_reserved_parameter_name_rejected(self, name):
-        # sympy reads E, I and beta as Euler's number, the imaginary unit
-        # and the beta function, so such a parameter's value would be lost
-        doc = {**self.base(), "override": True, "params": {name: 1.0}}
-        with pytest.raises(FieldValidationError, match="taken by"):
-            load_system(doc)
-
-    @pytest.mark.parametrize("c", ["beta", "2*beta"])
-    def test_function_coefficient_rejected(self, c):
-        doc = self.base()
-        doc["Fs"] = doc["Fs"] + [{"i": 2, "j": 0, "c": c}]
-        with pytest.raises(FieldValidationError, match="no expression"):
-            load_system(doc)
-
-    @pytest.mark.parametrize("c, params", [
-        ("I", {}), ("log(-1)", {}), ("sqrt(mu)", {"mu": -1.0}),
-        ("1/(1 + sigma)", {"sigma": -1.0})],
-        ids=["I", "log-negative", "sqrt-negative-param", "pole"])
-    def test_unreal_coefficient_rejected(self, c, params):
-        doc = {**self.base(), "override": True, "params": params}
-        doc["Fs"] = doc["Fs"] + [{"i": 3, "j": 0, "c": c}]
-        with pytest.raises(FieldValidationError, match="not a finite real number"):
-            load_system(doc)
+    def test_undeclared_symbol_rejected(self, tmp_path, override):
+        # the rejected spec loads once mu is declared
+        row = CASES["undeclared-mu" + "-override" * override]
+        rejected(tmp_path, row)
+        load_system({**json.loads(row.write(tmp_path).read_text()), "params": {"mu": 0.5}})
 
     def test_real_irrational_coefficient_accepted(self):
         doc = {**self.base(), "params": {"mu": 2.0}}
         doc["Fs"] = doc["Fs"] + [{"i": 3, "j": 0, "c": "sqrt(mu) - sqrt(2)"}]
         load_system(doc)
-
-    @pytest.mark.parametrize("override", [False, True])
-    @pytest.mark.parametrize("change, match", [
-        (lambda doc: doc["Fs"].append({"i": 2.5, "j": 0, "c": 1}),
-         r"Fs term \{'i': 2\.5, 'j': 0, 'c': 1\}: exponent i = 2\.5 must be an integer >= 0"),
-        (lambda doc: doc["Fs"].append({"i": -1, "j": 0, "c": 1}),
-         r"Fs term .*: exponent i = -1 must be an integer >= 0"),
-        (lambda doc: doc["Gc"][0].append({"i": 3, "j": True, "c": 1}),
-         r"Gc\[0\] term .*: exponent j = True must be"),
-        (lambda doc: doc.update(q=6.7), r"q = 6\.7 must be an integer"),
-        (lambda doc: doc.update(q=True), r"q = True must be an integer"),
-        (lambda doc: doc.update(noise_dim=1.9), r"noise_dim = 1\.9 must be an integer"),
-        (lambda doc: doc.update(noise_dim=True), r"noise_dim = True must be an integer")],
-        ids=["fractional-exponent", "negative-exponent", "bool-exponent",
-             "fractional-q", "bool-q", "fractional-noise-dim", "bool-noise-dim"])
-    def test_non_integer_field_rejected(self, change, match, override):
-        # int() used to truncate these: i = 2.5 was summed into x^2, q = 6.7
-        # ran as 6, and i = -1 ended in a bare KeyError
-        doc = {**self.base(), "override": override}
-        change(doc)
-        with pytest.raises(FieldValidationError, match=match):
-            load_system(doc)
 
     def test_integral_float_fields_accepted(self):
         doc = self.base()
@@ -200,81 +160,43 @@ class TestValidation:
         assert (spec.q, spec.noise_dim, spec.Fs) == (ref.q, ref.noise_dim, ref.Fs)
         assert all(type(k) is int for key in spec.Fs.terms for k in key)
 
-    @pytest.mark.parametrize("override", ["false", "true", 0, 1, None],
-                             ids=["string-false", "string-true", "0", "1", "null"])
-    def test_override_must_be_a_bool(self, override):
-        # bool("false") is True: the string used to skip the check of a
-        # drift with a constant term
-        doc = {**self.base(), "override": override}
-        doc["Fc"] = [{"i": 0, "j": 0, "c": 1}]
-        with pytest.raises(FieldValidationError,
-                           match=f"^override = {re.escape(repr(override))} must be a JSON bool$"):
-            load_system(doc)
-
-    @pytest.mark.parametrize("value", [True, False, "0.5", None, [1.0]],
-                             ids=["true", "false", "string", "null", "list"])
-    def test_parameter_must_be_a_number(self, value):
-        # float() used to run {"mu": true} as 1.0 and {"mu": "0.5"} as 0.5
-        doc = {**self.base(), "params": {"mu": value}}
-        doc["Fs"] = doc["Fs"] + [{"i": 3, "j": 0, "c": "mu"}]
-        with pytest.raises(FieldValidationError,
-                           match=f"^parameter mu = {re.escape(repr(value))} must be a number$"):
-            load_system(doc)
-
     def test_numeric_parameters_accepted(self):
         doc = {**self.base(), "override": False, "params": {"mu": 2, "nu": 0.5}}
         doc["Fs"] = doc["Fs"] + [{"i": 3, "j": 0, "c": "mu*nu"}]
         spec = load_system(doc)
         assert spec.params == {"mu": 2.0, "nu": 0.5} and spec.override is False
 
-    @pytest.mark.parametrize("change, match", [
-        (lambda doc: [doc], r"^the spec must be a JSON object, got a JSON list$"),
-        (lambda doc: {**doc, "params": []}, r"^params = \[\] must be a JSON object$"),
-        (lambda doc: {**doc, "Fs": 5}, r"^Fs = 5 must be a list of terms$"),
-        (lambda doc: {**doc, "Fs": [5]},
-         r"^Fs term 5 must be an object with keys i, j and c$"),
-        (lambda doc: {**doc, "Gs": [5]}, r"^Gs\[0\] = 5 must be a list of terms$"),
-        (lambda doc: {**doc, "Gs": 5}, r"^Gs = 5 must be a list of term lists"),
-        (lambda doc: _fs_term(doc, c=None), r"^Fs term .*: coefficient c = None must be"),
-        (lambda doc: _fs_term(doc, c=[1]), r"^Fs term .*: coefficient c = \[1\] must be"),
-        (lambda doc: _fs_term(doc, c=True), r"^Fs term .*: coefficient c = True must be"),
-        (lambda doc: _fs_term(doc, c=float("nan")),
-         r"^Fs term .*: coefficient c = nan must be a finite number"),
-        (lambda doc: {**doc, "As": None}, r"^As = None must be"),
-        (lambda doc: {**doc, "Ac": True}, r"^Ac = True must be"),
-        (lambda doc: {**doc, "gamma": None}, r"^gamma = None must be a number$"),
-        (lambda doc: {**doc, "gamma": "0.45"}, r"^gamma = '0\.45' must be a number$"),
-        *[(lambda doc, k=k: {f: v for f, v in doc.items() if f != k},
-           f"^missing field {k}$") for k in ("gamma", "q", "Ac", "As")],
-        *[(lambda doc, k=k: _fs_term(doc, drop=k),
-           r"^Fs term \{.*\}: missing field " + k + "$") for k in "ijc"],
-        (lambda doc: {**doc, "As": "kappa["},
-         r"^As = 'kappa\[' does not parse as an expression$"),
-        *[(lambda doc, c=c: _fs_term(doc, c=c),
-           f"^Fs term .*: coefficient c = '{c}' does not parse as an expression$")
-          for c in ("lambda", "a=1")],
-        *[(lambda doc, k=k: {**doc, "params": {k: 1.0}},
-           f"^parameter name = '{k}' does not parse as an expression$")
-          for k in ("1x", "")]],
-        ids=["json-list", "params-list", "Fs-number", "Fs-term-number",
-             "Gs-channel-number", "Gs-number", "c-null", "c-list", "c-bool",
-             "c-nan", "As-null", "Ac-bool", "gamma-null", "gamma-string",
-             "no-gamma", "no-q", "no-Ac", "no-As", "no-i", "no-j", "no-c",
-             "As-unparsable", "c-keyword", "c-assignment", "param-1x", "param-empty"])
-    def test_malformed_field_named(self, tmp_path, change, match):
-        # each of these used to end in a TypeError, AttributeError or bare
-        # KeyError, or was read as a number: true as 1, "0.45" as 0.45; a
-        # string sympy cannot parse ended in sympy's message, naming no field
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(change(self.base())))
-        with pytest.raises(FieldValidationError, match=match):
-            load_system(spec)
+    test_range_checked_whatever_override = held_by(each_override("gamma-0.9", "gamma-1/3", "q-1"))
+    test_non_integer_field_rejected = held_by(each_override(
+        "fractional-exponent", "negative-exponent", "bool-exponent", "fractional-q", "bool-q",
+        "fractional-noise-dim", "bool-noise-dim"))
+    test_reserved_parameter_name_rejected = held_by(
+        {n: f"param-{n}-override" for n in ("x", "alpha2", "E", "I", "beta")})
+    test_unreal_coefficient_rejected = held_by({"I": "c-I-override", **{
+        r: f"{r}-override" for r in ("log-negative", "sqrt-negative-param", "pole")}})
+    test_function_coefficient_rejected = held_by({c: f"c-{c}" for c in ("beta", "2*beta")})
+    test_override_must_be_a_bool = held_by(
+        {v: f"override-{v}" for v in ("string-false", "string-true", "0", "1", "null")})
+    test_parameter_must_be_a_number = held_by({v: f"param-{r}" for v, r in (
+        ("true", "bool"), ("false", "false"), ("string", "string"), ("null", "null"),
+        ("list", "list"))})
+    test_malformed_field_named = held_by({r: r for r in (
+        "json-list", "params-list", "Fs-number", "Fs-term-number", "Gs-channel-number",
+        "Gs-number", "c-null", "c-list", "c-bool", "c-nan", "As-null", "Ac-bool", "gamma-null",
+        "gamma-string", "no-gamma", "no-q", "no-Ac", "no-As", "no-i", "no-j", "no-c",
+        "As-unparsable", "c-keyword", "c-assignment", "param-1x", "param-empty")})
 
-    def test_gamma_out_of_range(self):
-        doc = self.base()
-        doc["gamma"] = 0.25
-        with pytest.raises((FieldValidationError, ValueError)):
-            load_system(doc)
+
+
+HELD = {"Fc-constant", "Gs-linear", "gamma-0.25", "undeclared-mu", "undeclared-mu-override",
+        *(r for t in vars(TestValidation).values() for r in getattr(t, "rows", ()))}
+
+
+@pytest.mark.parametrize("row", [r for r in CASES.values() if r.id not in HELD],
+                         ids=lambda r: r.id)
+def test_rejected(tmp_path, row):
+    # every row that no test of its kind above checks
+    rejected(tmp_path, row)
 
 
 class TestDerivation:

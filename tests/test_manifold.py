@@ -131,6 +131,18 @@ class TestLyapunovPerron:
         a = lyapunov_perron_hc(sys_linear, 0.05, window, lp)
         b = lyapunov_perron_hc(sys_linear, 0.05, window, lp, solver="newton")
         assert abs(a.hc - b.hc) < 1e-9
+        # each solve counts its own steps: Picard sweeps, Newton-Krylov steps
+        assert a.iterations == len(a.distances) and 1 <= b.iterations < a.iterations
+
+    @pytest.mark.parametrize("spec", ["chekroun_nonlinear", "chekroun_linear"])
+    def test_xi_above_half_the_cutoff_meets_the_ramp(self, spec):
+        # after the first sweep the last block holds x(0) = xi, so its
+        # D^{2 gamma} norm is at least |xi| > R/2, converged or not
+        nsys = load_system(EXAMPLES / f"{spec}.json").numeric()
+        rp = lift_brownian(0, Grid(-4.0, 0.0, 4 * 16), gamma=nsys.gamma)
+        results = lyapunov_perron_sweep(nsys, [0.26, 0.3, 0.4, 0.5], rp,
+                                        LPConfig(cutoff_R=0.5))
+        assert [r.norm_breach for r in results] == [True] * 4
 
     def test_non_contraction_aborts(self, window, sys_linear):
         # large boundary value with a wide cutoff: the backward center orbit
