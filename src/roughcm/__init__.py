@@ -14,7 +14,7 @@ from .invariance import (CoefficientSystem, FieldValidationError,
                          propagate_zeros, residuals)
 from .manifold import (LPConfig, LPResult, ManifoldApproximation,
                        NewtonConvergenceError, NonContractionError,
-                       NonConvergenceError, OrderFit, evaluate_phi,
+                       NonConvergenceError, evaluate_phi,
                        leading_order_happ, lyapunov_perron_hc,
                        lyapunov_perron_sweep, order_fit, smoothstep)
 from .rde import solve_affine

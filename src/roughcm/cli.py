@@ -30,19 +30,28 @@ def main():
     """Taylor approximations of local random center manifolds."""
 
 
+def _make_out_dir(out_dir) -> Path:
+    """Make --out-dir; a ValueError where it cannot be made, such as below a file."""
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"--out-dir {out_dir}: {exc.strerror}") from exc
+    return Path(out_dir)
+
+
 @main.command()
-@click.option("--spec", "spec_file", required=True, type=click.Path(exists=True))
-@click.option("--out-dir", type=click.Path(), default=".")
+@click.option("--spec", "spec_file", required=True,
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--out-dir", type=click.Path(file_okay=False), default=".")
 def derive(spec_file, out_dir):
     """Derive the coefficient RDE system for a system description."""
     try:
         spec = load_system(spec_file)
         cs = propagate_zeros(derive_system(spec))
+        out = _make_out_dir(out_dir)
     except ValueError as exc:    # FieldValidationError among them
         click.echo(f"validation failure: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "coefficient_system.json").write_text(cs.to_json())
     flags = ", ".join(f"alpha_{i} = 0" for i in sorted(cs.zero_flags)) or "none"
     click.echo(f"expansion order q = {cs.q}, noise channels = {cs.noise_dim}")
@@ -155,7 +164,7 @@ def order_law_row(plan: OrderLawPlan, rp: RoughPath) -> dict:
         row["order_slope"] = float("inf")    # phi = 0 = h^c: the law holds exactly
         return row
     try:
-        row["order_slope"] = order_fit(np.asarray(xis)[ok], errs[ok]).slope
+        row["order_slope"] = order_fit(np.asarray(xis)[ok], errs[ok])
     except ValueError:
         row["order_slope"] = float("nan")
     return row
@@ -178,7 +187,8 @@ def _provenance(spec_file) -> dict:
 
 
 @main.command()
-@click.option("--spec", "spec_file", required=True, type=click.Path(exists=True))
+@click.option("--spec", "spec_file", required=True,
+              type=click.Path(exists=True, dir_okay=False))
 @click.option("--seeds", type=int, default=1, help="Number of sampled paths.")
 @click.option("--grid-n", type=int, default=128, help="Grid cells per unit time.")
 @click.option("--window", type=int, default=12)
@@ -188,9 +198,8 @@ def _provenance(spec_file) -> dict:
 @click.option("--xi-points", type=int, default=5)
 @click.option("--solver", type=click.Choice(["picard", "newton"]), default="picard")
 @click.option("--fp-tol", type=float, default=LPConfig.fp_tol)
-@click.option("--out-dir", type=click.Path(), default=".")
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-def verify(spec_file, seeds, out_dir, fmt, **sweep):
+@click.option("--out-dir", type=click.Path(file_okay=False), default=".")
+def verify(spec_file, seeds, out_dir, **sweep):
     """Check the order law |h^c - phi| = O(|xi|^{q+1}) over sampled paths."""
     threads = os.environ.get("RM_THREADS", "1")
     try:
@@ -200,6 +209,7 @@ def verify(spec_file, seeds, out_dir, fmt, **sweep):
         if seeds < 1:
             raise ValueError("--seeds must be at least 1")
         plan = order_law_plan(spec_file, **sweep)
+        out = _make_out_dir(out_dir)    # before any solve
     except ValueError as exc:    # FieldValidationError among them
         click.echo(f"validation failure: {exc}", err=True)
         sys.exit(EXIT_VALIDATION)
@@ -221,20 +231,7 @@ def verify(spec_file, seeds, out_dir, fmt, **sweep):
               "cutoff_r": plan.lp.cutoff_R, "fp_tol": plan.lp.fp_tol,
               "solver": plan.solver, "median_slope": median_slope,
               "threshold": q + 0.5, "per_seed": rows}
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "verify_report.json").write_text(json.dumps(report, indent=2))
-    if fmt == "csv":
-        import csv
-        with open(out / "verify_data.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["seed", "xi", "phi", "hc", "happ",
-                        "abs_err_phi", "abs_err_happ"])
-            for r in rows:
-                for xi, p, h, ha in zip(r["xi_sweep"], r["phi_values"],
-                                        r["hc_values"], r["happ_values"]):
-                    w.writerow([r["seed"], xi, p, h, ha, abs(h - p), abs(h - ha)])
-        click.echo(f"wrote {out / 'verify_data.csv'}")
     click.echo(f"wrote {out / 'verify_report.json'}")
 
     failed = [r["seed"] for r in rows if r["failures"]]

@@ -374,14 +374,14 @@ def _numeric_field(p: PolyElement, q: int, values: dict) -> "NumericField":
     return NumericField(coeffs)
 
 
-def derive_system(sys: SystemSpec, q: int | None = None) -> CoefficientSystem:
+def derive_system(sys: SystemSpec) -> CoefficientSystem:
     """Match coefficients of x^i in the invariance equations.
 
     f_i is the degree-i coefficient of Fs(x, phi) - phi'(x) Fc(x, phi) for
-    i <= q, g_i likewise per channel with Gs, Gc; the degree > q leftovers
-    (with flipped sign: defect of the ansatz) form M and Mtilde.
+    i <= q = sys.q, g_i likewise per channel with Gs, Gc; the degree > q
+    leftovers (with flipped sign: defect of the ansatz) form M and Mtilde.
     """
-    q = sys.q if q is None else q
+    q = sys.q
     if q < 2:
         raise ValueError("q must be at least 2")
     R = _ring(sys, q)

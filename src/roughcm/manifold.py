@@ -23,7 +23,7 @@ from .roughpath import RoughPath, _pair_table, _unit_split
 __all__ = ["ManifoldApproximation", "LPConfig", "LPResult", "NonConvergenceError",
            "NonContractionError", "NewtonConvergenceError", "evaluate_phi",
            "leading_order_happ", "lyapunov_perron_hc", "lyapunov_perron_sweep",
-           "smoothstep", "order_fit", "OrderFit"]
+           "smoothstep", "order_fit"]
 
 MAX_ITERS = 200    # the LP's limit: Picard sweeps, or Newton-Krylov steps
 
@@ -57,9 +57,6 @@ class ManifoldApproximation:
         if self.alpha0.get(1, 0.0) != 0.0:
             raise ValueError(f"alpha_1 = {self.alpha0[1]!r} is not 0: the Taylor "
                              "map needs a graph tangent to the center space")
-
-    def __call__(self, xi: float) -> float:
-        return evaluate_phi(self, xi)
 
 
 def evaluate_phi(ma: ManifoldApproximation, xi: float) -> float:
@@ -542,21 +539,13 @@ def lyapunov_perron_hc(sys: NumericSystem, xi: float, rp: RoughPath,
     return res
 
 
-@dataclass
-class OrderFit:
-    slope: float
-    intercept: float
-    used: int
-    excluded: list[int]
-
-
-def order_fit(xis, errors) -> OrderFit:
-    """Least-squares slope of log error against log |xi|."""
+def order_fit(xis, errors) -> float:
+    """Least-squares slope of log error against log |xi|, over the positive
+    errors only."""
     xis = np.asarray(xis, dtype=float)
     errors = np.asarray(errors, dtype=float)
     mask = errors > 0
-    excluded = [int(i) for i in np.where(~mask)[0]]
     if mask.sum() < 4:
         raise ValueError("need at least 4 positive errors for an order fit")
-    slope, intercept = np.polyfit(np.log(np.abs(xis[mask])), np.log(errors[mask]), 1)
-    return OrderFit(float(slope), float(intercept), int(mask.sum()), excluded)
+    slope, _ = np.polyfit(np.log(np.abs(xis[mask])), np.log(errors[mask]), 1)
+    return float(slope)

@@ -42,7 +42,7 @@ def solve_hierarchy(cs: CoefficientSystem | NumericHierarchy, rp: RoughPath,
 
     cs is a CoefficientSystem, with its parameter values in params, or its
     numeric form cs.numeric(params), which a caller solving many paths
-    builds once (params is then unused).  Order i, d alpha_i = (A_i alpha_i
+    builds once (and then passes no params).  Order i, d alpha_i = (A_i alpha_i
     + f_i) dt + g_i dW with A_i < 0, is solved by `rde.solve_affine` from -T,
     starting at -f_i(-T)/A_i (init="quasistatic", no cold-start transient)
     or at 0 (init="zero", the plain truncated integral); its tail bound is
@@ -53,6 +53,9 @@ def solve_hierarchy(cs: CoefficientSystem | NumericHierarchy, rp: RoughPath,
     """
     if init not in ("quasistatic", "zero"):
         raise ValueError("init must be 'quasistatic' or 'zero'")
+    if isinstance(cs, NumericHierarchy) and params is not None:
+        raise ValueError("params is for a CoefficientSystem; a numeric form "
+                         "already holds its parameter values")
     nh = cs if isinstance(cs, NumericHierarchy) else cs.numeric(params or {})
     n, d = rp.n, rp.d
     if d != nh.d:

@@ -238,8 +238,8 @@ def test_sextic_hierarchy_values(spec_nonlinear, cs_nonlinear):
 
 def test_deterministic_order_law(det_sweep):
     fails = []
-    fit = order_fit(det_sweep["xis"], det_sweep["err_phi"])
-    clause(fails, fit.slope >= 5.0, f"slope {fit.slope:.2f} < 5")
+    slope = order_fit(det_sweep["xis"], det_sweep["err_phi"])
+    clause(fails, slope >= 5.0, f"slope {slope:.2f} < 5")
     clause(fails, det_sweep["elapsed"] < 120.0, "over 2 min budget")
     finish("deterministic |h^c - phi| order law: slope >= q + 1 = 5", fails)
 
@@ -289,8 +289,8 @@ def test_rough_order_law(sextic_plan):
 
 def test_leading_order_gap_law(det_sweep):
     fails = []
-    fit = order_fit(det_sweep["xis"], det_sweep["err_happ"])
-    clause(fails, fit.slope >= 2.0, f"slope {fit.slope:.2f} < 2")
+    slope = order_fit(det_sweep["xis"], det_sweep["err_happ"])
+    clause(fails, slope >= 2.0, f"slope {slope:.2f} < 2")
     rp16 = lift_brownian(0, Grid(-16.0, 0.0, 16 * 32), gamma=0.45)
     xi = 0.1
     happ = leading_order_happ(det_sweep["nsys"], xi, rp16)
@@ -303,8 +303,8 @@ def test_leading_order_gap_law(det_sweep):
 
 def test_drift_only_consistency(det_sweep):
     fails = []
-    fit = order_fit(det_sweep["xis"], det_sweep["err_phi"])
-    clause(fails, fit.slope >= 4.0, f"slope {fit.slope:.2f} < 4")
+    slope = order_fit(det_sweep["xis"], det_sweep["err_phi"])
+    clause(fails, slope >= 4.0, f"slope {slope:.2f} < 4")
     clause(fails, det_sweep["elapsed"] < 120.0, "over 2 min budget")
     finish("drift-only pipeline reproduces |h - phi| = O(|x|^q): slope >= 4",
            fails)

@@ -106,6 +106,12 @@ class TestHierarchy:
             assert np.array_equal(again.alphas[i].Y, res.alphas[i].Y)
             assert np.array_equal(again.alphas[i].Yp, res.alphas[i].Yp)
 
+    def test_params_with_numeric_form_rejected(self, window, cs_linear):
+        # the numeric form holds its parameter values; others are no override
+        params = {"lam": 0.0, "kappa": -1.0, "sigma": 0.5}
+        with pytest.raises(ValueError, match="params is for a CoefficientSystem"):
+            solve_hierarchy(cs_linear.numeric(params), window, params=params)
+
     @pytest.mark.parametrize("params, missing", [
         (None, "kappa, lam, sigma"), ({"lam": 0.0, "kappa": -1.0}, "sigma")],
         ids=["no-params", "no-sigma"])
