@@ -182,19 +182,28 @@ def lift_brownian(seed: int, grid: Grid, d: int = 1, gamma: float = 0.45) -> Rou
 @functools.lru_cache(maxsize=1)
 def _fbm_factor(hurst: float, span: float, n: int, level: int) -> np.ndarray:
     """Read-only Cholesky factor of the exact fBm covariance at the m = n 2**level
-    times span k / m, k = 1..m.  The covariance is filled in one m x m
-    buffer, lower triangle only, in blocks of rows; the factor is the only
-    other m x m array.  One slot: the factor of the last parameters only."""
+    times span k / m, k = 1..m.  The covariance is filled as the upper
+    triangle of a C-ordered m x m buffer c, in blocks of rows, and c.T is
+    factored: that view is Fortran-ordered, which numpy hands to LAPACK by
+    contiguous column copies, and its lower triangle is the covariance,
+    entry for entry the same floats.  |t - s|^2H goes through one reused
+    256 x m buffer; the factor is the only other m x m array.  One slot:
+    the factor of the last parameters only."""
     m = n * 2**level
     t = span * np.arange(1, m + 1) / m
     p = t ** (2 * hurst)
-    cov = np.zeros((m, m))  # np.linalg.cholesky reads only the lower triangle and diagonal
+    c = np.zeros((m, m))  # np.linalg.cholesky reads only the lower triangle of c.T
+    buf = np.empty((256, m))
     for r0 in range(0, m, 256):  # 0.5 (t^2H + s^2H - |t - s|^2H), 256 rows at a time
-        block = np.add(p[r0:r0 + 256, None], p[None, :r0 + 256], out=cov[r0:r0 + 256, :r0 + 256])
-        block -= np.abs(t[r0:r0 + 256, None] - t[None, :r0 + 256]) ** (2 * hurst)
+        block = np.add(p[r0:r0 + 256, None], p[None, r0:], out=c[r0:r0 + 256, r0:])
+        d = np.subtract(t[r0:r0 + 256, None], t[None, r0:], out=buf[:len(block), :m - r0])
+        np.abs(d, out=d)
+        d **= 2 * hurst
+        block -= d
         block *= 0.5
+    del buf, d  # freed before the factorisation, the peak of the call
     try:
-        L = np.linalg.cholesky(cov)
+        L = np.linalg.cholesky(c.T)
     except np.linalg.LinAlgError as exc:
         raise CovarianceFactorizationError(m) from exc
     L.flags.writeable = False

@@ -135,10 +135,11 @@ class TestFbm:
         (4, 0.34, Grid(-2.0, 0.0, 64), 3),
         (5, 0.45, Grid(-1.0, 0.0, 37), 3),
         (6, 0.5, Grid(-4.0, 0.0, 128), 3),
-    ], ids=["m64-l0", "m64-l1", "m256", "m400", "m512", "m296", "m1024"])
+        (7, 0.4, Grid(-8.0, 0.0, 256), 3),
+    ], ids=["m64-l0", "m64-l1", "m256", "m400", "m512", "m296", "m1024", "m2048"])
     def test_matches_dense_oracle(self, seed, H, grid, level):
-        # neither the row-block lower-triangle covariance nor the memoised
-        # factor changes a bit of the lift
+        # neither the transposed upper-triangle covariance nor the memoised
+        # factor changes a bit of the lift; m2048 is the bench's grid
         _fbm_factor.cache_clear()
         cold, warm = lift_fbm(seed, H, grid, level), lift_fbm(seed, H, grid, level)
         assert _fbm_factor.cache_info().hits == 1
@@ -148,12 +149,28 @@ class TestFbm:
 
     @pytest.mark.parametrize("n", [5, 300])
     def test_cholesky_reads_lower_triangle_only(self, n):
-        # lift_fbm relies on this: it leaves most of the strict upper triangle zero
+        # lift_fbm relies on this: it leaves the strict upper triangle of the
+        # Fortran-ordered view it factors zero
         B = np.random.default_rng(n).standard_normal((n, n))
         A = B @ B.T + n * np.eye(n)
         A_lower = A.copy()
         A_lower[np.triu_indices(n, 1)] = np.nan
-        assert np.array_equal(np.linalg.cholesky(A), np.linalg.cholesky(A_lower))
+        for a in (A_lower, np.asfortranarray(A_lower)):
+            assert np.array_equal(np.linalg.cholesky(A), np.linalg.cholesky(a))
+
+    def test_factor_takes_a_fortran_ordered_covariance(self, monkeypatch):
+        # LAPACK factors a column-major matrix, so numpy copies a C-ordered
+        # covariance to it by strided reads; a Fortran-ordered one it copies
+        # column by column
+        cholesky, layouts = np.linalg.cholesky, []
+
+        def record(a):
+            layouts.append(a.flags.f_contiguous)
+            return cholesky(a)
+        monkeypatch.setattr(np.linalg, "cholesky", record)
+        _fbm_factor.cache_clear()
+        lift_fbm(0, 0.4, Grid(-1.0, 0.0, 64), 3)
+        assert layouts == [True]
 
     def test_covariance_memory(self):
         # one m x m covariance plus its factor; the meshgrid build held 5 m x m arrays
